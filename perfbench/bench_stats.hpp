@@ -46,13 +46,16 @@ struct Tail {
   std::size_t beyond = 0;   // samples above it
 };
 
-/// The highest ladder percentile with at least `min_beyond` samples beyond
-/// it; p50 when even that has fewer.
-inline Tail tail_of(const std::vector<double>& sorted,
+/// The highest ladder percentile at or below `ceiling` with at least
+/// `min_beyond` samples beyond it; p50 when even that has fewer. A workload
+/// fixes its ceiling from its request volume, so which percentile a run
+/// reports does not hinge on how many of its samples were quiet.
+inline Tail tail_of(const std::vector<double>& sorted, double ceiling = 99,
                     std::size_t min_beyond = 10) {
   Tail t;
   t.samples = sorted.size();
   for (double p : kTailLadder) {
+    if (p > ceiling) continue;
     if (samples_beyond(sorted.size(), p) >= min_beyond || p == 50) {
       t.percentile = p;
       break;
@@ -136,6 +139,35 @@ inline double reference_probe(unsigned threads = 1) {
   }
   for (std::thread& th : pool) th.join();
   return *std::max_element(times.begin(), times.end());
+}
+
+/// The probe after other work: its first run reads slow on a quiet host
+/// (cold caches), so this is the fastest of three.
+inline double settled_probe(unsigned threads = 1) {
+  return std::min({reference_probe(threads), reference_probe(threads),
+                   reference_probe(threads)});
+}
+
+struct QuietMedian {
+  double value = 0;
+  std::size_t kept = 0;  // intervals the median is taken over
+};
+
+/// The median of the `values` of timed intervals whose settled probes
+/// before and after both lie within `tolerance` of `fast`, the run's fast
+/// probe level; the median of all values when no interval is quiet.
+inline QuietMedian quiet_median(const std::vector<double>& values,
+                                const std::vector<double>& before,
+                                const std::vector<double>& after, double fast,
+                                double tolerance = 1.12) {
+  std::vector<double> kept;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (std::max(before[i], after[i]) <= tolerance * fast) kept.push_back(values[i]);
+  }
+  if (kept.empty()) kept = values;
+  std::sort(kept.begin(), kept.end());
+  const std::size_t n = kept.size();
+  return {n % 2 == 1 ? kept[n / 2] : (kept[n / 2 - 1] + kept[n / 2]) / 2, n};
 }
 
 /// Which slices of a run were quiet. `probes` holds the reference-probe

@@ -3,7 +3,7 @@
 // every metric by name and unit; the last line is the JSON result.
 //
 //   perfbench --workload NAME --seed N --seconds S --trace 0|1
-//             [--examples DIR] [--spans-out FILE] [--per-input 1]
+//             [--examples DIR] [--spans-out FILE]
 //
 // --trace 0 measures the end-to-end metrics. --trace 1 measures half the
 // time untraced and half traced, and prints the per-layer metrics: spans
@@ -19,7 +19,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_stats.hpp"
@@ -43,6 +42,7 @@ constexpr int kSetups = 5;           // set-up repetitions; setup_s is their med
 constexpr int kWarmupPasses = 3;     // passes over every input before timing
 constexpr std::size_t kServeWarmup = 4000;  // requests that fill the cache
 constexpr int kSpeedupRounds = 5;    // serial/w=2 pairs per input (traced run)
+constexpr int kLayerRounds = 3;      // passes of the traced run's layer pass
 constexpr double kTraceSlice = 0.5;  // seconds per untraced/traced slice
 constexpr double kProbeInterval = 0.02;  // seconds between reference probes
 /// The reference probe's time on a quiet host (its 10th percentile over a
@@ -73,12 +73,44 @@ double median_of(std::vector<double> v) {
   return percentile(v, 50);
 }
 
+/// Threads a request keeps busy: the most workers any input asks for.
+unsigned busy_threads(const Workload& w) {
+  unsigned n = 1;
+  for (const Input& in : w.inputs) n = std::max(n, in.request.workers);
+  return n;
+}
+
 /// What one request returned, kept for the known-answer check.
 struct Outcome {
   std::uint32_t input = 0;
   Verdict verdict = Verdict::kUnknown;
   std::optional<std::uint64_t> executions;
   std::string error;  // parse failure
+  bool operator==(const Outcome&) const = default;
+};
+
+/// The distinct outcomes of each input and how many requests returned
+/// each: what the known-answer check judges. A few entries per input, so
+/// the record does not grow with the number of requests.
+struct Tally {
+  struct Entry {
+    Outcome outcome;
+    std::uint64_t count = 0;
+  };
+  std::vector<std::vector<Entry>> by_input;
+  std::uint64_t requests = 0;
+
+  explicit Tally(std::size_t inputs) : by_input(inputs) {}
+  void add(const Outcome& o) {
+    ++requests;
+    for (Entry& e : by_input[o.input]) {
+      if (e.outcome == o) {
+        ++e.count;
+        return;
+      }
+    }
+    by_input[o.input].push_back({o, 1});
+  }
 };
 
 /// Per-layer accumulators of the traced run (README.md, "Per-layer").
@@ -109,8 +141,9 @@ struct Layers {
 /// in-process service or verifier the client talks to.
 class Runner {
  public:
-  Runner(WorkloadKind kind, std::uint64_t seed, const std::string& examples)
-      : workload_(make_workload(kind, seed, examples)),
+  Runner(WorkloadKind kind, std::uint64_t seed, const std::string& examples,
+         const std::vector<std::uint64_t>& draws)
+      : workload_(make_workload(kind, seed, examples, &draws)),
         stream_(workload_),
         service_(mcsym::check::VerifierService::Options{workload_.cache_capacity}) {}
   Runner(const Runner&) = delete;
@@ -118,12 +151,6 @@ class Runner {
 
   const Workload& workload() const { return workload_; }
   RequestStream& stream() { return stream_; }
-  /// Threads a request keeps busy: the most workers any input asks for.
-  unsigned busy_threads() const {
-    unsigned n = 1;
-    for (const Input& in : workload_.inputs) n = std::max(n, in.request.workers);
-    return n;
-  }
   const mcsym::check::VerifierService& service() const { return service_; }
 
   /// Warms caches and the allocator: every input kWarmupPasses times, and
@@ -151,13 +178,12 @@ class Runner {
   /// over w=2 time, medians of interleaved pairs.
   double speedup_w2();
 
-  /// Traced run, serve_mixed: one report per input for timing
-  /// report_to_json on misses (the service serializes inside the call).
-  void prepare_serialize_reports() {
-    for (const Input& in : workload_.inputs) {
-      serialize_reports_.push_back(verifier_.verify(in.program, in.request));
-    }
-  }
+  /// Traced run: the layer calls a request makes inside the service or the
+  /// symbolic checker (parse, cache key, report serialization; trace
+  /// recording, witness replay), timed on their own over every input,
+  /// kLayerRounds times. They run apart from the traced requests so that
+  /// they neither slow those requests down nor warm caches for them.
+  void layer_pass(SpanRecorder& spans, std::uint64_t first_id);
 
  private:
   Outcome serve_source(const Request& r, SpanRecorder* spans, std::uint64_t id);
@@ -166,7 +192,6 @@ class Runner {
   RequestStream stream_;
   mcsym::check::VerifierService service_;
   mcsym::check::Verifier verifier_;
-  std::vector<VerifyReport> serialize_reports_;
 };
 
 void count_dpor(const Input& in, const VerifyReport& report, Layers& l,
@@ -196,8 +221,7 @@ void count_dpor(const Input& in, const VerifyReport& report, Layers& l,
   l.cycles_found += report_counter(report, "cycles_found");
 }
 
-void count_symbolic(const Input& in, const VerifyReport& report, Layers& l,
-                    bool first, SpanRecorder& spans, std::uint64_t id) {
+void count_symbolic(const VerifyReport& report, Layers& l, bool first) {
   double matchgen = 0, encode = 0, solve = 0;
   for (const auto& tc : report.trace_checks) {
     matchgen += tc.verdict.matchgen_seconds;
@@ -207,24 +231,6 @@ void count_symbolic(const Input& in, const VerifyReport& report, Layers& l,
   l.matchgen_ms.push_back(matchgen * 1e3);
   l.encode_ms.push_back(encode * 1e3);
   l.solve_ms.push_back(solve * 1e3);
-  {
-    // Trace recording, timed on its own: the first trace's scheduler.
-    ScopedSpan span(&spans, "trace.record", id);
-    mcsym::mcapi::System system(in.program, in.request.mode);
-    mcsym::trace::Trace trace(in.program);
-    mcsym::trace::Recorder recorder(trace);
-    mcsym::mcapi::RandomScheduler scheduler(in.request.trace_seed);
-    (void)mcsym::mcapi::run(system, scheduler, &recorder,
-                            in.request.budget.max_run_steps);
-  }
-  for (const auto& tc : report.trace_checks) {
-    if (!tc.verdict.witness.has_value()) continue;
-    ScopedSpan span(&spans, "witness_replay.replay", id);
-    mcsym::check::ReplayOptions ro;
-    ro.continue_past_violation = true;
-    (void)mcsym::check::schedule_from_witness(in.program, tc.trace,
-                                              *tc.verdict.witness, ro);
-  }
   if (!first) return;
   l.pairs += report_counter(report, "match_disjuncts");
   l.constraints +=
@@ -257,7 +263,7 @@ Outcome Runner::serve(const Request& r, SpanRecorder* spans, std::uint64_t id,
     const bool first = !layers->seen[r.input];
     layers->seen[r.input] = true;
     if (in.request.engine == Engine::kSymbolic) {
-      count_symbolic(in, report, *layers, first, *spans, id);
+      count_symbolic(report, *layers, first);
     } else {
       count_dpor(in, report, *layers, first);
     }
@@ -272,15 +278,6 @@ Outcome Runner::serve_source(const Request& r, SpanRecorder* spans,
   Outcome out;
   out.input = r.input;
   ScopedSpan request(spans, "request", id);
-  if (spans != nullptr) {
-    // The hit path's pieces, timed on their own ahead of the real call.
-    {
-      ScopedSpan span(spans, "text.parse", id);
-      (void)mcsym::text::parse_program(text);
-    }
-    ScopedSpan span(spans, "service.cache_key", id);
-    (void)service_.cache_key(text, in.request);
-  }
   const std::size_t call = spans ? spans->open("service.verify_source", id) : 0;
   const auto reply = service_.verify_source(text, in.request);
   out.verdict = reply.verdict;
@@ -289,10 +286,6 @@ Outcome Runner::serve_source(const Request& r, SpanRecorder* spans,
     spans->close();
     // Named by path once known, so hit and miss latencies separate.
     spans->rename(call, reply.cache_hit ? "service.hit" : "service.miss");
-    if (!reply.cache_hit) {
-      ScopedSpan span(spans, "verifier.serialize", id);
-      (void)mcsym::check::report_to_json(serialize_reports_[r.input]);
-    }
   }
   return out;
 }
@@ -317,23 +310,67 @@ double Runner::speedup_w2() {
   return std::exp(log_sum / static_cast<double>(workload_.inputs.size()));
 }
 
-/// A timed closed loop: requests until `seconds` have passed, with a
-/// reference probe between requests every kProbeInterval seconds.
-struct Phase {
-  std::vector<double> latencies;  // seconds
-  std::vector<Outcome> outcomes;
-  std::vector<std::uint32_t> slice;  // per request: index of the probe before it
-  std::vector<double> probes;        // reference-probe times (seconds)
-  double seconds = 0;
-
-  void append(Phase&& other) {
-    const auto offset = static_cast<std::uint32_t>(probes.size());
-    for (std::uint32_t j : other.slice) slice.push_back(j + offset);
-    probes.insert(probes.end(), other.probes.begin(), other.probes.end());
-    latencies.insert(latencies.end(), other.latencies.begin(), other.latencies.end());
-    outcomes.insert(outcomes.end(), other.outcomes.begin(), other.outcomes.end());
-    seconds += other.seconds;
+void Runner::layer_pass(SpanRecorder& spans, std::uint64_t first_id) {
+  const bool serve = workload_.kind == WorkloadKind::kServeMixed;
+  std::vector<VerifyReport> reports;  // serve_mixed: what a miss serializes
+  if (serve) {
+    for (const Input& in : workload_.inputs) {
+      reports.push_back(verifier_.verify(in.program, in.request));
+    }
   }
+  std::uint64_t id = first_id;
+  for (int round = 0; round < kLayerRounds; ++round) {
+    for (std::size_t i = 0; i < workload_.inputs.size(); ++i, ++id) {
+      const Input& in = workload_.inputs[i];
+      if (serve) {
+        for (const std::string* text : {&in.source, &in.renamed}) {
+          {
+            ScopedSpan span(&spans, "text.parse", id);
+            (void)mcsym::text::parse_program(*text);
+          }
+          ScopedSpan span(&spans, "service.cache_key", id);
+          (void)service_.cache_key(*text, in.request);
+        }
+        ScopedSpan span(&spans, "verifier.serialize", id);
+        (void)mcsym::check::report_to_json(reports[i]);
+        continue;
+      }
+      if (in.request.engine != Engine::kSymbolic) continue;
+      const VerifyReport report = verifier_.verify(in.program, in.request);
+      {
+        // The first trace's scheduler, as the checker records it.
+        ScopedSpan span(&spans, "trace.record", id);
+        mcsym::mcapi::System system(in.program, in.request.mode);
+        mcsym::trace::Trace trace(in.program);
+        mcsym::trace::Recorder recorder(trace);
+        mcsym::mcapi::RandomScheduler scheduler(in.request.trace_seed);
+        (void)mcsym::mcapi::run(system, scheduler, &recorder,
+                                in.request.budget.max_run_steps);
+      }
+      for (const auto& tc : report.trace_checks) {
+        if (!tc.verdict.witness.has_value()) continue;
+        ScopedSpan span(&spans, "witness_replay.replay", id);
+        mcsym::check::ReplayOptions ro;
+        ro.continue_past_violation = true;
+        (void)mcsym::check::schedule_from_witness(in.program, tc.trace,
+                                                  *tc.verdict.witness, ro);
+      }
+    }
+  }
+}
+
+/// A timed closed loop's record: every request's latency, and the reference
+/// probes run between requests every kProbeInterval seconds. Probe j
+/// precedes slice j, the requests slice_start[j] .. slice_start[j + 1] - 1;
+/// the last probe follows the last slice.
+struct Phase {
+  std::vector<float> latencies;  // seconds, in request order
+  std::vector<std::size_t> slice_start;
+  std::vector<double> probes;  // reference-probe times (seconds)
+  double seconds = 0;
+  /// The loop also ends when this many requests are recorded, so that a
+  /// latency buffer sized in advance never grows.
+  std::size_t max_requests = SIZE_MAX;
 };
 
 /// The requests of a phase's quiet slices: what the timing metrics use.
@@ -350,58 +387,47 @@ Quiet quiet_part(const Phase& phase) {
   const std::vector<bool> quiet = quiet_slices(phase.probes);
   Quiet q;
   q.total_slices = quiet.size();
-  for (bool b : quiet) q.slices += b ? 1 : 0;
-  for (std::size_t i = 0; i < phase.latencies.size(); ++i) {
-    if (!quiet[phase.slice[i]]) continue;
-    q.latencies.push_back(phase.latencies[i]);
-    q.busy += phase.latencies[i];
+  for (std::size_t j = 0; j < quiet.size(); ++j) {
+    if (!quiet[j]) continue;
+    ++q.slices;
+    for (std::size_t i = phase.slice_start[j]; i < phase.slice_start[j + 1]; ++i) {
+      q.latencies.push_back(phase.latencies[i]);
+      q.busy += phase.latencies[i];
+    }
   }
   std::sort(q.latencies.begin(), q.latencies.end());
   return q;
 }
 
-Phase run_phase(Runner& runner, double seconds, SpanRecorder* spans,
-                Layers* layers, std::uint64_t first_id) {
-  Phase phase;
-  const unsigned threads = runner.busy_threads();
+/// Runs the reference probe on as many threads as a request keeps busy and
+/// opens the next slice of `phase`.
+void add_probe(unsigned threads, Phase& phase) {
+  phase.probes.push_back(reference_probe(threads));
+  phase.slice_start.push_back(phase.latencies.size());
+}
+
+/// Sends requests for `seconds`, appending to `phase` and `tally`.
+void run_phase(Runner& runner, double seconds, SpanRecorder* spans,
+               Layers* layers, Tally& tally, Phase& phase) {
+  const unsigned threads = busy_threads(runner.workload());
   const double start = now_seconds();
   double now = start;
   double last_probe = start;
-  phase.probes.push_back(reference_probe(threads));
-  std::uint64_t id = first_id;
-  while (now - start < seconds) {
+  add_probe(threads, phase);
+  while (now - start < seconds && phase.latencies.size() < phase.max_requests) {
     if (now - last_probe >= kProbeInterval) {
-      phase.probes.push_back(reference_probe(threads));
+      add_probe(threads, phase);
       last_probe = now_seconds();
     }
     const Request r = runner.stream().next();
     const double t0 = now_seconds();
-    phase.outcomes.push_back(runner.serve(r, spans, id++, layers));
+    const Outcome out = runner.serve(r, spans, tally.requests, layers);
     now = now_seconds();
-    phase.latencies.push_back(now - t0);
-    phase.slice.push_back(static_cast<std::uint32_t>(phase.probes.size() - 1));
+    phase.latencies.push_back(static_cast<float>(now - t0));
+    tally.add(out);
   }
-  phase.probes.push_back(reference_probe(threads));
-  phase.seconds = now - start;
-  return phase;
-}
-
-/// Each input's share of the requests and its median latency, cheapest
-/// first: shows where the median and the tail clusters sit.
-void print_per_input(const Workload& w, const Phase& phase) {
-  std::vector<std::vector<double>> by_input(w.inputs.size());
-  for (std::size_t i = 0; i < phase.outcomes.size(); ++i) {
-    by_input[phase.outcomes[i].input].push_back(phase.latencies[i]);
-  }
-  std::vector<std::pair<double, std::size_t>> order;
-  for (std::size_t i = 0; i < by_input.size(); ++i) {
-    order.emplace_back(median_of(by_input[i]), i);
-  }
-  std::sort(order.begin(), order.end());
-  for (const auto& [p50, i] : order) {
-    std::printf("  %-44s %6zu requests  p50 %9.4f ms\n", w.inputs[i].name.c_str(),
-                by_input[i].size(), p50 * 1e3);
-  }
+  add_probe(threads, phase);
+  phase.seconds += now - start;
 }
 
 struct Metric {
@@ -502,7 +528,6 @@ struct Args {
   int trace = 0;
   std::string examples = "examples";
   std::string spans_out;
-  bool per_input = false;  // print each input's request count and p50
 };
 
 Args parse_args(int argc, char** argv) {
@@ -523,8 +548,6 @@ Args parse_args(int argc, char** argv) {
       a.examples = value;
     } else if (key == "--spans-out") {
       a.spans_out = value;
-    } else if (key == "--per-input") {
-      a.per_input = value == "1";
     } else {
       throw std::invalid_argument("unknown argument " + key);
     }
@@ -535,72 +558,112 @@ Args parse_args(int argc, char** argv) {
   return a;
 }
 
-int run(const Args& args, double process_start) {
+int run(const Args& args) {
   const auto kind = workload_from_name(args.workload);
   if (!kind) throw std::invalid_argument("unknown workload " + args.workload);
 
-  // Set-up, several times: setup_s is the median, the first one timed from
-  // process start. The last runner serves the timed phase.
-  std::vector<double> setups;
-  std::unique_ptr<Runner> runner;
-  for (int k = 0; k < kSetups; ++k) {
-    const double t0 = k == 0 ? process_start : now_seconds();
-    runner.reset();
-    runner = std::make_unique<Runner>(*kind, args.seed, args.examples);
-    runner->warm_up();
-    setups.push_back(now_seconds() - t0);
+  // The band search that picks the seed's random programs runs once and
+  // untimed: how many candidates it verifies depends on the seed, not on
+  // mcsym's set-up cost. Every timed set-up regenerates the chosen programs.
+  std::vector<std::uint64_t> draws;
+  double max_requests_per_s = 0;
+  std::size_t input_count = 0;
+  unsigned threads = 1;
+  {
+    Workload searched = make_workload(*kind, args.seed, args.examples);
+    draws = std::move(searched.draws);
+    max_requests_per_s = searched.max_requests_per_s;
+    input_count = searched.inputs.size();
+    threads = busy_threads(searched);
   }
-  // Read before the timed phase: what follows only adds this harness's own
-  // per-request records, which grow with throughput.
-  const double rss_mb = peak_rss_mb();
-  const Workload& w = runner->workload();
-  std::printf("workload %s seed %llu: %zu inputs, input fingerprint %s\n",
-              args.workload.c_str(), static_cast<unsigned long long>(args.seed),
-              w.inputs.size(), input_fingerprint(w).c_str());
+
+  // The timed phase's latency buffer, sized and touched now so that the
+  // resident set it adds is the same in every run: peak_rss_mb leaves it out.
+  Phase phase;
+  if (args.trace == 0) {
+    phase.max_requests =
+        static_cast<std::size_t>(std::ceil(args.seconds * max_requests_per_s));
+    phase.latencies.resize(phase.max_requests);
+    phase.latencies.clear();
+  }
+  const double buffer_mb =
+      static_cast<double>(phase.latencies.capacity() * sizeof(float)) / (1024.0 * 1024.0);
+
+  // A set-up builds the runner: the workload regenerated from the draws,
+  // its service, and the warm-up. Returns its duration in seconds.
+  std::unique_ptr<Runner> runner;
+  const auto set_up = [&] {
+    runner.reset();
+    const double t0 = now_seconds();
+    runner = std::make_unique<Runner>(*kind, args.seed, args.examples, draws);
+    runner->warm_up();
+    return now_seconds() - t0;
+  };
+  const auto print_fingerprint = [&] {
+    const Workload& w = runner->workload();
+    std::printf("workload %s seed %llu: %zu inputs, input fingerprint %s\n",
+                args.workload.c_str(), static_cast<unsigned long long>(args.seed),
+                w.inputs.size(), input_fingerprint(w).c_str());
+  };
 
   std::vector<Metric> metrics;
-  std::vector<Outcome> outcomes;
+  Tally tally(input_count);
   if (args.trace == 0) {
-    Phase phase = run_phase(*runner, args.seconds, nullptr, nullptr, 0);
-    if (args.per_input) print_per_input(w, phase);
+    // kSetups set-ups spread over the run: each builds a fresh runner that
+    // serves the next 1/kSetups of the timed phase, so the set-ups sample
+    // the host across the run, not at one moment. Settled probes bracket
+    // each; setup_s is the median of the quiet set-ups.
+    std::vector<double> setups, before, after;
+    for (int k = 0; k < kSetups; ++k) {
+      before.push_back(settled_probe(threads));
+      setups.push_back(set_up());
+      after.push_back(settled_probe(threads));
+      if (k == 0) print_fingerprint();
+      run_phase(*runner, args.seconds / kSetups, nullptr, nullptr, tally, phase);
+    }
+    // Read before the known-answer check, whose reference engines are not
+    // part of serving.
+    const double rss_mb = peak_rss_mb() - buffer_mb;
+    const Workload& w = runner->workload();
     const Quiet quiet = quiet_part(phase);
-    const Tail tail = tail_of(quiet.latencies);
+    const Tail tail = tail_of(quiet.latencies, w.tail_percentile);
     std::vector<double> probes = phase.probes;
     std::sort(probes.begin(), probes.end());
-    const double speed = kProbeNominal / percentile(probes, 10);
+    const double fast = percentile(probes, 10);
+    const double speed = kProbeNominal / fast;
+    const QuietMedian setup = quiet_median(setups, before, after, fast);
     std::printf(
-        "quiet slices: %zu of %zu, %zu of %zu requests timed; reference probe "
-        "p10 %.1f us, timings scaled by %.4f\n",
+        "quiet slices: %zu of %zu, %zu of %zu requests and %zu of %zu set-ups "
+        "timed; reference probe p10 %.1f us, timings scaled by %.4f\n",
         quiet.slices, quiet.total_slices, quiet.latencies.size(),
-        phase.latencies.size(), percentile(probes, 10) * 1e6, speed);
-    std::printf("unscaled: %.6g verdicts/s, p50 %.6g ms, tail %.6g ms\n",
+        phase.latencies.size(), setup.kept, setups.size(), fast * 1e6, speed);
+    std::printf("unscaled: %.6g verdicts/s, p50 %.6g ms, tail %.6g ms, set-up %.6g s\n",
                 quiet.verdicts_per_s(), percentile(quiet.latencies, 50) * 1e3,
-                tail.value * 1e3);
+                tail.value * 1e3, setup.value);
     std::printf("latency_tail_ms is p%g of %zu samples (%zu beyond)\n",
                 tail.percentile, tail.samples, tail.beyond);
     metrics = {
         {"verdicts_per_s", quiet.verdicts_per_s() / speed, "1/s"},
         {"latency_p50_ms", percentile(quiet.latencies, 50) * speed * 1e3, "ms"},
         {"latency_tail_ms", tail.value * speed * 1e3, "ms"},
-        {"setup_s", median_of(setups), "s"},
+        {"setup_s", setup.value * speed, "s"},
         {"peak_rss_mb", rss_mb, "MB"},
     };
-    outcomes = std::move(phase.outcomes);
   } else {
+    (void)set_up();
+    print_fingerprint();
     SpanRecorder spans;
     Layers layers;
-    layers.seen.assign(w.inputs.size(), false);
-    if (*kind == WorkloadKind::kServeMixed) runner->prepare_serialize_reports();
+    layers.seen.assign(input_count, false);
     const auto stats0 = runner->service().stats();
     // Untraced and traced slices alternate, so host drift over the run
     // falls on both halves alike.
-    Phase plain, traced;
+    Phase traced;
     double cpu = 0;
-    while (plain.seconds < args.seconds / 2) {
-      plain.append(run_phase(*runner, kTraceSlice, nullptr, nullptr, 0));
+    while (phase.seconds < args.seconds / 2) {
+      run_phase(*runner, kTraceSlice, nullptr, nullptr, tally, phase);
       const double cpu0 = process_cpu_seconds();
-      traced.append(run_phase(*runner, kTraceSlice, &spans, &layers,
-                              traced.outcomes.size()));
+      run_phase(*runner, kTraceSlice, &spans, &layers, tally, traced);
       cpu += process_cpu_seconds() - cpu0;
     }
     if (*kind == WorkloadKind::kDporParallel) {
@@ -613,39 +676,41 @@ int run(const Args& args, double process_start) {
                                static_cast<double>(s.requests - stats0.requests));
       layers.evictions = s.cache_evictions - stats0.cache_evictions;
     }
+    runner->layer_pass(spans, tally.requests);
     metrics = per_layer_metrics(layers, spans.spans(),
                                 quiet_part(traced).verdicts_per_s() /
-                                    quiet_part(plain).verdicts_per_s());
-    std::printf("self time by span (traced half, %zu requests):\n",
-                traced.outcomes.size());
+                                    quiet_part(phase).verdicts_per_s());
+    std::printf("self time by span (traced half and layer pass):\n");
     for (const auto& [name, self] : self_time_by_name(spans.spans())) {
       std::printf("  %-26s %10.3f ms\n", name.c_str(), self * 1e3);
     }
     if (!args.spans_out.empty()) write_spans(args.spans_out, spans.spans());
-    outcomes = std::move(plain.outcomes);
-    outcomes.insert(outcomes.end(), traced.outcomes.begin(), traced.outcomes.end());
   }
 
   // Known-answer check, after the timed phase and outside every metric.
+  const Workload& w = runner->workload();
   const double oracle_start = now_seconds();
-  std::unordered_map<std::uint32_t, KnownAnswer> answers;
   std::uint64_t failed = 0;
+  std::size_t checked = 0;
   std::vector<std::string> reasons;
-  for (const Outcome& o : outcomes) {
-    auto it = answers.find(o.input);
-    if (it == answers.end()) {
-      it = answers.emplace(o.input, known_answer(w.inputs[o.input])).first;
+  for (std::size_t i = 0; i < w.inputs.size(); ++i) {
+    if (tally.by_input[i].empty()) continue;
+    ++checked;
+    const KnownAnswer answer = known_answer(w.inputs[i]);
+    for (const Tally::Entry& e : tally.by_input[i]) {
+      const Outcome& o = e.outcome;
+      const std::string why = o.error.empty()
+                                  ? judge(answer, o.verdict, o.executions)
+                                  : "parse error: " + o.error;
+      if (why.empty()) continue;
+      failed += e.count;
+      if (reasons.size() < 10) reasons.push_back(w.inputs[i].name + ": " + why);
     }
-    std::string why = o.error.empty() ? judge(it->second, o.verdict, o.executions)
-                                      : "parse error: " + o.error;
-    if (why.empty()) continue;
-    ++failed;
-    if (reasons.size() < 10) reasons.push_back(w.inputs[o.input].name + ": " + why);
   }
   std::printf(
-      "known answers: %zu inputs checked in %.2f s, %llu of %zu requests failed\n",
-      answers.size(), now_seconds() - oracle_start,
-      static_cast<unsigned long long>(failed), outcomes.size());
+      "known answers: %zu inputs checked in %.2f s, %llu of %llu requests failed\n",
+      checked, now_seconds() - oracle_start, static_cast<unsigned long long>(failed),
+      static_cast<unsigned long long>(tally.requests));
   for (const std::string& r : reasons) std::printf("  FAILED %s\n", r.c_str());
   for (const Metric& m : metrics) {
     std::printf("%-40s %16s %s\n", m.name.c_str(), format_number(m.value).c_str(),
@@ -654,7 +719,7 @@ int run(const Args& args, double process_start) {
 
   std::string json = "{\"correct\": ";
   json += failed == 0 ? "true" : "false";
-  json += ", \"attempted\": " + std::to_string(outcomes.size());
+  json += ", \"attempted\": " + std::to_string(tally.requests);
   json += ", \"failed\": " + std::to_string(failed) + ", \"metrics\": {";
   for (std::size_t i = 0; i < metrics.size(); ++i) {
     json += (i ? ", \"" : "\"") + metrics[i].name + "\": {\"value\": " +
@@ -669,10 +734,9 @@ int run(const Args& args, double process_start) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double process_start = now_seconds();
   std::setvbuf(stdout, nullptr, _IOLBF, 0);
   try {
-    return run(parse_args(argc, argv), process_start);
+    return run(parse_args(argc, argv));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "perfbench: %s\n", e.what());
     return 2;

@@ -57,6 +57,12 @@ void test_tail() {
   expect(near(t.percentile, 99), "the ladder stops at p99");
   t = tail_of(one_to(15));
   expect(near(t.percentile, 50), "too few samples: tail falls back to p50");
+  t = tail_of(one_to(100000), 95);
+  expect(near(t.percentile, 95) && near(t.value, 95000),
+         "a p95 ceiling holds the tail at p95 however many samples");
+  t = tail_of(one_to(150), 95);
+  expect(near(t.percentile, 90) && t.beyond == 15,
+         "below the ceiling the ladder still needs 10 samples beyond");
 }
 
 void test_quiet_slices() {
@@ -71,6 +77,12 @@ void test_quiet_slices() {
   for (bool b : mostly) kept += b ? 1 : 0;
   expect(kept * 4 >= mostly.size(), "at least a quarter of the slices is kept");
   expect(reference_probe() > 0, "the reference probe takes measurable time");
+  // Set-ups 2 and 4 ran next to a slow probe; the median is over 1, 3, 5.
+  QuietMedian m = quiet_median({0.10, 0.30, 0.12, 0.40, 0.11},
+                               {1.0, 2.0, 1.0, 1.0, 1.1}, {1.0, 1.0, 1.05, 2.0, 1.0}, 1.0);
+  expect(m.kept == 3 && near(m.value, 0.11), "set-ups beside a slow probe are left out");
+  m = quiet_median({0.3, 0.1}, {2, 2}, {2, 2}, 1.0);
+  expect(m.kept == 2 && near(m.value, 0.2), "no quiet set-up: the median of all");
 }
 
 void test_fingerprints() {
@@ -85,6 +97,11 @@ void test_fingerprints() {
   const Workload e = make_workload(WorkloadKind::kSymbolicTraces, 4, "examples");
   expect(input_fingerprint(d, 500) != input_fingerprint(e, 500),
          "different seed draws different random programs");
+  const Workload replayed =
+      make_workload(WorkloadKind::kSymbolicTraces, 3, "examples", &d.draws);
+  expect(!d.draws.empty() && replayed.draws == d.draws &&
+             input_fingerprint(replayed, 500) == input_fingerprint(d, 500),
+         "regenerating from the chosen draws rebuilds the same inputs");
   Fingerprint f, g;
   f.mix("ab");
   f.mix("c");

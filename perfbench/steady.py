@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Steadiness self-check and A/A comparison of the end-to-end benchmark.
 
-    python3 perfbench/steady.py [--runs 10] [--sets 2] [--workloads a,b]
+    python3 perfbench/steady.py [--runs 10] [--workloads a,b]
 
-Runs every workload of BENCHMARK.json --runs times per set, each run with
-its own seed, interleaving the workloads so host noise hits all of them
-alike. For each end-to-end metric it prints the median and the spread (the
-distance between the first and third quartile as a share of the median)
-beside the metric's bound. With two sets of the same build it also prints
-the A/A drift of the second set's median against the first, in the
-metric's worse direction. A spread at or above a third of the bound, or a
-drift above the bound, is marked; setup_s is exempt from the spread test.
-Exits nonzero if any run fails its known-answer check or any mark is set.
+Runs every workload of BENCHMARK.json --runs times in each of two sets of
+the same build, each run with its own seed, interleaving the workloads so
+host noise hits all of them alike. For each end-to-end metric it prints the
+median and the spread (the distance between the first and third quartile
+as a share of the median) of each set beside the metric's bound, and the
+A/A drift of the second set's median against the first, in the metric's
+worse direction. A spread at or above a third of the bound (for setup_s,
+above the bound) or a drift above the bound is marked. Exits nonzero if any
+run fails its known-answer check or any mark is set.
 """
 import argparse
 import json
@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SETS = 2
 
 
 def run_once(cmd, workload, seed, seconds):
@@ -48,11 +49,15 @@ def drift(first, second, better):
     return (b - a) / a if better == "lower" else (a - b) / a
 
 
+def unsteady(metric, values):
+    limit = metric["bound"] if metric["name"] == "setup_s" else metric["bound"] / 3
+    return spread(values) >= limit
+
+
 def main():
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--sets", type=int, choices=(1, 2), default=2)
     parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     parser.add_argument("--seed-base", type=int, default=1000)
     parser.add_argument("--workloads",
@@ -63,8 +68,8 @@ def main():
 
     # samples[set][workload][metric] -> list of values
     samples = [{w: {m["name"]: [] for m in metrics} for w in workloads}
-               for _ in range(args.sets)]
-    for s in range(args.sets):
+               for _ in range(SETS)]
+    for s in range(SETS):
         for i in range(args.runs):
             for w in workloads:
                 seed = args.seed_base + 100 * s + i
@@ -76,24 +81,18 @@ def main():
                       flush=True)
 
     marked = False
-    print(f"\n{'workload':<17} {'metric':<16} {'median':>12} {'spread':>8} "
-          f"{'bound':>6}" + (f" {'A/A drift':>10}" if args.sets == 2 else ""))
+    print(f"\n{'workload':<17} {'metric':<16} {'median':>12} {'spread 1':>9} "
+          f"{'spread 2':>9} {'bound':>6} {'A/A drift':>10}")
     for w in workloads:
         for m in metrics:
-            first = samples[0][w][m["name"]]
-            sp = spread(first)
-            mark = m["name"] != "setup_s" and sp >= m["bound"] / 3
-            line = (f"{w:<17} {m['name']:<16} {statistics.median(first):>12.6g} "
-                    f"{sp:>8.3f} {m['bound']:>6.2f}")
-            if args.sets == 2:
-                second = samples[1][w][m["name"]]
-                d = drift(first, second, m["better"])
-                line += f" {d:>+10.3f}"
-                mark = mark or d > m["bound"]
-                if m["name"] != "setup_s":
-                    mark = mark or spread(second) >= m["bound"] / 3
+            first, second = (samples[s][w][m["name"]] for s in range(SETS))
+            d = drift(first, second, m["better"])
+            mark = unsteady(m, first) or unsteady(m, second) or d > m["bound"]
             marked = marked or mark
-            print(line + ("  <-- not steady" if mark else ""))
+            print(f"{w:<17} {m['name']:<16} {statistics.median(first):>12.6g} "
+                  f"{spread(first):>9.3f} {spread(second):>9.3f} "
+                  f"{m['bound']:>6.2f} {d:>+10.3f}" +
+                  ("  <-- not steady" if mark else ""))
     return 1 if marked else 0
 
 

@@ -127,14 +127,35 @@ RandomProgramOptions options(std::uint32_t threads) {
   return o;
 }
 
+/// Where random programs come from: the seeded band search, or the seeds
+/// an earlier search chose.
+struct Draws {
+  mcsym::support::Rng rng;
+  const std::vector<std::uint64_t>* replay = nullptr;
+};
+
+std::string draw_name(std::uint64_t seed, const Family& family) {
+  std::ostringstream name;
+  name << "random_program(" << seed << ")/" << family.label << "/"
+       << family.options.threads << "t";
+  return name.str();
+}
+
 /// Draws one program of `family` from the seeded stream: candidates are
 /// generated until one's warm-up verification lands its work counter
 /// inside the band. Deterministic: only counters, never timings, decide.
-void add_random(Workload& w, mcsym::support::Rng& rng, const Family& family,
+void add_random(Workload& w, Draws& draws, const Family& family,
                 const VerifyRequest& req, std::uint32_t weight) {
+  if (draws.replay != nullptr) {
+    const std::uint64_t seed = draws.replay->at(w.draws.size());
+    add(w, draw_name(seed, family),
+        mcsym::check::random_program(seed, family.options), req, weight);
+    w.draws.push_back(seed);
+    return;
+  }
   Verifier verifier;
   for (int attempt = 0; attempt < 100000; ++attempt) {
-    const std::uint64_t seed = rng.next_u64();
+    const std::uint64_t seed = draws.rng.next_u64();
     Program p = mcsym::check::random_program(seed, family.options);
     if (family.branch_free && !branch_and_observer_free(p)) continue;
     if (family.max_text > 0) {
@@ -147,17 +168,15 @@ void add_random(Workload& w, mcsym::support::Rng& rng, const Family& family,
     if (report.verdict == Verdict::kBudgetExhausted) continue;
     const std::uint64_t work = report_counter(report, family.band_counter);
     if (work < family.lo || work > family.hi) continue;
-    std::ostringstream name;
-    name << "random_program(" << seed << ")/" << family.label << "/"
-         << family.options.threads << "t";
-    add(w, name.str(), std::move(p), req, weight);
+    add(w, draw_name(seed, family), std::move(p), req, weight);
+    w.draws.push_back(seed);
     return;
   }
   throw std::runtime_error(std::string("no draw in band for family ") +
                            family.label);
 }
 
-void make_dpor_exhaustive(Workload& w, mcsym::support::Rng& rng) {
+void make_dpor_exhaustive(Workload& w, Draws& rng) {
   const VerifyRequest serial = base_request(Engine::kDporOptimal);
   VerifyRequest stateful = serial;
   stateful.stateful = true;
@@ -211,6 +230,8 @@ void make_dpor_exhaustive(Workload& w, mcsym::support::Rng& rng) {
 }
 
 void make_dpor_parallel(Workload& w) {
+  w.tail_percentile = 95;
+  w.max_requests_per_s = 1000;
   VerifyRequest req = base_request(Engine::kDporOptimal);
   req.workers = 2;
   add_closed_form(w, "scatter_gather_safe(6)", wl::scatter_gather_safe(6), req,
@@ -223,7 +244,8 @@ void make_dpor_parallel(Workload& w) {
                   message_race_traces(4, 2));
 }
 
-void make_symbolic_traces(Workload& w, mcsym::support::Rng& rng) {
+void make_symbolic_traces(Workload& w, Draws& rng) {
+  w.max_requests_per_s = 10000;
   VerifyRequest req = base_request(Engine::kSymbolic);
   req.traces = 4;
   // Below the anchor: branch-free, observer-free random programs, where the
@@ -266,9 +288,10 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
-void make_serve_mixed(Workload& w, mcsym::support::Rng& rng,
+void make_serve_mixed(Workload& w, Draws& rng,
                       const std::string& examples_dir) {
   w.cache_capacity = kServeCache;
+  w.max_requests_per_s = 100000;
   const VerifyRequest req = base_request(Engine::kDporOptimal);
   RandomProgramOptions six = options(6);
   RandomProgramOptions six_asserts = six;
@@ -332,11 +355,13 @@ const char* workload_name(WorkloadKind kind) {
 }
 
 Workload make_workload(WorkloadKind kind, std::uint64_t seed,
-                       const std::string& examples_dir) {
+                       const std::string& examples_dir,
+                       const std::vector<std::uint64_t>* draws) {
   Workload w;
   w.kind = kind;
   w.seed = seed;
-  mcsym::support::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 0x51ed270b);
+  Draws rng{mcsym::support::Rng(seed * 0x9e3779b97f4a7c15ULL + 0x51ed270b),
+            draws};
   switch (kind) {
     case WorkloadKind::kDporExhaustive: make_dpor_exhaustive(w, rng); break;
     case WorkloadKind::kDporParallel: make_dpor_parallel(w); break;

@@ -70,13 +70,23 @@ struct Workload {
   std::uint64_t seed = 0;
   std::deque<Input> inputs;  // deque: reports borrow Input::program
   std::size_t cache_capacity = 0;  // serve_mixed verdict-cache size
+  /// random_program seeds the band search chose, in the order drawn.
+  std::vector<std::uint64_t> draws;
+  /// The tail percentile's ceiling: p99 where a run completes thousands of
+  /// requests, p95 on dpor_parallel, which completes about a thousand.
+  double tail_percentile = 99;
+  /// Sizes the timed phase's latency buffer: about ten times today's rate.
+  double max_requests_per_s = 5000;
 };
 
 /// Builds the inputs of `kind` from `seed`. serve_mixed reads the shipped
-/// .mcp examples from `examples_dir`. Throws std::runtime_error when an
-/// input cannot be built.
-[[nodiscard]] Workload make_workload(WorkloadKind kind, std::uint64_t seed,
-                                     const std::string& examples_dir);
+/// .mcp examples from `examples_dir`. With `draws` (an earlier build's
+/// Workload::draws for the same kind and seed) the random programs are
+/// generated from those seeds without repeating the band search. Throws
+/// std::runtime_error when an input cannot be built.
+[[nodiscard]] Workload make_workload(
+    WorkloadKind kind, std::uint64_t seed, const std::string& examples_dir,
+    const std::vector<std::uint64_t>* draws = nullptr);
 
 /// The request stream of a workload: an endless, seed-determined sequence.
 /// dpor_*/symbolic_traces cycle through a seeded shuffle of the weighted
