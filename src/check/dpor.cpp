@@ -5,13 +5,11 @@
 
 #include "check/dpor_internal.hpp"
 #include "support/assert.hpp"
-#include "support/stats.hpp"
 
 namespace mcsym::check {
 
 using mcapi::Action;
 using mcapi::ActionFootprint;
-using mcapi::OpKind;
 using mcapi::System;
 
 DporChecker::DporChecker(const mcapi::Program& program, DporOptions options)
@@ -57,46 +55,15 @@ struct PopOnExit {
 
 }  // namespace
 
-bool DporChecker::over_time_budget(const support::Stopwatch& timer) const {
-  // Amortize the clock read over the *calls* (one per exploration-loop
-  // iteration / DFS entry), not over transitions: an iteration's race scan
-  // and feasibility simulations do unbounded work without advancing the
-  // transition counter, so a transition-keyed probe could overshoot the
-  // budget arbitrarily.
-  if (options_.max_seconds <= 0 && !options_.interrupted) return false;
-  if ((++budget_probe_ & 63u) != 0) return false;
-  if (options_.max_seconds > 0 && timer.seconds() > options_.max_seconds) {
-    return true;
-  }
-  return options_.interrupted && options_.interrupted();
-}
-
 void DporChecker::run_optimal(DporResult& result,
                               const support::Stopwatch& timer) {
   const mcapi::DeliveryMode mode = options_.mode;
   DporStats& st = result.stats;
 
-  // The one live System of the whole exploration: applied forward when a
-  // branch is taken, undone when a frame pops or a race simulation rewinds.
-  System sys(program_, mode);
-  sys.enable_undo_log();
-
-  // Counting fast path for race-reversal feasibility: in a program whose
-  // only operations are send / blocking recv / straight-line locals, an
-  // action's enabledness depends solely on a channel or endpoint queue
-  // LENGTH (sends always run, deliver needs a non-empty channel, recv a
-  // non-empty endpoint queue), and every footprinted op kind is fixed
-  // across replays (no data-dependent branches, no request observations,
-  // no asserts that could cut a simulation short). Candidate sequences can
-  // then be validated with pure integer counters over the footprints —
-  // no state mutation, no prefix restore. Anything richer (recv_i/wait,
-  // polls, wait_any, branches, asserts) or global-FIFO delivery falls back
-  // to the live-System simulation.
-  const bool countable = dpor_detail::countable_program(program_, mode);
-  // Scratch counters reused across candidates: per-channel in-transit and
-  // per-endpoint delivered-queue lengths reconstructed at the race point.
-  std::vector<std::pair<mcapi::ChannelId, std::ptrdiff_t>> chan_len;
-  std::vector<std::ptrdiff_t> ep_len(program_.num_endpoints(), 0);
+  // The executed prefix and its live System: applied forward when a branch
+  // is taken, undone when a frame pops or a race check rewinds.
+  dpor_detail::Prefix prefix(program_, mode);
+  System& sys = prefix.sys;
 
   std::vector<Frame> stack;
   stack.emplace_back();
@@ -104,69 +71,12 @@ void DporChecker::run_optimal(DporResult& result,
   // frames cut before registration), parallel to `stack`.
   std::vector<std::optional<std::uint64_t>> frame_fp;
   if (options_.stateful) frame_fp.emplace_back();
-  std::vector<ActionFootprint> events;  // E: footprints of the executed prefix
-  std::vector<std::vector<bool>> hb;    // hb[i][k]: E[k] happens-before E[i]
   std::vector<Action> enabled;
   // Raw apply count for the budget check only. The reported
   // stats.transitions is charged arrival-edge-exact — each execution's full
   // path length at the moment it completes — which is invariant across
   // exploration order (see DporStats::transitions).
   std::uint64_t applied = 0;
-
-  auto actions_of_prefix = [&events] {
-    std::vector<Action> script;
-    script.reserve(events.size());
-    for (const ActionFootprint& e : events) script.push_back(e.action);
-    return script;
-  };
-
-  // Counting-based feasibility of a reversal candidate `v` at race point
-  // `k` (only valid when `countable`): reconstruct channel/endpoint queue
-  // lengths at state k by inverting the executed suffix against the live
-  // state, then run the candidate through the counters — a deliver needs
-  // its channel non-empty, a recv its endpoint queue non-empty, everything
-  // else always fires. Exact for countable programs because per-thread
-  // control is straight-line, so the footprinted op kinds replay as-is.
-  auto count_feasible = [&](std::size_t k,
-                            const std::vector<ActionFootprint>& v) {
-    chan_len.clear();
-    auto chan = [&](mcapi::ChannelId c) -> std::ptrdiff_t& {
-      for (auto& [id, len] : chan_len) {
-        if (id == c) return len;
-      }
-      chan_len.emplace_back(c, static_cast<std::ptrdiff_t>(sys.transit_size(c)));
-      return chan_len.back().second;
-    };
-    for (std::size_t e = 0; e < ep_len.size(); ++e) {
-      ep_len[e] = static_cast<std::ptrdiff_t>(
-          sys.queue_size(static_cast<mcapi::EndpointRef>(e)));
-    }
-    for (std::size_t j = events.size(); j-- > k;) {
-      const ActionFootprint& e = events[j];
-      if (e.action.kind == Action::Kind::kDeliver) {
-        ++chan(e.channel);
-        --ep_len[e.channel.dst];
-      } else if (e.op == OpKind::kSend) {
-        --chan(e.channel);
-      } else if (e.op == OpKind::kRecv) {
-        ++ep_len[e.endpoint];
-      }
-    }
-    for (const ActionFootprint& e : v) {
-      if (e.action.kind == Action::Kind::kDeliver) {
-        std::ptrdiff_t& len = chan(e.channel);
-        if (len <= 0) return false;
-        --len;
-        ++ep_len[e.channel.dst];
-      } else if (e.op == OpKind::kSend) {
-        ++chan(e.channel);
-      } else if (e.op == OpKind::kRecv) {
-        if (ep_len[e.endpoint] <= 0) return false;
-        --ep_len[e.endpoint];
-      }
-    }
-    return true;
-  };
 
   // Pops the completed top frame, undoing its arrival action so the live
   // System is back at the parent's state; the parent's chosen action falls
@@ -179,125 +89,26 @@ void DporChecker::run_optimal(DporResult& result,
     stack.pop_back();
     if (stack.empty()) return;
     Frame& parent = stack.back();
-    events.pop_back();
-    hb.pop_back();
-    sys.undo();
+    prefix.pop();
     if (!parent.chosen_internal) parent.sleep.push_back(parent.chosen);
   };
 
-  // Direct-dependence scratch row, filled while the hb row is built and
-  // reused by the race scan (hb rows fold in the transitive closure, so
-  // they cannot answer "directly dependent" on their own).
-  std::vector<bool> direct_dep;
-
-  // Appends ev's happens-before row, then scans the prefix for reversible
-  // races ending in ev and schedules their reversal sequences
-  // (notdep(e,E)·proc(ev)) at the frame before the raced event.
-  auto append_event = [&](const ActionFootprint& ev) {
-    const std::size_t n = events.size();
-    std::vector<bool> row(n, false);
-    direct_dep.assign(n, false);
-    for (std::size_t k = 0; k < n; ++k) {
-      if (mcapi::dependent(events[k], ev, mode)) {
-        direct_dep[k] = true;
-        row[k] = true;
-        const std::vector<bool>& below = hb[k];
-        for (std::size_t l = 0; l < below.size(); ++l) {
-          if (below[l]) row[l] = true;
-        }
-      }
+  // A race with the event at depth k is covered by the siblings asleep at
+  // frame k (q is a weak initial of v: the q-subtree explored v's trace),
+  // and its reversal is scheduled in frame k's wakeup tree.
+  auto covered = [&](std::size_t k, const std::vector<ActionFootprint>& v) {
+    for (const ActionFootprint& q : stack[k].sleep) {
+      if (weak_initial_pos(q.action, v, mode) != kNpos) return true;
     }
-    events.push_back(ev);
-    hb.push_back(std::move(row));
-    if (ev.internal) return;  // internal steps race with nothing
-
-    // Feasibility simulations rewind the live System; the scan visits
-    // race points in decreasing depth, so the rewind is monotone and the
-    // executed prefix is restored once at the end instead of per race.
-    std::size_t rewound = events.size();
-    for (std::size_t k = n; k-- > 0;) {
-      const ActionFootprint& ek = events[k];
-      if (ek.internal) continue;
-      if (!direct_dep[k]) continue;  // independent or ordered transitively
-      if (ek.action == ev.action) continue;  // program order, not a race
-      bool adjacent = true;  // no event happens-between ek and ev
-      for (std::size_t m = k + 1; m < n && adjacent; ++m) {
-        if (hb[m][k] && hb[n][m]) adjacent = false;
-      }
-      if (!adjacent) continue;
-
-      // Candidate reversal: everything after ek not causally behind it,
-      // then the racing process itself.
-      std::vector<ActionFootprint> v;
-      v.reserve(n - k);
-      for (std::size_t j = k + 1; j < n; ++j) {
-        if (!hb[j][k]) v.push_back(events[j]);
-      }
-      v.push_back(ev);
-
-      // Skip when an explored sibling still asleep at the target already
-      // covers the class (q is a weak initial of v: the q-subtree explored
-      // v's trace). Checked before the feasibility simulation: coverage is
-      // a few integer comparisons, the simulation replays the candidate.
-      bool covered = false;
-      for (const ActionFootprint& q : stack[k].sleep) {
-        if (weak_initial_pos(q.action, v, mode) != kNpos) {
-          covered = true;
-          break;
-        }
-      }
-      if (covered) continue;
-
-      // Reversibility check against the real semantics: a purely causal
-      // pair (a send vs. the delivery of its own message, a delivery vs.
-      // the wait it unblocks) leaves the final action disabled. A reversal
-      // that runs into an assertion violation is kept: the exploration
-      // must reach that violation. Hot-path exception: two deliveries
-      // racing for one endpoint (the only dependent delivery pair under
-      // arbitrary delay) are always reversible — the reversal's causal
-      // prefix keeps both messages in transit — so they skip the
-      // simulation.
-      const bool deliver_pair =
-          mode == mcapi::DeliveryMode::kArbitraryDelay &&
-          ek.action.kind == Action::Kind::kDeliver &&
-          ev.action.kind == Action::Kind::kDeliver;
-      if (!deliver_pair) {
-        if (countable) {
-          // Pure integer counting over the footprints; the live System is
-          // never touched (and no prefix restore is owed afterwards).
-          if (!count_feasible(k, v)) continue;
-        } else {
-          // Apply -> inspect -> undo on the live state: rewind to the
-          // frame before the raced event (checkpoint k = k events
-          // applied), run the candidate sequence, roll it back — all
-          // O(changed) queue motions, never a copy of the world.
-          sys.rollback(k);
-          rewound = k;
-          bool feasible = true;
-          for (const ActionFootprint& e : v) {
-            if (sys.has_violation()) break;
-            if (!sys.action_enabled(e.action)) {
-              feasible = false;
-              break;
-            }
-            sys.apply(e.action);
-          }
-          sys.rollback(k);
-          if (!feasible) continue;
-        }
-      }
-      ++st.races_detected;
-      st.wakeup_nodes += stack[k].wut.insert(std::move(v), mode);
-    }
-    // Replay the executed prefix the simulations rewound.
-    for (std::size_t j = rewound; j < events.size(); ++j) {
-      sys.apply(events[j].action);
-    }
+    return false;
+  };
+  auto schedule = [&](std::size_t k, std::vector<ActionFootprint>&& v) {
+    return stack[k].wut.insert(std::move(v), mode);
   };
 
   while (!stack.empty()) {
     if (applied >= options_.max_transitions ||
-        over_time_budget(timer)) {
+        support::over_budget(options_, timer, budget_probe_)) {
       result.truncated = true;
       break;
     }
@@ -307,21 +118,21 @@ void DporChecker::run_optimal(DporResult& result,
       if (sys.has_violation()) {
         result.violation_found = true;
         result.violation = sys.violation();
-        result.counterexample = actions_of_prefix();
+        result.counterexample = dpor_detail::actions_of(prefix.events);
         ++st.executions;
-        st.transitions += events.size();
+        st.transitions += prefix.events.size();
         break;
       }
       sys.enabled(enabled);
       if (enabled.empty()) {
         ++st.executions;
-        st.transitions += events.size();
+        st.transitions += prefix.events.size();
         if (sys.all_halted()) {
           ++st.terminal_states;
         } else {
           result.deadlock_found = true;
           if (result.deadlock_schedule.empty()) {
-            result.deadlock_schedule = actions_of_prefix();
+            result.deadlock_schedule = dpor_detail::actions_of(prefix.events);
           }
         }
         pop_frame();
@@ -338,9 +149,8 @@ void DporChecker::run_optimal(DporResult& result,
             ++st.state_space.nonprogressive_cycles;
             if (!result.non_termination_found) {
               result.non_termination_found = true;
-              const std::vector<Action> script = actions_of_prefix();
-              split_lasso(script, prev->depth, result.lasso_stem,
-                          result.lasso_cycle);
+              split_lasso(dpor_detail::actions_of(prefix.events), prev->depth,
+                          result.lasso_stem, result.lasso_cycle);
             }
           }
           pop_frame();
@@ -360,7 +170,7 @@ void DporChecker::run_optimal(DporResult& result,
           }
         }
         frame_fp.back() = fp;
-        cycle_stack_.push(fp, events.size(), sys.matches().size());
+        cycle_stack_.push(fp, prefix.events.size(), sys.matches().size());
       }
     }
 
@@ -387,9 +197,9 @@ void DporChecker::run_optimal(DporResult& result,
       // Recompute the footprint at the actual state so happens-before and
       // race bookkeeping always see exact message identities.
       const ActionFootprint fresh = sys.footprint(ev.action);
-      sys.apply(fresh.action);
+      prefix.push(fresh);
       ++applied;
-      append_event(fresh);
+      prefix.scan_races(st, covered, schedule);
       stack[top].chosen = fresh;
       stack[top].chosen_internal = fresh.internal;
       Frame child;
@@ -411,32 +221,11 @@ void DporChecker::run_optimal(DporResult& result,
       continue;
     }
 
-    // Fresh node, nothing scheduled: take an internal step as a singleton
-    // ample set, else seed the wakeup tree with one arbitrary non-sleeping
-    // action — every other sibling will arrive via race reversals.
+    // Fresh node, nothing scheduled: seed the wakeup tree with the initial
+    // pick.
     sys.enabled(enabled);
-    const Action* pick = nullptr;
-    for (const Action& a : enabled) {
-      if (is_internal_step(sys, a)) {
-        pick = &a;
-        break;
-      }
-    }
-    if (pick == nullptr) {
-      for (const Action& a : enabled) {
-        bool asleep = false;
-        for (const ActionFootprint& q : stack[top].sleep) {
-          if (q.action == a) {
-            asleep = true;
-            break;
-          }
-        }
-        if (!asleep) {
-          pick = &a;
-          break;
-        }
-      }
-    }
+    const Action* pick =
+        dpor_detail::initial_pick(sys, enabled, stack[top].sleep);
     if (pick == nullptr) {
       // Every enabled action is asleep: a sleep-set-blocked maximal path.
       ++st.redundant_explorations;
@@ -459,7 +248,7 @@ void DporChecker::explore_sleepset(System& sys, std::vector<Action>& sleep,
                                    const support::Stopwatch& timer) {
   if (result.truncated || result.violation_found) return;
   if (sleepset_applied_ >= options_.max_transitions ||
-      over_time_budget(timer)) {
+      support::over_budget(options_, timer, budget_probe_)) {
     result.truncated = true;
     return;
   }

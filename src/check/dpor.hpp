@@ -12,7 +12,7 @@
 //    Jonsson, Sagonas: "Optimal dynamic partial order reduction",
 //    POPL'14/JACM'17, the technique behind the representative-execution
 //    generators of Maarand & Uustalu and MCA-aware dynamic verifiers): a
-//    vector-clock happens-before over the executed prefix detects
+//    happens-before relation over the executed prefix detects
 //    reversible races as events are appended; each race schedules a
 //    minimal revisit sequence (notdep(e,E)·proc(e')) into the wakeup tree
 //    of the state before the race, unless a sleeping sibling already
@@ -39,6 +39,14 @@
 // suffix. Frames therefore store only reduction bookkeeping (wakeup tree,
 // sleep set, chosen footprint) plus the event's incrementally-built
 // happens-before row; no System is ever copied on the exploration path.
+//
+// Optimal mode has two explorers — the serial loop (dpor.cpp) and the
+// work-stealing one for workers > 1 (dpor_parallel.cpp) — and one race
+// core, dpor_detail::Prefix (dpor_internal.hpp): the live System, the
+// executed footprints and their happens-before rows, and the race scan
+// with its counting and simulated feasibility checks. The explorers differ
+// only in where a frame's sleep set lives and where a reversal is
+// scheduled, which they hand to the scan as two callbacks.
 #pragma once
 
 #include <cstdint>
@@ -73,8 +81,8 @@ struct DporOptions {
   /// every worker probes it concurrently, so the callable must be
   /// thread-safe (the facade's is).
   std::function<bool()> interrupted;
-  /// Exploration threads for optimal mode. 1 (default) runs the serial code
-  /// path byte-for-byte. N > 1 explores the wakeup tree with a
+  /// Exploration threads for optimal mode. 1 (default) runs the serial
+  /// loop. N > 1 explores the wakeup tree with a
   /// work-stealing scheduler: each worker owns a Chase–Lev deque of
   /// unexplored branches (LIFO descent locally, oldest-first steals by idle
   /// peers), claims branches lock-free via CAS, and replays claimed
@@ -213,7 +221,6 @@ class DporChecker {
   void explore_sleepset(mcapi::System& sys, std::vector<mcapi::Action>& sleep,
                         std::vector<mcapi::Action>& script, DporResult& result,
                         const support::Stopwatch& timer);
-  [[nodiscard]] bool over_time_budget(const support::Stopwatch& timer) const;
 
   const mcapi::Program& program_;
   DporOptions options_;
@@ -221,8 +228,9 @@ class DporChecker {
   // reset per run(). Shared by the optimal loop and the sleep-set DFS.
   VisitedStateStore store_{0};
   CycleStack cycle_stack_;
-  // Clock-read amortization for over_time_budget (single-threaded runs).
-  mutable std::uint64_t budget_probe_ = 0;
+  // Clock-read amortization for the budget probe (serial runs; each
+  // parallel worker keeps its own).
+  std::uint64_t budget_probe_ = 0;
   // Raw apply count driving max_transitions in the sleep-set DFS; the
   // reported stats.transitions is charged at execution completion instead
   // (see DporStats::transitions).

@@ -1,5 +1,12 @@
 // Work-stealing parallel optimal-DPOR exploration (DporOptions::workers > 1).
 //
+// Each worker runs the race core it shares with the serial engine —
+// dpor_detail::Prefix (dpor_internal.hpp): happens-before rows, race scan,
+// counting/simulated feasibility. What this file adds is the scheduling:
+// where sleep coverage is read and reversals are grafted (the two scan
+// callbacks in ParallelExplorer::scan_and_graft), and how the tree is
+// shared.
+//
 // The serial engine (dpor.cpp, run_optimal) walks ONE wakeup tree
 // depth-first, detaching each branch as it descends. That detachment is
 // what parallelism must undo: a race found deep in one subtree schedules
@@ -96,18 +103,15 @@
 #include "check/dpor_internal.hpp"
 #include "check/steal_deque.hpp"
 #include "support/assert.hpp"
-#include "support/stats.hpp"
 
 namespace mcsym::check {
 
 using mcapi::Action;
 using mcapi::ActionFootprint;
-using mcapi::OpKind;
 using mcapi::System;
 
 namespace {
 
-using dpor_detail::is_internal_step;
 using dpor_detail::kNpos;
 using dpor_detail::StealDeque;
 using dpor_detail::WakeupTree;
@@ -239,35 +243,28 @@ class ParallelExplorer {
       : program_(program),
         options_(options),
         timer_(timer),
-        mode_(options.mode),
-        countable_(dpor_detail::countable_program(program, options.mode)) {}
+        mode_(options.mode) {}
 
   void run(DporResult& result);
 
  private:
-  /// Worker-private exploration state: one journaling System walked up and
-  /// down the shared tree, plus the executed prefix's footprints and
-  /// happens-before rows (rebuilt on prefix replay, never shared).
+  /// Worker-private exploration state: the executed prefix (its own
+  /// journaling System, footprints and happens-before rows, rebuilt on
+  /// prefix replay, never shared) walked up and down the shared tree.
   struct Worker {
     Worker(const mcapi::Program& program, mcapi::DeliveryMode mode,
            std::uint32_t worker_id)
-        : sys(program, mode),
+        : prefix(program, mode),
           id(worker_id),
           rng(0x9E3779B97F4A7C15ull * (worker_id + 1)) {}
-    System sys;
+    dpor_detail::Prefix prefix;  // events[d] = arrival into path[d+1]
     std::uint32_t id;
     std::uint64_t rng;  // victim-selection stream (splitmix-style)
     std::vector<Node*> path;  // path[d] = node at depth d; back() = position
-    std::vector<ActionFootprint> events;  // events[d] = arrival into path[d+1]
-    std::vector<std::vector<bool>> hb;
     std::vector<Action> enabled;
-    std::vector<bool> direct_dep;
     std::vector<Node*> chain;  // navigate scratch
     DporStats stats;
-    std::uint64_t probe = 0;
-    // count_feasible scratch
-    std::vector<std::pair<mcapi::ChannelId, std::ptrdiff_t>> chan_len;
-    std::vector<std::ptrdiff_t> ep_len;
+    std::uint64_t probe = 0;  // budget-probe amortization counter
   };
 
   void worker_main(std::uint32_t id);
@@ -277,11 +274,10 @@ class ParallelExplorer {
   /// branch ended (maximal state, sleep-blocked, violation, budget).
   /// `abort` is set when the whole search should stop.
   Node* execute_branch(Worker& w, Node* node, std::uint32_t bi, bool& abort);
-  void scan_races(Worker& w, const ActionFootprint& ev);
-  bool count_feasible(Worker& w, std::size_t k,
-                      const std::vector<ActionFootprint>& v);
+  /// Runs the shared race scan for the event w just pushed, reading sleep
+  /// coverage from and grafting reversals into the live tree.
+  void scan_and_graft(Worker& w);
   void navigate(Worker& w, Node* target);
-  void push_event(Worker& w, const ActionFootprint& ev);
   /// Inserts `w_` below `f`, walking branches >= min_branch at the top
   /// level and every branch deeper. Locks one node at a time (appends and
   /// subtree grafts only); a fresh branch is pushed onto the calling
@@ -292,7 +288,6 @@ class ParallelExplorer {
   /// random victim. Returns the stolen branch or nullptr (the round
   /// failed; counted in steal_failures).
   Branch* steal_round(Worker& w);
-  [[nodiscard]] bool over_budget(Worker& w);
 
   /// Lock-free claim: exactly one caller wins the pending -> claimed CAS.
   [[nodiscard]] static bool try_claim(Branch& b) {
@@ -320,19 +315,10 @@ class ParallelExplorer {
     deques_[w.id]->push(&b);
   }
 
-  [[nodiscard]] static std::vector<Action> actions_of(
-      const std::vector<ActionFootprint>& events) {
-    std::vector<Action> script;
-    script.reserve(events.size());
-    for (const ActionFootprint& e : events) script.push_back(e.action);
-    return script;
-  }
-
   const mcapi::Program& program_;
   const DporOptions& options_;
   const support::Stopwatch& timer_;
   const mcapi::DeliveryMode mode_;
-  const bool countable_;
 
   Node root_;
   std::vector<std::unique_ptr<StealDeque<Branch>>> deques_;  // one per worker
@@ -349,78 +335,6 @@ class ParallelExplorer {
   std::mutex result_mu_;
   DporResult* result_ = nullptr;
 };
-
-bool ParallelExplorer::over_budget(Worker& w) {
-  // Same amortization as the serial engine: one clock/callback probe per 64
-  // exploration steps, per worker.
-  if (options_.max_seconds <= 0 && !options_.interrupted) return false;
-  if ((++w.probe & 63u) != 0) return false;
-  if (options_.max_seconds > 0 && timer_.seconds() > options_.max_seconds) {
-    return true;
-  }
-  return options_.interrupted && options_.interrupted();
-}
-
-void ParallelExplorer::push_event(Worker& w, const ActionFootprint& ev) {
-  const std::size_t n = w.events.size();
-  std::vector<bool> row(n, false);
-  w.direct_dep.assign(n, false);
-  for (std::size_t k = 0; k < n; ++k) {
-    if (mcapi::dependent(w.events[k], ev, mode_)) {
-      w.direct_dep[k] = true;
-      row[k] = true;
-      const std::vector<bool>& below = w.hb[k];
-      for (std::size_t l = 0; l < below.size(); ++l) {
-        if (below[l]) row[l] = true;
-      }
-    }
-  }
-  w.events.push_back(ev);
-  w.hb.push_back(std::move(row));
-}
-
-bool ParallelExplorer::count_feasible(Worker& w, std::size_t k,
-                                      const std::vector<ActionFootprint>& v) {
-  w.chan_len.clear();
-  auto chan = [&](mcapi::ChannelId c) -> std::ptrdiff_t& {
-    for (auto& [id, len] : w.chan_len) {
-      if (id == c) return len;
-    }
-    w.chan_len.emplace_back(c,
-                            static_cast<std::ptrdiff_t>(w.sys.transit_size(c)));
-    return w.chan_len.back().second;
-  };
-  w.ep_len.assign(program_.num_endpoints(), 0);
-  for (std::size_t e = 0; e < w.ep_len.size(); ++e) {
-    w.ep_len[e] = static_cast<std::ptrdiff_t>(
-        w.sys.queue_size(static_cast<mcapi::EndpointRef>(e)));
-  }
-  for (std::size_t j = w.events.size(); j-- > k;) {
-    const ActionFootprint& e = w.events[j];
-    if (e.action.kind == Action::Kind::kDeliver) {
-      ++chan(e.channel);
-      --w.ep_len[e.channel.dst];
-    } else if (e.op == OpKind::kSend) {
-      --chan(e.channel);
-    } else if (e.op == OpKind::kRecv) {
-      ++w.ep_len[e.endpoint];
-    }
-  }
-  for (const ActionFootprint& e : v) {
-    if (e.action.kind == Action::Kind::kDeliver) {
-      std::ptrdiff_t& len = chan(e.channel);
-      if (len <= 0) return false;
-      --len;
-      ++w.ep_len[e.channel.dst];
-    } else if (e.op == OpKind::kSend) {
-      ++chan(e.channel);
-    } else if (e.op == OpKind::kRecv) {
-      if (w.ep_len[e.endpoint] <= 0) return false;
-      --w.ep_len[e.endpoint];
-    }
-  }
-  return true;
-}
 
 std::size_t ParallelExplorer::insert_into_node(Worker& w, Node* f,
                                                std::uint32_t min_branch,
@@ -500,87 +414,32 @@ std::size_t ParallelExplorer::insert_into_node(Worker& w, Node* f,
   }
 }
 
-void ParallelExplorer::scan_races(Worker& w, const ActionFootprint& ev) {
-  // `ev` is w.events.back() (already pushed, hb row built); n is its index.
-  if (ev.internal) return;  // internal steps race with nothing
-  const std::size_t n = w.events.size() - 1;
-  std::size_t rewound = w.events.size();
-  std::vector<ActionFootprint> v;
-  for (std::size_t k = n; k-- > 0;) {
-    const ActionFootprint& ek = w.events[k];
-    if (ek.internal) continue;
-    if (!w.direct_dep[k]) continue;  // independent or ordered transitively
-    if (ek.action == ev.action) continue;  // program order, not a race
-    bool adjacent = true;  // no event happens-between ek and ev
-    for (std::size_t m = k + 1; m < n && adjacent; ++m) {
-      if (w.hb[m][k] && w.hb[n][m]) adjacent = false;
-    }
-    if (!adjacent) continue;
-
-    // Candidate reversal: everything after ek not causally behind it,
-    // then the racing process itself.
-    v.clear();
-    v.reserve(n - k);
-    for (std::size_t j = k + 1; j < n; ++j) {
-      if (!w.hb[j][k]) v.push_back(w.events[j]);
-    }
-    v.push_back(ev);
-
-    // Sleep coverage at the target frame: the frame's inherited sleep plus
-    // the non-internal first actions of branches ordered before this
-    // worker's own branch there (the eager ordered sleep set — identical
-    // content to the serial engine's completed-sibling sleep). Lock-free:
-    // inherited_sleep is immutable and the sibling prefix below our own
-    // branch index was published before that branch was.
-    Node* f = w.path[k];
-    const std::uint32_t anc = w.path[k + 1]->parent_branch;
-    bool covered = false;
+void ParallelExplorer::scan_and_graft(Worker& w) {
+  // Sleep coverage at the target frame f = path[k]: the frame's inherited
+  // sleep plus the non-internal first actions of branches ordered before
+  // this worker's own branch anc there (the eager ordered sleep set —
+  // identical content to the serial engine's completed-sibling sleep).
+  // Lock-free: inherited_sleep is immutable and the sibling prefix below
+  // our own branch index was published before that branch was.
+  auto covered = [&](std::size_t k, const std::vector<ActionFootprint>& v) {
+    const Node* f = w.path[k];
     for (const ActionFootprint& q : f->inherited_sleep) {
-      if (weak_initial_pos(q.action, v, mode_) != kNpos) {
-        covered = true;
-        break;
-      }
+      if (weak_initial_pos(q.action, v, mode_) != kNpos) return true;
     }
-    for (std::uint32_t i = 0; !covered && i < anc; ++i) {
+    const std::uint32_t anc = w.path[k + 1]->parent_branch;
+    for (std::uint32_t i = 0; i < anc; ++i) {
       const Branch& sib = f->branches[i];
       if (sib.ev.internal) continue;  // internal arrivals never sleep
-      if (weak_initial_pos(sib.ev.action, v, mode_) != kNpos) covered = true;
+      if (weak_initial_pos(sib.ev.action, v, mode_) != kNpos) return true;
     }
-    if (covered) continue;
-
-    // Reversibility check against the real semantics, on this worker's own
-    // live System (see run_optimal for the rationale and the countable /
-    // deliver-pair fast paths).
-    const bool deliver_pair = mode_ == mcapi::DeliveryMode::kArbitraryDelay &&
-                              ek.action.kind == Action::Kind::kDeliver &&
-                              ev.action.kind == Action::Kind::kDeliver;
-    if (!deliver_pair) {
-      if (countable_) {
-        if (!count_feasible(w, k, v)) continue;
-      } else {
-        w.sys.rollback(k);
-        rewound = k;
-        bool feasible = true;
-        for (const ActionFootprint& e : v) {
-          if (w.sys.has_violation()) break;
-          if (!w.sys.action_enabled(e.action)) {
-            feasible = false;
-            break;
-          }
-          w.sys.apply(e.action);
-        }
-        w.sys.rollback(k);
-        if (!feasible) continue;
-      }
-    }
-    ++w.stats.races_detected;
-    w.stats.wakeup_nodes += insert_into_node(w, f, anc + 1, std::move(v));
-    v.clear();
-  }
-  // Replay the executed prefix the simulations rewound.
-  for (std::size_t j = rewound; j < w.events.size(); ++j) {
-    w.sys.apply(w.events[j].action);
-  }
+    return false;
+  };
+  // The reversal lands in the live tree right of our own branch at f.
+  auto schedule = [&](std::size_t k, std::vector<ActionFootprint>&& v) {
+    return insert_into_node(w, w.path[k], w.path[k + 1]->parent_branch + 1,
+                            std::move(v));
+  };
+  w.prefix.scan_races(w.stats, covered, schedule);
 }
 
 Node* ParallelExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
@@ -590,7 +449,7 @@ Node* ParallelExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
     return nullptr;
   }
   if (transitions_.load(std::memory_order_relaxed) >= options_.max_transitions ||
-      over_budget(w)) {
+      support::over_budget(options_, timer_, w.probe)) {
     truncated_.store(true, std::memory_order_relaxed);
     stop_.store(true, std::memory_order_relaxed);
     abort = true;
@@ -602,6 +461,7 @@ Node* ParallelExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
   // sibling prefix [0, bi) was published before this branch was — branch
   // order is append-only, so later concurrent inserts only ever land at
   // indices > bi and cannot change what we read here.
+  System& sys = w.prefix.sys;
   Branch& b = node->branches[bi];
   const Action action = b.ev.action;
   bool asleep = false;
@@ -615,7 +475,7 @@ Node* ParallelExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
     const Branch& sib = node->branches[i];
     if (!sib.ev.internal && sib.ev.action == action) asleep = true;
   }
-  if (asleep || !w.sys.action_enabled(action)) {
+  if (asleep || !sys.action_enabled(action)) {
     // A raced duplicate: a concurrent claim committed to a linearization
     // that makes this scheduled branch redundant before it ran. The sleep
     // set kills it here, before it contributes an execution, so the trace
@@ -629,13 +489,13 @@ Node* ParallelExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
   // plus the earlier siblings' footprints (recomputed here — same state,
   // same values the serial engine stored on completion), filtered by
   // dependence on the arriving event.
-  const ActionFootprint fresh = w.sys.footprint(action);
+  const ActionFootprint fresh = sys.footprint(action);
   std::vector<ActionFootprint> child_sleep;
   if (fresh.internal) {
     child_sleep = node->inherited_sleep;
     for (std::uint32_t i = 0; i < bi; ++i) {
       const Branch& sib = node->branches[i];
-      if (!sib.ev.internal) child_sleep.push_back(w.sys.footprint(sib.ev.action));
+      if (!sib.ev.internal) child_sleep.push_back(sys.footprint(sib.ev.action));
     }
   } else {
     for (const ActionFootprint& q : node->inherited_sleep) {
@@ -644,7 +504,7 @@ Node* ParallelExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
     for (std::uint32_t i = 0; i < bi; ++i) {
       const Branch& sib = node->branches[i];
       if (sib.ev.internal) continue;
-      const ActionFootprint q = w.sys.footprint(sib.ev.action);
+      const ActionFootprint q = sys.footprint(sib.ev.action);
       if (!mcapi::dependent(fresh, q, mode_)) child_sleep.push_back(q);
     }
   }
@@ -652,21 +512,20 @@ Node* ParallelExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
   // The max_transitions budget counts every fresh apply (honest work
   // bound); stats.transitions is charged arrival-edge-exact at execution
   // completion instead, so raced-duplicate work never inflates it.
-  w.sys.apply(fresh.action);
+  w.prefix.push(fresh);
   transitions_.fetch_add(1, std::memory_order_relaxed);
-  push_event(w, fresh);
 
-  if (w.sys.has_violation()) {
+  if (sys.has_violation()) {
     // Arrival-edge-exact: the violating execution's full path length
-    // (w.events already includes the fresh edge).
-    w.stats.transitions += w.events.size();
+    // (the prefix already includes the fresh edge).
+    w.stats.transitions += w.prefix.events.size();
     ++w.stats.executions;
     {
       std::lock_guard<std::mutex> g(result_mu_);
       if (!result_->violation_found) {
         result_->violation_found = true;
-        result_->violation = w.sys.violation();
-        result_->counterexample = actions_of(w.events);
+        result_->violation = sys.violation();
+        result_->counterexample = dpor_detail::actions_of(w.prefix.events);
       }
     }
     stop_.store(true, std::memory_order_relaxed);
@@ -674,37 +533,15 @@ Node* ParallelExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
     return nullptr;
   }
 
-  w.sys.enabled(w.enabled);
+  sys.enabled(w.enabled);
   const bool maximal = w.enabled.empty();
 
-  // Initial pick for a frame with nothing scheduled: an internal step as a
-  // singleton ample set, else the first non-sleeping enabled action.
-  const Action* pick = nullptr;
-  if (!maximal) {
-    for (const Action& a : w.enabled) {
-      if (is_internal_step(w.sys, a)) {
-        pick = &a;
-        break;
-      }
-    }
-    if (pick == nullptr) {
-      for (const Action& a : w.enabled) {
-        bool in_sleep = false;
-        for (const ActionFootprint& q : child_sleep) {
-          if (q.action == a) {
-            in_sleep = true;
-            break;
-          }
-        }
-        if (!in_sleep) {
-          pick = &a;
-          break;
-        }
-      }
-    }
-  }
+  // Initial pick, used when the frame has nothing scheduled.
   std::vector<ActionFootprint> pick_fp;
-  if (pick != nullptr) pick_fp.push_back(w.sys.footprint(*pick));
+  if (const Action* pick =
+          dpor_detail::initial_pick(sys, w.enabled, child_sleep)) {
+    pick_fp.push_back(sys.footprint(*pick));
+  }
 
   // Create the child frame and — under the node's own mutex — re-route the
   // branch's scheduled subtree into it: grafts before this instant land in
@@ -753,7 +590,7 @@ Node* ParallelExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
 
   // Race scan for the fresh event — once per tree edge, by its first (and
   // only) executor; prefix replays skip it.
-  scan_races(w, fresh);
+  scan_and_graft(w);
 
   if (maximal || sleep_blocked) {
     if (maximal) {
@@ -762,15 +599,16 @@ Node* ParallelExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
       // so the charge is identical to what the serial engine records for
       // the trace's representative, whichever linearization won the claim
       // race.
-      w.stats.transitions += w.events.size();
+      w.stats.transitions += w.prefix.events.size();
       ++w.stats.executions;
-      if (w.sys.all_halted()) {
+      if (sys.all_halted()) {
         ++w.stats.terminal_states;
       } else {
         std::lock_guard<std::mutex> g(result_mu_);
         result_->deadlock_found = true;
         if (result_->deadlock_schedule.empty()) {
-          result_->deadlock_schedule = actions_of(w.events);
+          result_->deadlock_schedule =
+              dpor_detail::actions_of(w.prefix.events);
         }
       }
     } else {
@@ -780,9 +618,7 @@ Node* ParallelExplorer::execute_branch(Worker& w, Node* node, std::uint32_t bi,
       ++w.stats.parallel_duplicates;
     }
     retire(b);
-    w.sys.undo();
-    w.events.pop_back();
-    w.hb.pop_back();
+    w.prefix.pop();
     return nullptr;
   }
 
@@ -823,9 +659,7 @@ void ParallelExplorer::explore(Worker& w, Node* entry, std::uint32_t entry_branc
       if (node == entry) return;  // claimed subtree fully explored
       Node* parent = node->parent;
       retire(parent->branches[node->parent_branch]);
-      w.sys.undo();
-      w.events.pop_back();
-      w.hb.pop_back();
+      w.prefix.pop();
       w.path.pop_back();
       node = parent;
     }
@@ -843,9 +677,7 @@ void ParallelExplorer::navigate(Worker& w, Node* target) {
   }
   MCSYM_ASSERT(common >= 1);  // the root is always shared
   while (w.path.size() > common) {
-    w.sys.undo();
-    w.events.pop_back();
-    w.hb.pop_back();
+    w.prefix.pop();
     w.path.pop_back();
   }
   const std::uint64_t replayed = w.chain.size() - common;
@@ -854,8 +686,7 @@ void ParallelExplorer::navigate(Worker& w, Node* target) {
     Node* n = w.chain[d];
     // The stored arrival footprint was computed at this exact state by the
     // first executor; replaying rebuilds events/hb but never re-scans.
-    w.sys.apply(n->arrival.action);
-    push_event(w, n->arrival);
+    w.prefix.push(n->arrival);
     w.path.push_back(n);
   }
 }
@@ -879,7 +710,6 @@ Branch* ParallelExplorer::steal_round(Worker& w) {
 
 void ParallelExplorer::worker_main(std::uint32_t id) {
   Worker w(program_, mode_, id);
-  w.sys.enable_undo_log();
   w.path.push_back(&root_);
 
   std::uint32_t idle_rounds = 0;
@@ -959,14 +789,7 @@ void ParallelExplorer::run(DporResult& result) {
     }
     return;
   }
-  const Action* pick = nullptr;
-  for (const Action& a : enabled) {
-    if (is_internal_step(sys0, a)) {
-      pick = &a;
-      break;
-    }
-  }
-  if (pick == nullptr) pick = &enabled.front();
+  const Action* pick = dpor_detail::initial_pick(sys0, enabled, {});
 
   const std::uint32_t n = options_.workers;
   deques_.reserve(n);

@@ -72,23 +72,12 @@ bool ExplicitChecker::record_terminal(const System& state, ExplicitResult& resul
          result.raw_matchings.size() < options_.max_matchings;
 }
 
-bool ExplicitChecker::out_of_budget() const {
-  // Amortize the clock read / callback over DFS entries, mirroring
-  // DporChecker::over_time_budget.
-  if (options_.max_seconds <= 0 && !options_.interrupted) return false;
-  if ((++budget_probe_ & 63u) != 0) return false;
-  if (options_.max_seconds > 0 && timer_ != nullptr &&
-      timer_->seconds() > options_.max_seconds) {
-    return true;
-  }
-  return options_.interrupted && options_.interrupted();
-}
-
 void ExplicitChecker::dfs(System& sys, std::vector<Action>& script,
                           ExplicitResult& result, const trace::Trace* reference) {
   if (result.truncated) return;
   if (result.violation_found && !options_.collect_matchings) return;
-  if (result.states_expanded >= options_.max_states || out_of_budget()) {
+  if (result.states_expanded >= options_.max_states ||
+      support::over_budget(options_, *timer_, budget_probe_)) {
     result.truncated = true;
     return;
   }

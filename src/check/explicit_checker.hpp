@@ -119,8 +119,6 @@ class ExplicitChecker {
                                      ExplicitResult& result,
                                      const trace::Trace* reference) const;
 
-  [[nodiscard]] bool out_of_budget() const;
-
   const mcapi::Program& program_;
   ExplicitOptions options_;
   std::unordered_set<std::uint64_t> visited_;
@@ -130,8 +128,8 @@ class ExplicitChecker {
   VisitedStateStore store_{0};
   CycleStack cycle_stack_;
   const support::Stopwatch* timer_ = nullptr;  // live only inside run()
-  // Clock-read / callback amortization for out_of_budget.
-  mutable std::uint64_t budget_probe_ = 0;
+  // Clock-read / callback amortization for support::over_budget.
+  std::uint64_t budget_probe_ = 0;
 };
 
 }  // namespace mcsym::check

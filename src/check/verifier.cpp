@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <functional>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -54,6 +55,9 @@ constexpr double kBiases[] = {1.0, 0.5, 2.0};
 /// thread that owns the current stage (engine rows are pushed in a fixed
 /// order after joins, never from inside concurrent engines).
 struct Ctx {
+  Ctx(const mcapi::Program& p, const VerifyRequest& r)
+      : program(p), request(r) {}
+
   const mcapi::Program& program;
   const VerifyRequest& request;
   support::Stopwatch timer;
@@ -92,9 +96,25 @@ struct Ctx {
   }
 };
 
+/// Copies a DPOR or explicit search's witnesses into the report: the
+/// violation and its schedule, the deadlock schedule, the lasso.
+template <class Result>
+void adopt_witnesses(VerifyReport& report, const Result& r) {
+  if (r.violation_found) {
+    report.violation = r.violation;
+    if (r.violation.has_value()) report.violations = {*r.violation};
+    report.witness_schedule = r.counterexample;
+  }
+  if (r.deadlock_found) report.deadlock_schedule = r.deadlock_schedule;
+  if (r.non_termination_found) {
+    report.lasso_stem = r.lasso_stem;
+    report.lasso_cycle = r.lasso_cycle;
+  }
+}
+
 /// Runs the explicit engine and fills `run` without touching ctx.report —
 /// safe to call from a portfolio engine thread; the caller pushes the row.
-ExplicitResult run_explicit_raw(Ctx& ctx, EngineRun& run) {
+ExplicitResult run_explicit(Ctx& ctx, EngineRun& run) {
   ExplicitOptions eo;
   eo.mode = ctx.request.mode;
   eo.max_states = ctx.request.budget.max_states;
@@ -128,16 +148,9 @@ ExplicitResult run_explicit_raw(Ctx& ctx, EngineRun& run) {
   return result;
 }
 
-ExplicitResult run_explicit(Ctx& ctx) {
-  EngineRun run;
-  ExplicitResult result = run_explicit_raw(ctx, run);
-  ctx.report.engines.push_back(std::move(run));
-  return result;
-}
-
 /// Runs one DPOR engine and fills `run` without touching ctx.report —
 /// safe to call from a portfolio engine thread; the caller pushes the row.
-DporResult run_dpor_raw(Ctx& ctx, DporMode mode, EngineRun& run) {
+DporResult run_dpor(Ctx& ctx, DporMode mode, EngineRun& run) {
   const Engine engine = mode == DporMode::kOptimal ? Engine::kDporOptimal
                                                    : Engine::kDporSleepSet;
   DporOptions dopts;
@@ -193,13 +206,6 @@ DporResult run_dpor_raw(Ctx& ctx, DporMode mode, EngineRun& run) {
     run.counters.emplace_back("cycles_found",
                               result.stats.state_space.cycles_found);
   }
-  return result;
-}
-
-DporResult run_dpor(Ctx& ctx, DporMode mode) {
-  EngineRun run;
-  DporResult result = run_dpor_raw(ctx, mode, run);
-  ctx.report.engines.push_back(std::move(run));
   return result;
 }
 
@@ -267,22 +273,13 @@ void check_dpor_result(Ctx& ctx, DporMode mode, const DporResult& dr,
   }
 }
 
-/// Runs one DPOR configuration inside the serial portfolio and cross-checks
-/// it against the explicit ground truth.
-void run_dpor_checked(Ctx& ctx, DporMode mode, const ExplicitResult& truth,
-                      bool observers, mcapi::System& workspace,
-                      PortfolioStats& ps) {
-  const DporResult dr = run_dpor(ctx, mode);
-  check_dpor_result(ctx, mode, dr, truth, observers, workspace, ps);
-}
-
 /// One trace's production artifacts — everything the symbolic stage can
 /// compute without touching the report: the recorded trace, the solver
 /// verdict, the attempted witness replay, and the bits of runtime state the
 /// judge needs later (the recording script, concrete-violation details).
 /// Workers fill these concurrently (claim-a-trace-index loop); the judge
 /// consumes them strictly in trace-index order, so the report and the
-/// portfolio counters are written exactly as the old serial loop wrote them.
+/// portfolio counters are the same at every worker count.
 struct SymbolicOutcome {
   std::optional<TraceCheck> tc;        // nullopt: truncated before recording
   std::vector<mcapi::Action> script;   // the recording run's schedule
@@ -371,12 +368,10 @@ struct SymbolicProduction {
 };
 
 /// The production half of the symbolic engine: record + check + replay for
-/// every requested trace. With request.workers > 1 the trace indices are
-/// claimed from a shared atomic counter by that many threads, each with its
-/// own journaling System. `shared_workspace` (optional, serial path only)
-/// reuses the portfolio's System instead of building one.
-SymbolicProduction produce_symbolic(Ctx& ctx,
-                                    mcapi::System* shared_workspace = nullptr) {
+/// every requested trace. Workers claim trace indices from a shared atomic
+/// counter, each with its own journaling System; request.workers > 1 runs
+/// that many on their own threads, one worker runs on the calling thread.
+SymbolicProduction produce_symbolic(Ctx& ctx) {
   const support::Stopwatch timer;
   const VerifyRequest& req = ctx.request;
   SymbolicProduction prod;
@@ -391,37 +386,27 @@ SymbolicProduction produce_symbolic(Ctx& ctx,
       prod.so.encode.property_mode == encode::PropertyMode::kAssert;
   prod.outcomes.resize(req.traces);
 
+  // Once one index is refused (wall budget or cancellation, both
+  // latching), every later claim returns at once without firing progress;
+  // the judge stops at the first refused index.
+  std::atomic<std::uint32_t> next{0};
+  auto worker = [&ctx, &req, &prod, &next] {
+    mcapi::System workspace(ctx.program, req.mode);
+    workspace.enable_undo_log();
+    for (;;) {
+      const std::uint32_t t = next.fetch_add(1, std::memory_order_relaxed);
+      if (t >= req.traces) return;
+      produce_symbolic_trace(ctx, prod.so, t, workspace, prod.outcomes[t]);
+    }
+  };
   const std::uint32_t workers =
       std::min(std::max(req.workers, 1u), std::max(req.traces, 1u));
-  if (workers <= 1) {
-    std::optional<mcapi::System> own_workspace;
-    if (shared_workspace == nullptr) {
-      own_workspace.emplace(ctx.program, req.mode);
-      own_workspace->enable_undo_log();
-    }
-    mcapi::System& workspace =
-        shared_workspace != nullptr ? *shared_workspace : *own_workspace;
-    for (std::uint32_t t = 0; t < req.traces; ++t) {
-      SymbolicOutcome& out = prod.outcomes[t];
-      produce_symbolic_trace(ctx, prod.so, t, workspace, out);
-      // The judge stops at the first truncated index; later traces would be
-      // refused (the cancel latch / wall budget stays tripped) — skip them.
-      if (!out.tc.has_value() || out.truncated_at_solve) break;
-    }
+  if (workers == 1) {
+    worker();
   } else {
-    std::atomic<std::uint32_t> next{0};
-    auto worker_fn = [&ctx, &req, &prod, &next] {
-      mcapi::System workspace(ctx.program, req.mode);
-      workspace.enable_undo_log();
-      for (;;) {
-        const std::uint32_t t = next.fetch_add(1, std::memory_order_relaxed);
-        if (t >= req.traces) return;
-        produce_symbolic_trace(ctx, prod.so, t, workspace, prod.outcomes[t]);
-      }
-    };
     std::vector<std::thread> pool;
     pool.reserve(workers);
-    for (std::uint32_t w = 0; w < workers; ++w) pool.emplace_back(worker_fn);
+    for (std::uint32_t w = 0; w < workers; ++w) pool.emplace_back(worker);
     for (std::thread& th : pool) th.join();
   }
   prod.seconds = timer.seconds();
@@ -430,7 +415,7 @@ SymbolicProduction produce_symbolic(Ctx& ctx,
 
 /// The judging half of the symbolic engine: walks the production outcomes
 /// strictly in trace-index order and performs every report mutation of the
-/// old serial loop — truth cross-checks (portfolio mode), disagreements,
+/// symbolic stage — truth cross-checks (portfolio mode), disagreements,
 /// witness preference, portfolio counters, and the engine row. Standalone
 /// (`truth` == nullptr) the verdicts become the engine's own answer
 /// (per-trace scope: kSafe means "no execution consistent with the recorded
@@ -678,72 +663,57 @@ void judge_symbolic(Ctx& ctx, SymbolicProduction prod,
   ctx.report.engines.push_back(std::move(run));
 }
 
-/// The symbolic engine: record `request.traces` traces, SMT-check each,
-/// replay SAT witnesses — sharded across request.workers threads, then
-/// judged serially (verdicts, matchings, witnesses and counters identical
-/// to serial at every worker count). With `truth` (portfolio mode) every
-/// verdict is cross-checked against the explicit ground truth.
-/// `shared_workspace` (optional, serial production only) is a journaling
-/// System for the program, reused for every concrete run instead of
-/// constructing a fresh one.
-void run_symbolic(Ctx& ctx, const ExplicitResult* truth, PortfolioStats& ps,
-                  mcapi::System* shared_workspace = nullptr) {
-  judge_symbolic(ctx, produce_symbolic(ctx, shared_workspace), truth, ps);
-}
-
-/// Portfolio: explicit ground truth first, then both DPOR modes and the
-/// symbolic per-trace pipeline, each cross-checked against it — the
-/// differential harness's agreement story behind one verdict. With
-/// request.workers > 1 every engine runs concurrently: explicit and both
-/// DPOR modes on their own threads, and the symbolic stage's production
-/// half (record/encode/solve/replay) sharded across its own worker pool —
-/// all probing the same joint wall clock and cancellation latch. Every
-/// cross-check and the symbolic judging run serially after the join, so
-/// the report is never mutated from two threads. Engine rows keep the
-/// serial order (explicit, dpor, dpor-sleepset, symbolic) regardless of
-/// which engine finished first — except that a truncated explicit search
-/// no longer suppresses the DPOR rows, which already ran, and discards
-/// the symbolic production (budget-exhausted verdicts carry no symbolic
-/// row, matching the serial path).
+/// Portfolio: explicit ground truth, both DPOR modes and the symbolic
+/// per-trace pipeline, each cross-checked against the truth — the
+/// differential harness's agreement story behind one verdict. One
+/// produce-then-judge pipeline at every worker count: the producers
+/// (explicit, optimal DPOR, sleep-set DPOR, symbolic production) only fill
+/// their results and engine rows, then every cross-check and the symbolic
+/// judging run serially, so the report is never mutated from two threads.
+/// With request.workers > 1 each producer runs on its own thread (the
+/// symbolic one sharding across its own worker pool, the DPOR ones
+/// exploring with request.workers threads), all probing the same joint
+/// wall clock and cancellation latch. With one worker they run inline in
+/// row order, and a truncated explicit truth stops the run before the
+/// others spend any budget. Engine rows keep the order explicit, dpor,
+/// dpor-sleepset, symbolic; a truncated truth ends the report with a
+/// budget-exhausted verdict and the rows of the engines that ran, without
+/// a symbolic row.
 void run_portfolio(Ctx& ctx) {
   VerifyReport& report = ctx.report;
   report.portfolio = PortfolioStats{};
   PortfolioStats& ps = *report.portfolio;
   const bool with_sleepset = ctx.request.check_dpor_modes;
-  const bool concurrent = ctx.request.workers > 1;
 
   ExplicitResult truth;
-  std::optional<DporResult> optimal;
-  std::optional<DporResult> sleepset;
-  std::optional<SymbolicProduction> symbolic;
-  if (concurrent) {
-    EngineRun truth_run;
-    EngineRun optimal_run;
-    EngineRun sleepset_run;
-    optimal.emplace();
-    std::thread explicit_thread(
-        [&] { truth = run_explicit_raw(ctx, truth_run); });
-    std::thread optimal_thread([&] {
-      *optimal = run_dpor_raw(ctx, DporMode::kOptimal, optimal_run);
-    });
-    std::thread sleepset_thread;
-    if (with_sleepset) {
-      sleepset.emplace();
-      sleepset_thread = std::thread([&] {
-        *sleepset = run_dpor_raw(ctx, DporMode::kSleepSet, sleepset_run);
-      });
-    }
-    symbolic.emplace();
-    std::thread symbolic_thread([&] { *symbolic = produce_symbolic(ctx); });
-    explicit_thread.join();
-    optimal_thread.join();
-    if (sleepset_thread.joinable()) sleepset_thread.join();
-    symbolic_thread.join();
-    report.engines.push_back(std::move(truth_run));
-    report.engines.push_back(std::move(optimal_run));
-    if (with_sleepset) report.engines.push_back(std::move(sleepset_run));
+  DporResult optimal;
+  DporResult sleepset;
+  SymbolicProduction symbolic;
+  std::vector<EngineRun> rows(with_sleepset ? 3 : 2);
+  std::vector<std::function<void()>> producers;
+  producers.emplace_back([&] { truth = run_explicit(ctx, rows[0]); });
+  producers.emplace_back(
+      [&] { optimal = run_dpor(ctx, DporMode::kOptimal, rows[1]); });
+  if (with_sleepset) {
+    producers.emplace_back(
+        [&] { sleepset = run_dpor(ctx, DporMode::kSleepSet, rows[2]); });
+  }
+  producers.emplace_back([&] { symbolic = produce_symbolic(ctx); });
+
+  std::size_t produced = 0;
+  if (ctx.request.workers > 1) {
+    std::vector<std::thread> threads;
+    threads.reserve(producers.size());
+    for (const auto& produce : producers) threads.emplace_back(produce);
+    for (std::thread& th : threads) th.join();
+    produced = producers.size();
   } else {
-    truth = run_explicit(ctx);
+    while (produced < producers.size() && !truth.truncated) {
+      producers[produced++]();
+    }
+  }
+  for (std::size_t i = 0; i < std::min(produced, rows.size()); ++i) {
+    report.engines.push_back(std::move(rows[i]));
   }
   if (truth.truncated) {
     report.verdict = Verdict::kBudgetExhausted;
@@ -753,43 +723,21 @@ void run_portfolio(Ctx& ctx) {
   mcapi::System workspace(ctx.program, ctx.request.mode);
   workspace.enable_undo_log();
 
+  adopt_witnesses(report, truth);
   if (truth.deadlock_found) {
     ps.deadlock_reachable = true;
-    report.deadlock_schedule = truth.deadlock_schedule;
     replay_deadlock_schedule(ctx, workspace, truth.deadlock_schedule,
                              "explicit", ps);
   }
-  if (truth.violation_found) {
-    report.violation = truth.violation;
-    if (truth.violation.has_value()) report.violations = {*truth.violation};
-    report.witness_schedule = truth.counterexample;
-  }
-  if (truth.non_termination_found) {
-    report.lasso_stem = truth.lasso_stem;
-    report.lasso_cycle = truth.lasso_cycle;
-  }
 
   const bool observers = has_observer_ops(ctx.program);
-  if (concurrent) {
-    check_dpor_result(ctx, DporMode::kOptimal, *optimal, truth, observers,
+  check_dpor_result(ctx, DporMode::kOptimal, optimal, truth, observers,
+                    workspace, ps);
+  if (with_sleepset) {
+    check_dpor_result(ctx, DporMode::kSleepSet, sleepset, truth, observers,
                       workspace, ps);
-    if (with_sleepset) {
-      check_dpor_result(ctx, DporMode::kSleepSet, *sleepset, truth, observers,
-                        workspace, ps);
-    }
-  } else {
-    run_dpor_checked(ctx, DporMode::kOptimal, truth, observers, workspace, ps);
-    if (with_sleepset) {
-      run_dpor_checked(ctx, DporMode::kSleepSet, truth, observers, workspace,
-                       ps);
-    }
   }
-
-  if (concurrent) {
-    judge_symbolic(ctx, std::move(*symbolic), &truth, ps);
-  } else {
-    run_symbolic(ctx, &truth, ps, &workspace);
-  }
+  judge_symbolic(ctx, std::move(symbolic), &truth, ps);
   // The symbolic engine is the only one that sees extra end-of-run
   // properties, so its violation verdict feeds the portfolio's answer.
   const bool symbolic_violation =
@@ -902,7 +850,7 @@ bool EnumerateReport::truncated_any() const {
 VerifyReport Verifier::verify(const mcapi::Program& program,
                               VerifyRequest request) {
   MCSYM_ASSERT_MSG(program.finalized(), "finalize the program before verifying");
-  Ctx ctx{program, request};
+  Ctx ctx(program, request);
   VerifyReport& report = ctx.report;
   report.engine = request.engine;
   report.program = &program;
@@ -910,41 +858,24 @@ VerifyReport Verifier::verify(const mcapi::Program& program,
   switch (request.engine) {
     case Engine::kSymbolic: {
       PortfolioStats local;  // counter sink; not exposed for single engines
-      run_symbolic(ctx, nullptr, local);
+      judge_symbolic(ctx, produce_symbolic(ctx), nullptr, local);
       report.verdict = report.engines.back().verdict;
       break;
     }
-    case Engine::kExplicit: {
-      const ExplicitResult r = run_explicit(ctx);
-      report.verdict = report.engines.back().verdict;
-      if (r.violation_found) {
-        report.violation = r.violation;
-        if (r.violation.has_value()) report.violations = {*r.violation};
-        report.witness_schedule = r.counterexample;
-      }
-      if (r.deadlock_found) report.deadlock_schedule = r.deadlock_schedule;
-      if (r.non_termination_found) {
-        report.lasso_stem = r.lasso_stem;
-        report.lasso_cycle = r.lasso_cycle;
-      }
-      break;
-    }
+    case Engine::kExplicit:
     case Engine::kDporOptimal:
     case Engine::kDporSleepSet: {
-      const DporResult r = run_dpor(ctx, request.engine == Engine::kDporOptimal
-                                             ? DporMode::kOptimal
-                                             : DporMode::kSleepSet);
-      report.verdict = report.engines.back().verdict;
-      if (r.violation_found) {
-        report.violation = r.violation;
-        if (r.violation.has_value()) report.violations = {*r.violation};
-        report.witness_schedule = r.counterexample;
+      EngineRun run;
+      if (request.engine == Engine::kExplicit) {
+        adopt_witnesses(report, run_explicit(ctx, run));
+      } else {
+        const DporMode mode = request.engine == Engine::kDporOptimal
+                                  ? DporMode::kOptimal
+                                  : DporMode::kSleepSet;
+        adopt_witnesses(report, run_dpor(ctx, mode, run));
       }
-      if (r.deadlock_found) report.deadlock_schedule = r.deadlock_schedule;
-      if (r.non_termination_found) {
-        report.lasso_stem = r.lasso_stem;
-        report.lasso_cycle = r.lasso_cycle;
-      }
+      report.verdict = run.verdict;
+      report.engines.push_back(std::move(run));
       break;
     }
     case Engine::kPortfolio:

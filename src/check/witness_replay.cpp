@@ -6,7 +6,6 @@
 #include <tuple>
 
 #include "support/assert.hpp"
-#include "support/log.hpp"
 
 namespace mcsym::check {
 
@@ -85,11 +84,7 @@ class Replayer {
   }
 
   bool apply(const Action& a) {
-    if (!system_.action_enabled(a)) {
-      MCSYM_DEBUG("witness replay: action not enabled: "
-                  << a.str(system_.program()));
-      return false;
-    }
+    if (!system_.action_enabled(a)) return false;
     system_.apply(a);
     script_.push_back(a);
     return true;
@@ -187,11 +182,7 @@ class Replayer {
         prefix_only
             ? std::includes(want.begin(), want.end(), got.begin(), got.end())
             : got == want;
-    if (!match_ok) {
-      MCSYM_DEBUG("witness replay: matching mismatch, got " << got.size()
-                  << " records, want " << want.size());
-      return false;
-    }
+    if (!match_ok) return false;
 
     // Control flow must match the trace too: the problem quantifies only
     // over executions with the traced branch, poll, and wait_any outcomes.
@@ -219,12 +210,7 @@ class Replayer {
                              ? std::includes(want_flow.begin(), want_flow.end(),
                                              got_flow.begin(), got_flow.end())
                              : got_flow == want_flow;
-    if (!flow_ok) {
-      MCSYM_DEBUG("witness replay: control-flow mismatch, got "
-                  << got_flow.size() << " records, want " << want_flow.size());
-      return false;
-    }
-    return true;
+    return flow_ok;
   }
 
   const trace::Trace& trace_;

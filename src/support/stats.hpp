@@ -1,37 +1,10 @@
-// Running statistics and wall-clock timing used by checkers and benches.
+// Wall-clock timing and the budget probe used by checkers and benches.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <string>
 
 namespace mcsym::support {
-
-/// Welford online mean/variance. Numerically stable for long benchmark runs.
-class RunningStats {
- public:
-  void add(double x);
-
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] double mean() const { return mean_; }
-  [[nodiscard]] double min() const { return min_; }
-  [[nodiscard]] double max() const { return max_; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double sum() const { return sum_; }
-
-  /// "n=5 mean=1.2 min=0.9 max=1.5" — for log lines and bench labels.
-  [[nodiscard]] std::string summary() const;
-
- private:
-  std::uint64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Monotonic stopwatch.
 class Stopwatch {
@@ -47,5 +20,23 @@ class Stopwatch {
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
 };
+
+/// Whether a search's wall-clock budget (`options.max_seconds`, 0 = none)
+/// or its `options.interrupted()` callback stops it. The clock read is
+/// amortized over the *calls* (one per exploration step, per thread:
+/// `probe` is the caller's counter), not over transitions: a step's race
+/// scan or feasibility checks can do unbounded work without advancing the
+/// transition counter, so a transition-keyed probe could overshoot the
+/// budget arbitrarily.
+template <class Options>
+bool over_budget(const Options& options, const Stopwatch& timer,
+                 std::uint64_t& probe) {
+  if (options.max_seconds <= 0 && !options.interrupted) return false;
+  if ((++probe & 63u) != 0) return false;
+  if (options.max_seconds > 0 && timer.seconds() > options.max_seconds) {
+    return true;
+  }
+  return options.interrupted && options.interrupted();
+}
 
 }  // namespace mcsym::support

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include "check/dpor.hpp"
+#include "check/dpor_internal.hpp"
 #include "check/explicit_checker.hpp"
 #include "check/random_program.hpp"
 #include "check/workloads.hpp"
 #include "support/env.hpp"
+#include "support/rng.hpp"
 #include "mcapi/executor.hpp"
 
 namespace mcsym::check {
@@ -290,6 +292,61 @@ INSTANTIATE_TEST_SUITE_P(
     Seeds, DporRandomTest,
     ::testing::Range<std::uint64_t>(
         200, 200 + support::env_u64("MCSYM_TEST_ITERS", 12)));
+
+// The counting feasibility fast path claims to be exact on countable
+// programs (dpor_detail::countable_program). Pin it against the live-System
+// simulation: random walks over random countable programs, and after every
+// step each race candidate the shared scan builds is decided both ways. The
+// candidates are intercepted at the scan's coverage callback, which then
+// reports them covered so nothing is scheduled. Seed count scales with
+// MCSYM_TEST_ITERS.
+TEST(DporTest, CountingFeasibilityMatchesSimulation) {
+  using mcapi::ActionFootprint;
+  const mcapi::DeliveryMode mode = mcapi::DeliveryMode::kArbitraryDelay;
+  const std::uint64_t programs = 4 * support::env_u64("MCSYM_TEST_ITERS", 12);
+  std::uint64_t feasible = 0;
+  std::uint64_t infeasible = 0;
+  for (std::uint64_t seed = 0; seed < programs; ++seed) {
+    RandomProgramOptions popts;
+    popts.threads = 3 + static_cast<std::uint32_t>(seed % 2);
+    popts.allow_deadlocks = seed % 3 == 0;
+    const mcapi::Program p = random_program(900 + seed, popts);
+    if (!dpor_detail::countable_program(p, mode)) continue;
+    support::Rng rng(seed);
+    for (int walk = 0; walk < 3; ++walk) {
+      dpor_detail::Prefix prefix(p, mode);
+      auto decide_both = [&](std::size_t k,
+                             const std::vector<ActionFootprint>& v) {
+        const bool counted = prefix.count_feasible(k, v);
+        const bool simulated = prefix.simulate_feasible(k, v);
+        prefix.replay_from(k);
+        EXPECT_EQ(counted, simulated)
+            << "seed " << seed << " depth " << prefix.events.size()
+            << " race point " << k;
+        // The scan's shortcut: racing deliveries are always reversible.
+        if (prefix.events[k].action.kind == mcapi::Action::Kind::kDeliver &&
+            v.back().action.kind == mcapi::Action::Kind::kDeliver) {
+          EXPECT_TRUE(simulated) << "seed " << seed;
+        }
+        ++(simulated ? feasible : infeasible);
+        return true;
+      };
+      auto schedule_none = [](std::size_t, std::vector<ActionFootprint>&&) {
+        return std::size_t{0};
+      };
+      DporStats st;
+      std::vector<mcapi::Action> enabled;
+      for (prefix.sys.enabled(enabled); !enabled.empty();
+           prefix.sys.enabled(enabled)) {
+        const mcapi::Action a = enabled[rng.below(enabled.size())];
+        prefix.push(prefix.sys.footprint(a));
+        prefix.scan_races(st, decide_both, schedule_none);
+      }
+    }
+  }
+  EXPECT_GT(feasible, 0u);
+  EXPECT_GT(infeasible, 0u);
+}
 
 TEST(DporTest, IndependenceRelationBasics) {
   const mcapi::Program p = wl::figure1();

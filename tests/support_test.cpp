@@ -9,7 +9,6 @@
 #include "support/hash.hpp"
 #include "support/intern.hpp"
 #include "support/rng.hpp"
-#include "support/small_vector.hpp"
 #include "support/stats.hpp"
 
 namespace mcsym::support {
@@ -131,91 +130,6 @@ TEST(RngTest, ReseedResets) {
   EXPECT_EQ(rng.next_u64(), first);
 }
 
-// --- SmallVector ----------------------------------------------------------
-
-TEST(SmallVectorTest, StartsEmptyInline) {
-  SmallVector<int, 4> v;
-  EXPECT_TRUE(v.empty());
-  EXPECT_EQ(v.size(), 0u);
-  EXPECT_EQ(v.capacity(), 4u);
-}
-
-TEST(SmallVectorTest, PushWithinInlineCapacity) {
-  SmallVector<int, 4> v;
-  for (int i = 0; i < 4; ++i) v.push_back(i);
-  EXPECT_EQ(v.size(), 4u);
-  EXPECT_EQ(v.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(v[static_cast<std::size_t>(i)], i);
-}
-
-TEST(SmallVectorTest, GrowsToHeap) {
-  SmallVector<int, 2> v;
-  for (int i = 0; i < 100; ++i) v.push_back(i);
-  EXPECT_EQ(v.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(v[static_cast<std::size_t>(i)], i);
-}
-
-TEST(SmallVectorTest, SwapRemoveIsO1Unordered) {
-  SmallVector<int, 4> v{1, 2, 3, 4};
-  v.swap_remove(0);
-  EXPECT_EQ(v.size(), 3u);
-  EXPECT_TRUE(v.contains(4));
-  EXPECT_FALSE(v.contains(1));
-}
-
-TEST(SmallVectorTest, EraseKeepsOrder) {
-  SmallVector<int, 4> v{1, 2, 3, 4};
-  v.erase(v.begin() + 1);
-  ASSERT_EQ(v.size(), 3u);
-  EXPECT_EQ(v[0], 1);
-  EXPECT_EQ(v[1], 3);
-  EXPECT_EQ(v[2], 4);
-}
-
-TEST(SmallVectorTest, CopyIndependent) {
-  SmallVector<int, 2> a{1, 2, 3};
-  SmallVector<int, 2> b = a;
-  b.push_back(4);
-  EXPECT_EQ(a.size(), 3u);
-  EXPECT_EQ(b.size(), 4u);
-  a[0] = 99;
-  EXPECT_EQ(b[0], 1);
-}
-
-TEST(SmallVectorTest, MoveStealsHeapBlock) {
-  SmallVector<int, 2> a;
-  for (int i = 0; i < 50; ++i) a.push_back(i);
-  const int* data = a.data();
-  SmallVector<int, 2> b = std::move(a);
-  EXPECT_EQ(b.data(), data);  // heap block moved, not copied
-  EXPECT_EQ(b.size(), 50u);
-  EXPECT_TRUE(a.empty());
-}
-
-TEST(SmallVectorTest, MoveInlineCopies) {
-  SmallVector<int, 8> a{1, 2, 3};
-  SmallVector<int, 8> b = std::move(a);
-  EXPECT_EQ(b.size(), 3u);
-  EXPECT_EQ(b[2], 3);
-}
-
-TEST(SmallVectorTest, ResizeAndClear) {
-  SmallVector<int, 2> v;
-  v.resize(5, 7);
-  EXPECT_EQ(v.size(), 5u);
-  EXPECT_EQ(v[4], 7);
-  v.clear();
-  EXPECT_TRUE(v.empty());
-}
-
-TEST(SmallVectorTest, Equality) {
-  SmallVector<int, 2> a{1, 2};
-  SmallVector<int, 2> b{1, 2};
-  SmallVector<int, 2> c{1, 3};
-  EXPECT_TRUE(a == b);
-  EXPECT_FALSE(a == c);
-}
-
 // --- Interner ----------------------------------------------------------
 
 TEST(InternerTest, SameStringSameSymbol) {
@@ -258,35 +172,7 @@ TEST(InternerTest, InvalidSymbolIsFalsy) {
   EXPECT_FALSE(s.valid());
 }
 
-// --- RunningStats ----------------------------------------------------------
-
-TEST(StatsTest, EmptyStats) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(StatsTest, MeanMinMax) {
-  RunningStats s;
-  for (double x : {3.0, 1.0, 2.0}) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 3.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 6.0);
-}
-
-TEST(StatsTest, VarianceMatchesTextbook) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  // Sample variance with n-1 denominator: 32/7.
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-}
-
-TEST(StatsTest, SummaryMentionsCount) {
-  RunningStats s;
-  s.add(1.5);
-  EXPECT_NE(s.summary().find("n=1"), std::string::npos);
-}
+// --- Stopwatch -------------------------------------------------------------
 
 TEST(StopwatchTest, MonotoneNonNegative) {
   Stopwatch w;

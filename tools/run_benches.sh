@@ -6,8 +6,10 @@
 #
 # Knobs:
 #   BENCH_OUT_DIR   where the .json files land (default: the build dir)
-#   BENCH_MIN_TIME  per-benchmark min time, e.g. 2s for stable numbers
-#                   (default 0.05s: quick smoke that still emits real data)
+#   BENCH_MIN_TIME  per-benchmark min time in seconds, as a bare number:
+#                   libbenchmark 1.7 ignores a value with a unit suffix.
+#                   E.g. 2 for stable numbers (default 0.05: quick smoke
+#                   that still emits real data)
 #   BENCH_FILTER    extended regex over bench names; only matching benches
 #                   run (e.g. 'state_space|service'). Skipped benches emit
 #                   no JSON — downstream bench_gate.py counter gates treat
@@ -17,7 +19,7 @@ set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 OUT_DIR="${BENCH_OUT_DIR:-$BUILD_DIR}"
-MIN_TIME="${BENCH_MIN_TIME:-0.05s}"
+MIN_TIME="${BENCH_MIN_TIME:-0.05}"
 FILTER="${BENCH_FILTER:-}"
 
 benches=(
