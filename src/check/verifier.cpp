@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <functional>
 #include <mutex>
 #include <sstream>
 #include <thread>
 #include <utility>
 
+#include "check/json_internal.hpp"
 #include "match/generators.hpp"
 #include "mcapi/scheduler.hpp"
 #include "support/assert.hpp"
@@ -756,37 +756,8 @@ void run_portfolio(Ctx& ctx) {
 
 // --- JSON serialization ----------------------------------------------------------
 
-void json_escape_into(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-void json_string(std::string& out, std::string_view s) {
-  out += '"';
-  json_escape_into(out, s);
-  out += '"';
-}
-
-void json_seconds(std::string& out, double seconds) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6f", seconds);
-  out += buf;
-}
+using json_detail::json_seconds;
+using json_detail::json_string;
 
 void json_violation(std::string& out, const mcapi::Violation& v,
                     const mcapi::Program& program) {
@@ -839,6 +810,18 @@ const char* verdict_name(Verdict verdict) {
     case Verdict::kUnknown: return "unknown";
   }
   return "?";
+}
+
+int verdict_exit_code(Verdict verdict) {
+  switch (verdict) {
+    case Verdict::kSafe: return 0;
+    case Verdict::kViolation:
+    case Verdict::kDeadlock: return 1;
+    case Verdict::kNonTermination: return 4;
+    case Verdict::kBudgetExhausted:
+    case Verdict::kUnknown: return 3;
+  }
+  return 3;
 }
 
 bool EnumerateReport::truncated_any() const {

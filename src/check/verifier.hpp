@@ -141,6 +141,11 @@ enum class Verdict : std::uint8_t {
 
 [[nodiscard]] const char* verdict_name(Verdict verdict);
 
+/// The CLI and service exit-code contract for a verdict: 0 safe,
+/// 1 violation or deadlock, 3 budget exhausted / no verdict,
+/// 4 non-termination (2 is reserved for usage and input errors).
+[[nodiscard]] int verdict_exit_code(Verdict verdict);
+
 /// One engine's contribution to a report: its verdict, whether its search
 /// truncated, and its counters (insertion-ordered, so the JSON key order is
 /// stable across runs and platforms).

@@ -38,9 +38,20 @@ bool System::thread_can_step(ThreadRef t) const {
       return !endpoints_[i.dst].queue.empty();
     case OpKind::kWait:
       return ts.requests[i.req].state == ReqState::kBound;
+    // Request misuse blocks the thread, as a wait on a request that was
+    // never issued always has: re-issuing a request still in flight,
+    // testing one never issued, or a wait_any that meets a request not in
+    // flight before the first completed one (the one it would take).
+    case OpKind::kRecvNb: {
+      const ReqState s = ts.requests[i.req].state;
+      return s == ReqState::kUnused || s == ReqState::kConsumed;
+    }
+    case OpKind::kTest:
+      return ts.requests[i.req].state != ReqState::kUnused;
     case OpKind::kWaitAny:
       for (const std::uint32_t r : i.reqs) {
-        if (ts.requests[r].state == ReqState::kBound) return true;
+        const ReqState s = ts.requests[r].state;
+        if (s != ReqState::kPending) return s == ReqState::kBound;
       }
       return false;
     default:

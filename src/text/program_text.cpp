@@ -273,6 +273,8 @@ class Parser {
     split_and_lex();
     if (!build_skeleton()) return finish();
     declare_threads_and_endpoints();
+    // A duplicate thread gets no builder, so its body has nowhere to go.
+    if (builders_.size() != skeleton_.threads.size()) return finish();
     parse_instructions();
     if (!diags_.empty()) return finish();
     program_.finalize();

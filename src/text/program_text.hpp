@@ -31,9 +31,12 @@
 // Semantics notes mirrored from the builder API: endpoint names are global
 // and unique; `send` requires the source endpoint to be owned by the sending
 // thread; `recv`/`recv_i` require the receive endpoint to be owned by the
-// receiving thread; labels are thread-local. The parser reports *all* errors
-// it can recover from, with 1-based line numbers, instead of stopping at the
-// first one.
+// receiving thread; labels are thread-local. Request slots are checked at
+// run time, not here: a `test` before its `recv_i`, a `recv_i` on a slot
+// still in flight, or a `wait`/`wait_any` that would take a request not in
+// flight blocks the thread, so such a run ends in a deadlock, not a crash.
+// The parser reports *all* errors it can recover from, with 1-based line
+// numbers, instead of stopping at the first one.
 #pragma once
 
 #include <cstdint>

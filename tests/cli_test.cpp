@@ -440,6 +440,26 @@ TEST(CliTest, ServeTimeoutCancelsViaTheProgressPath) {
   EXPECT_NE(r.output.find("\"id\":\"t2\",\"ok\":true"), std::string::npos);
 }
 
+TEST(CliTest, RequestOptionValuesAreValidated) {
+  // Request options share the service's option table with serve headers:
+  // a malformed number is a usage error (exit 2), never a wrapped value.
+  for (const char* bad : {"--traces -1", "--seed abc", "--workers=4x",
+                          "--max-seconds -3", "--state-capacity 1e3"}) {
+    SCOPED_TRACE(bad);
+    const CliResult r =
+        run_cli("verify " + figure1() + " --engine=symbolic " + bad);
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("bad value"), std::string::npos) << r.output;
+  }
+  // --timeout works on the command line as it does in a serve header.
+  const CliResult timed = run_cli("verify " + figure1() +
+                                  " --engine=portfolio --traces 3 "
+                                  "--timeout 0.0000001");
+  EXPECT_EQ(timed.exit_code, 3) << timed.output;
+  EXPECT_NE(timed.output.find("(cancelled)"), std::string::npos)
+      << timed.output;
+}
+
 std::string livelock() {
   return std::string(MCSYM_EXAMPLES_DIR) + "/livelock.mcp";
 }

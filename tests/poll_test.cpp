@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "check/explicit_checker.hpp"
 #include "check/random_program.hpp"
@@ -104,6 +105,46 @@ TEST(PollRuntimeTest, PollNeverBlocks) {
   sys.enabled(enabled);
   EXPECT_TRUE(std::find(enabled.begin(), enabled.end(), step_rx) != enabled.end())
       << "test must be enabled while the request is pending";
+}
+
+TEST(PollRuntimeTest, RequestMisuseBlocksInsteadOfAborting) {
+  // A request used out of order blocks its thread, as a wait on a request
+  // never issued always has, so the run ends in a deadlock rather than a
+  // runtime assertion. The sender halts; only the misusing thread is stuck.
+  const std::string sender = "thread s\n  endpoint es\n  send es -> e : 1\n"
+                             "  send es -> e : 2\n";
+  const char* misuses[] = {
+      // test before the request is issued
+      "thread t\n  endpoint e\n  test 0 -> f\n  recv_i e -> x req 0\n"
+      "  wait 0\n",
+      // re-issue while the request is still in flight
+      "thread t\n  endpoint e\n  recv_i e -> x req 0\n"
+      "  recv_i e -> y req 0\n  wait 0\n",
+      // wait_any meets a consumed request before the completed one
+      "thread t\n  endpoint e\n  recv_i e -> x req 0\n  wait 0\n"
+      "  recv_i e -> y req 1\n  nop\n  nop\n  wait_any 0,1 -> w\n",
+  };
+  for (const char* misuse : misuses) {
+    SCOPED_TRACE(misuse);
+    auto parsed = text::parse_program(misuse + sender);
+    ASSERT_TRUE(parsed.ok()) << parsed.error_text();
+    System sys(parsed.parsed->program);
+    mcapi::RoundRobinScheduler sched;
+    EXPECT_EQ(mcapi::run(sys, sched).outcome,
+              mcapi::RunResult::Outcome::kDeadlock);
+  }
+  // A consumed request after the completed one is never reached by the
+  // scan, so that wait_any still steps.
+  auto ok = text::parse_program(
+      "thread t\n  endpoint e\n  recv_i e -> x req 0\n  wait 0\n"
+      "  recv_i e -> y req 1\n  wait 1\n  recv_i e -> z req 1\n"
+      "  wait_any 1,0 -> w\n"
+      "thread s\n  endpoint es\n  send es -> e : 1\n  send es -> e : 2\n"
+      "  send es -> e : 3\n");
+  ASSERT_TRUE(ok.ok()) << ok.error_text();
+  System sys(ok.parsed->program);
+  mcapi::RoundRobinScheduler sched;
+  EXPECT_EQ(mcapi::run(sys, sched).outcome, mcapi::RunResult::Outcome::kHalted);
 }
 
 TEST(PollRuntimeTest, BothOutcomesReachable) {

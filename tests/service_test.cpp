@@ -12,11 +12,21 @@
 //    serialized, and is ≥10x faster than running the engines;
 //  * only definitive complete verdicts are stored (no budget-exhausted or
 //    cancelled entries), and the LRU bound holds.
+//
+// The wire protocol is pinned here too, in process: the request-option
+// table's validation, the serve loop's framing (driven through string
+// streams, including a seeded mutation battery over a request stream
+// built from the shipped examples), and the batch envelope and summary.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -26,7 +36,12 @@
 #include "check/verifier.hpp"
 #include "mcapi/canonical.hpp"
 #include "support/env.hpp"
+#include "support/rng.hpp"
 #include "text/program_text.hpp"
+
+#ifndef MCSYM_EXAMPLES_DIR
+#error "MCSYM_EXAMPLES_DIR must be defined by the build"
+#endif
 
 namespace mcsym::check {
 namespace {
@@ -383,6 +398,398 @@ TEST(ServiceCache, ParseErrorsReportNotCrash) {
   EXPECT_TRUE(reply.report_json.empty());
   EXPECT_EQ(service.stats().parse_errors, 1u);
   EXPECT_EQ(service.cache_size(), 0u);
+}
+
+// --- request-option table ------------------------------------------------------
+
+TEST(RequestOptions, NumbersAreValidatedOnce) {
+  RequestSpec spec;
+  EXPECT_EQ(set_option(spec, "traces", "3"), "");
+  EXPECT_EQ(spec.request.traces, 3u);
+  // Negative, non-numeric, trailing characters, empty, and values that
+  // overflow the field are all rejected — and leave the field alone.
+  for (const char* bad : {"-1", "abc", "3x", "", " 3", "+3", "4294967296"}) {
+    SCOPED_TRACE(bad);
+    const std::string error = set_option(spec, "traces", bad);
+    EXPECT_NE(error.find("bad value '" + std::string(bad) + "' for traces"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(spec.request.traces, 3u);
+  }
+  EXPECT_EQ(set_option(spec, "seed", "18446744073709551615"), "");
+  EXPECT_EQ(spec.request.trace_seed, 18446744073709551615ull);
+  EXPECT_NE(set_option(spec, "seed", "18446744073709551616"), "");
+  EXPECT_NE(set_option(spec, "conflicts", "1e3"), "");
+  EXPECT_EQ(set_option(spec, "max-seconds", "0.5"), "");
+  EXPECT_EQ(spec.request.budget.max_seconds, 0.5);
+  for (const char* bad : {"-1", "inf", "nan", "1s"}) {
+    EXPECT_NE(set_option(spec, "max-seconds", bad), "") << bad;
+  }
+  // 0 means the facade default for the two search budgets.
+  EXPECT_EQ(set_option(spec, "max-states", "7"), "");
+  EXPECT_EQ(spec.request.budget.max_states, 7u);
+  EXPECT_EQ(set_option(spec, "max-states", "0"), "");
+  EXPECT_EQ(spec.request.budget.max_states, Budget().max_states);
+}
+
+TEST(RequestOptions, WorkersResolveAutoAndClamp) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::uint32_t resolved = std::clamp(hw == 0 ? 1u : hw, 1u, 64u);
+  RequestSpec spec;
+  for (const char* value : {"auto", "0"}) {
+    spec.request.workers = 1;
+    EXPECT_EQ(set_option(spec, "workers", value), "") << value;
+    EXPECT_EQ(spec.request.workers, resolved) << value;
+  }
+  EXPECT_EQ(set_option(spec, "workers", "500"), "");
+  EXPECT_EQ(spec.request.workers, 64u);
+  EXPECT_NE(set_option(spec, "workers", "4x"), "");
+  EXPECT_NE(set_option(spec, "workers", "-2"), "");
+}
+
+TEST(RequestOptions, SwitchesEngineTimeoutAndUnknownKeys) {
+  RequestSpec spec;
+  EXPECT_TRUE(is_switch_option("json"));
+  EXPECT_TRUE(is_switch_option("no-fifo"));
+  EXPECT_FALSE(is_switch_option("seed"));
+  EXPECT_FALSE(is_switch_option("frobnicate"));
+
+  EXPECT_EQ(set_option(spec, "no-fifo", "1"), "");
+  EXPECT_FALSE(spec.request.symbolic.encode.fifo_non_overtaking);
+  EXPECT_EQ(set_option(spec, "no-fifo", "0"), "");
+  EXPECT_TRUE(spec.request.symbolic.encode.fifo_non_overtaking);
+  EXPECT_EQ(set_option(spec, "assert-props", "1"), "");
+  EXPECT_EQ(spec.request.symbolic.encode.property_mode,
+            encode::PropertyMode::kAssert);
+  EXPECT_EQ(set_option(spec, "precise", "1"), "");
+  EXPECT_EQ(spec.request.symbolic.match_gen, MatchGen::kPrecise);
+  EXPECT_EQ(set_option(spec, "json", "1"), "");
+  EXPECT_TRUE(spec.json);
+
+  // A capacity only means anything stateful, so it turns stateful on.
+  EXPECT_EQ(set_option(spec, "state-capacity", "64"), "");
+  EXPECT_TRUE(spec.request.stateful);
+  EXPECT_EQ(spec.request.state_capacity, 64u);
+
+  EXPECT_EQ(set_option(spec, "timeout", "0.5"), "");
+  ASSERT_TRUE(static_cast<bool>(spec.request.progress));
+  EXPECT_TRUE(spec.request.progress({Engine::kDporOptimal, "explore", 0.4}));
+  EXPECT_FALSE(spec.request.progress({Engine::kDporOptimal, "explore", 0.6}));
+  EXPECT_EQ(set_option(spec, "timeout", "0"), "");
+  EXPECT_FALSE(static_cast<bool>(spec.request.progress));
+
+  EXPECT_EQ(set_option(spec, "engine", "explicit"), "");
+  EXPECT_EQ(spec.request.engine, Engine::kExplicit);
+  EXPECT_NE(set_option(spec, "engine", "bogus").find("unknown engine 'bogus'"),
+            std::string::npos);
+  EXPECT_EQ(set_option(spec, "frobnicate", "1"),
+            "unknown option 'frobnicate'");
+}
+
+// --- serve and batch, in process -------------------------------------------------
+
+std::string example(const std::string& name) {
+  std::ifstream in(std::string(MCSYM_EXAMPLES_DIR) + "/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << name;
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+std::string serve_session(VerifierService& service, const std::string& input,
+                          const RequestSpec& defaults = {}) {
+  std::istringstream in(input);
+  std::ostringstream out;
+  service.serve(in, out, defaults);
+  return out.str();
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+/// Whether serve output is nothing but envelope lines, each followed by a
+/// line holding only "." — the framing a client reads replies by (no
+/// request here asks for the json report).
+::testing::AssertionResult strictly_framed(const std::string& out) {
+  const std::vector<std::string> lines = lines_of(out);
+  if (!out.empty() && out.back() != '\n') {
+    return ::testing::AssertionFailure() << "unterminated last line";
+  }
+  if (lines.size() % 2 != 0) {
+    return ::testing::AssertionFailure() << "odd line count " << lines.size();
+  }
+  for (std::size_t i = 0; i < lines.size(); i += 2) {
+    const std::string& env = lines[i];
+    if (env.rfind("{\"schema\":\"mcsym.serve/1\",", 0) != 0 ||
+        env.back() != '}') {
+      return ::testing::AssertionFailure() << "line " << i << ": " << env;
+    }
+    if (lines[i + 1] != ".") {
+      return ::testing::AssertionFailure()
+             << "line " << i + 1 << ": " << lines[i + 1];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(ServeLoop, RepeatIsACacheHit) {
+  const std::string fig = example("figure1.mcp");
+  VerifierService service;
+  const std::string out = serve_session(
+      service, "verify id=a\n" + fig + ".\nverify id=b\n" + fig + ".\n");
+  EXPECT_TRUE(strictly_framed(out)) << out;
+  const auto lines = lines_of(out);
+  ASSERT_EQ(lines.size(), 4u) << out;
+  EXPECT_NE(lines[0].find("\"id\":\"a\",\"ok\":true,\"name\":\"figure1\","
+                          "\"verdict\":\"safe\",\"exit\":0,"
+                          "\"cache_hit\":false,\"cache_hits\":0,"
+                          "\"cache_misses\":1,\"seconds\":"),
+            std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[2].find("\"id\":\"b\",\"ok\":true,\"name\":\"figure1\","
+                          "\"verdict\":\"safe\",\"exit\":0,"
+                          "\"cache_hit\":true,\"cache_hits\":1,"
+                          "\"cache_misses\":1,\"seconds\":"),
+            std::string::npos)
+      << lines[2];
+  EXPECT_EQ(service.stats().cache_hits, 1u);
+}
+
+TEST(ServeLoop, UnknownCommandMalformedOptionAndBadBodyKeepServing) {
+  const std::string fig = example("figure1.mcp");
+  VerifierService service;
+  const std::string out = serve_session(
+      service, "bogus\n"
+               "verify not-kv id=lost\n" + fig + ".\n"
+               "verify id=p\nthread t0\n  garbage\n.\n"
+               "\n"
+               "verify id=ok\n" + fig + ".\n");
+  EXPECT_TRUE(strictly_framed(out)) << out;
+  const auto lines = lines_of(out);
+  ASSERT_EQ(lines.size(), 8u) << out;
+  EXPECT_EQ(lines[0],
+            "{\"schema\":\"mcsym.serve/1\",\"ok\":false,"
+            "\"error\":\"unknown command 'bogus'\",\"exit\":2}");
+  // The header stops at its first bad token, and its body is consumed so
+  // the stream stays framed.
+  EXPECT_EQ(lines[2],
+            "{\"schema\":\"mcsym.serve/1\",\"ok\":false,"
+            "\"error\":\"malformed option 'not-kv' (expected k=v)\","
+            "\"exit\":2}");
+  EXPECT_NE(lines[4].find("\"id\":\"p\",\"ok\":false,\"error\":\"line 2: "
+                          "unknown instruction 'garbage'\",\"exit\":2,"
+                          "\"cache_hit\":false"),
+            std::string::npos)
+      << lines[4];
+  EXPECT_NE(lines[6].find("\"id\":\"ok\",\"ok\":true"), std::string::npos)
+      << lines[6];
+  EXPECT_EQ(service.stats().requests, 2u);
+  EXPECT_EQ(service.stats().parse_errors, 1u);
+}
+
+TEST(ServeLoop, EofInsideABodyRepliesAndReturns) {
+  VerifierService service;
+  const std::string out =
+      serve_session(service, "verify id=cut\n" + example("figure1.mcp"));
+  EXPECT_EQ(out,
+            "{\"schema\":\"mcsym.serve/1\",\"id\":\"cut\",\"ok\":false,"
+            "\"error\":\"unexpected EOF inside a request body\",\"exit\":2}\n"
+            ".\n");
+  EXPECT_EQ(service.stats().requests, 0u);
+}
+
+TEST(ServeLoop, StatsThenQuitEndsTheSession) {
+  const std::string fig = example("figure1.mcp");
+  VerifierService service;
+  const std::string out = serve_session(
+      service, "verify id=a\n" + fig + ".\nstats\r\nquit\n"
+               "verify id=after\n" + fig + ".\n");
+  EXPECT_TRUE(strictly_framed(out)) << out;
+  const auto lines = lines_of(out);
+  ASSERT_EQ(lines.size(), 4u) << out;
+  EXPECT_EQ(lines[2],
+            "{\"schema\":\"mcsym.serve/1\",\"stats\":true,\"requests\":1,"
+            "\"parse_errors\":0,\"cache_hits\":0,\"cache_misses\":1,"
+            "\"cache_stores\":1,\"cache_evictions\":0,\"cache_size\":1}");
+  EXPECT_EQ(out.find("after"), std::string::npos);
+  EXPECT_EQ(service.stats().requests, 1u);
+}
+
+TEST(ServeLoop, BadNumericValuesAreErrorRepliesNotCrashes) {
+  // Wrapped to 4294967295, traces=-1 would size the symbolic stage's
+  // per-trace table from it and abort the whole server.
+  const std::string fig = example("figure1.mcp");
+  VerifierService service;
+  const std::string out = serve_session(
+      service, "verify id=t engine=symbolic traces=-1\n" + fig + ".\n"
+               "verify id=s seed=abc\n" + fig + ".\n"
+               "verify id=w workers=4x\n" + fig + ".\n"
+               "verify id=v engine=symbolic traces=2\n" + fig + ".\n");
+  EXPECT_TRUE(strictly_framed(out)) << out;
+  const auto lines = lines_of(out);
+  ASSERT_EQ(lines.size(), 8u) << out;
+  EXPECT_EQ(lines[0],
+            "{\"schema\":\"mcsym.serve/1\",\"id\":\"t\",\"ok\":false,"
+            "\"error\":\"bad value '-1' for traces (expected a non-negative "
+            "number)\",\"exit\":2}");
+  EXPECT_NE(lines[2].find("\"id\":\"s\",\"ok\":false,\"error\":\"bad value "
+                          "'abc' for seed"),
+            std::string::npos)
+      << lines[2];
+  EXPECT_NE(lines[4].find("\"id\":\"w\",\"ok\":false,\"error\":\"bad value "
+                          "'4x' for workers"),
+            std::string::npos)
+      << lines[4];
+  // The next valid request is still served: the symbolic engine finds the
+  // Figure-4b violation.
+  EXPECT_NE(lines[6].find("\"id\":\"v\",\"ok\":true,\"name\":\"figure1\","
+                          "\"verdict\":\"violation\",\"exit\":1"),
+            std::string::npos)
+      << lines[6];
+  EXPECT_EQ(service.stats().requests, 1u);
+}
+
+TEST(ServeLoop, EncodingKeysReachTheRequest) {
+  // The delay-ignorant baseline misses the Figure-4b violation the
+  // paper's encoding finds; the two requests have different cache keys.
+  const std::string fig = example("figure1.mcp");
+  VerifierService service;
+  const std::string out = serve_session(
+      service, "verify id=d engine=symbolic delay-ignorant=1\n" + fig +
+                   ".\nverify id=n engine=symbolic\n" + fig + ".\n");
+  const auto lines = lines_of(out);
+  ASSERT_EQ(lines.size(), 4u) << out;
+  EXPECT_NE(lines[0].find("\"verdict\":\"safe\""), std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[2].find("\"verdict\":\"violation\",\"exit\":1,"
+                          "\"cache_hit\":false"),
+            std::string::npos)
+      << lines[2];
+}
+
+TEST(ServeLoop, JsonOptionAppendsTheReportBeforeTheTerminator) {
+  VerifierService service;
+  const std::string out = serve_session(
+      service, "verify id=j json=1\n" + example("figure1.mcp") + ".\n");
+  const auto lines = lines_of(out);
+  ASSERT_GE(lines.size(), 3u);
+  EXPECT_EQ(lines[1], "{");
+  EXPECT_EQ(lines[2], "  \"schema\": \"mcsym.verify/1\",");
+  EXPECT_EQ(lines.back(), ".");
+}
+
+TEST(RunBatch, EnvelopePerEntryThenSummaryAndWorstExit) {
+  const std::string dir = MCSYM_EXAMPLES_DIR;
+  std::istringstream manifest("# comment\n\n" + dir + "/figure1.mcp\r\n  " +
+                              dir + "/figure1.mcp  \n" + dir +
+                              "/livelock.mcp\n/nonexistent/path.mcp\n");
+  RequestSpec spec;
+  spec.request.engine = Engine::kExplicit;
+  spec.request.stateful = true;
+  VerifierService service;
+  std::ostringstream out;
+  EXPECT_EQ(service.run_batch(manifest, out, spec), 2);
+  const auto lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), 5u) << out.str();
+  const std::string head = "{\"schema\":\"mcsym.batch/1\",\"file\":\"" + dir;
+  EXPECT_EQ(lines[0].rfind(head + "/figure1.mcp\",\"ok\":true,", 0), 0u)
+      << lines[0];
+  EXPECT_NE(lines[1].find("\"cache_hit\":true,\"cache_hits\":1"),
+            std::string::npos)
+      << lines[1];
+  EXPECT_NE(lines[2].find("\"verdict\":\"non-termination\",\"exit\":4"),
+            std::string::npos)
+      << lines[2];
+  EXPECT_EQ(lines[3].rfind("{\"schema\":\"mcsym.batch/1\",\"file\":"
+                           "\"/nonexistent/path.mcp\",\"ok\":false,"
+                           "\"error\":\"cannot open '/nonexistent/path.mcp'\","
+                           "\"exit\":2,\"cache_hit\":false,",
+                           0),
+            0u)
+      << lines[3];
+  EXPECT_EQ(lines[4],
+            "{\"schema\":\"mcsym.batch/1\",\"summary\":true,\"entries\":4,"
+            "\"requests\":3,\"parse_errors\":0,\"cache_hits\":1,"
+            "\"cache_misses\":2,\"exit\":2}");
+}
+
+/// One framing mutation of a request stream: overwrite a few bytes, cut
+/// the stream short, or copy a slice of it somewhere else.
+std::string mutate(std::string s, support::Rng& rng) {
+  static constexpr char kInteresting[] = {'.', '\n', '=', ' ', '\r', '0',
+                                          '9', 'x', '-', '\0'};
+  const std::uint64_t rounds = 1 + rng.below(3);
+  for (std::uint64_t r = 0; r < rounds && !s.empty(); ++r) {
+    switch (rng.below(3)) {
+      case 0: {  // byte flips
+        const std::uint64_t flips = 1 + rng.below(4);
+        for (std::uint64_t f = 0; f < flips; ++f) {
+          char& c = s[rng.below(s.size())];
+          c = rng.below(2) == 0
+                  ? kInteresting[rng.below(sizeof kInteresting)]
+                  : static_cast<char>(rng.below(256));
+        }
+        break;
+      }
+      case 1:  // truncation
+        s.resize(rng.below(s.size()));
+        break;
+      default: {  // splice
+        const std::size_t from = rng.below(s.size());
+        const std::size_t len = rng.below(s.size() - from) + 1;
+        const std::string slice = s.substr(from, len);
+        s.insert(rng.below(s.size() + 1), slice);
+        break;
+      }
+    }
+  }
+  return s;
+}
+
+TEST(ServeLoop, FramingSurvivesMutatedStreams) {
+  const std::string fig = example("figure1.mcp");
+  const std::string live = example("livelock.mcp");
+  const std::string select = example("select_server.mcp");
+  // Every request kind the protocol has, over every shipped example. No
+  // header asks for the json report, so a reply is exactly two lines.
+  const std::string stream =
+      "verify id=f1\n" + fig + ".\n" +
+      "verify id=f2 engine=symbolic traces=2 seed=3\n" + fig + ".\n" +
+      "verify id=l1 engine=explicit stateful=1\n" + live + ".\n" +
+      "stats\n" +
+      "verify id=s1 engine=dpor workers=2 round-robin=1\n" + select + ".\n" +
+      "verify id=s2 engine=portfolio state-capacity=64\n" + select + ".\n" +
+      "bogus\n" + "verify id=f3 engine=dpor-sleepset precise=1\n" + fig +
+      ".\n" + "quit\n";
+  // Small budgets keep a mutant that lands a looping body under a
+  // stateless engine cheap; the wall-clock cap is only a backstop.
+  RequestSpec defaults;
+  defaults.request.budget.max_states = 2000;
+  defaults.request.budget.max_transitions = 2000;
+  defaults.request.budget.solver_conflicts = 2000;
+  defaults.request.budget.max_run_steps = 2000;
+  defaults.request.budget.max_seconds = 0.2;
+
+  {
+    VerifierService service;
+    const std::string out = serve_session(service, stream, defaults);
+    ASSERT_TRUE(strictly_framed(out)) << out;
+    EXPECT_EQ(lines_of(out).size(), 16u) << out;
+  }
+  const std::uint64_t iters = support::env_u64("MCSYM_TEST_ITERS", 40);
+  for (std::uint64_t seed = 1; seed <= iters; ++seed) {
+    support::Rng rng(seed);
+    const std::string mutant = mutate(stream, rng);
+    VerifierService service({4});
+    const std::string out = serve_session(service, mutant, defaults);
+    ASSERT_TRUE(strictly_framed(out))
+        << "seed " << seed << "\n--- input ---\n"
+        << mutant << "\n--- output ---\n"
+        << out;
+  }
 }
 
 }  // namespace

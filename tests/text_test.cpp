@@ -222,6 +222,9 @@ thread b
 TEST(ProgramTextErrorsTest, DuplicateNames) {
   EXPECT_TRUE(has_error(parse_program("thread t\nthread t\n"),
                         "duplicate thread name 't'"));
+  // With bodies: the duplicate has no builder to receive its instructions.
+  EXPECT_TRUE(has_error(parse_program("thread t\n  nop\nthread t\n  nop\n"),
+                        "duplicate thread name 't'"));
   EXPECT_TRUE(has_error(parse_program("thread t\n  endpoint e\n  endpoint e\n"),
                         "duplicate endpoint name 'e'"));
   EXPECT_TRUE(has_error(

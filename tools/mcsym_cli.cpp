@@ -17,7 +17,7 @@
 //                         VerifierService (shared verdict cache), emitting a
 //                         JSON envelope line per entry
 //   mcsym serve           long-running stdio request loop over the same
-//                         service (see the protocol note above cmd_serve)
+//                         service (protocol: VerifierService::serve)
 //   mcsym check FILE      verify safety properties symbolically
 //   mcsym enumerate FILE  enumerate every feasible send/receive pairing
 //   mcsym smt FILE        emit the SMT problem as SMT-LIB2 text
@@ -25,20 +25,20 @@
 //
 // `check` and `enumerate` are thin wrappers over the same
 // check::Verifier facade `verify` drives; the facade owns trace
-// recording, engine plumbing, witness replay, and cross-checking.
+// recording, engine plumbing, witness replay, and cross-checking. Request
+// options go through the service's option table (check::set_option), the
+// same one serve headers use; batch and serve are VerifierService's.
 //
 // Exit codes: 0 = success / verified safe; 1 = a violation or deadlock is
 // reachable; 2 = usage or input error; 3 = budget exhausted / no verdict;
 // 4 = non-termination (--stateful: a non-progressive cycle is realized).
-#include <algorithm>
 #include <cstdint>
-#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "check/diagnose.hpp"
@@ -52,25 +52,11 @@
 
 namespace {
 
+using mcsym::check::RequestSpec;
 using mcsym::check::SymbolicOptions;
 using mcsym::check::Verifier;
 using mcsym::check::VerifierService;
 using mcsym::text::ParseOutcome;
-
-/// Maps a --workers value to a thread count: "auto" or "0" resolve to the
-/// machine's hardware concurrency (1 when the runtime can't report it),
-/// anything else parses as a number. Clamped to [1, 64] — the schedulers
-/// degrade, not break, beyond physical cores, and the cap keeps a stray
-/// huge value from oversubscribing the host. The resolved count is what the
-/// Verifier request carries, so the parallel EngineRun row echoes it.
-std::uint32_t resolve_workers(const std::string& value) {
-  std::uint32_t n = 0;
-  if (value != "auto") {
-    n = static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-  }
-  if (n == 0) n = std::thread::hardware_concurrency();  // "auto"/"0"/garbage
-  return std::clamp(n, 1u, 64u);
-}
 
 constexpr const char* kUsage = R"(usage: mcsym COMMAND FILE.mcp [options]
        mcsym verify --batch MANIFEST [options]
@@ -83,8 +69,9 @@ commands:
              with a selectable engine (see --engine) and budgets
   serve      read verification requests from stdin in a loop, sharing one
              verdict cache across them; replies are JSON envelope lines
-             (protocol: `verify [k=v ...]` then program text then `.`;
-             also `stats` and `quit`)
+             (protocol: `verify [k=v ...]` then program text then `.`,
+             where k is a request option below or `id`, echoed in the
+             reply; also `stats` and `quit`)
   check      decide whether any execution consistent with the recorded
              trace violates a property (the paper's SMT pipeline)
   enumerate  enumerate every feasible send/receive pairing of the trace
@@ -93,43 +80,27 @@ commands:
   solve      run the built-in CDCL+IDL solver on an SMT-LIB2 file
   fmt        parse and reprint the program in canonical form
 
-verify options:
+request options (verify, --batch, serve defaults; serve headers spell them
+key=value, and --KEY=VALUE works too; numbers are non-negative decimals):
   --engine NAME        symbolic | explicit | dpor | dpor-sleepset | portfolio
-                       (default dpor; --engine=NAME also accepted)
+                       (default dpor)
   --json               print the machine-readable report (mcsym.verify/1)
-  --batch              FILE is a manifest of .mcp paths (one per line, `#`
-                       comments); every entry is verified through one
-                       shared service and emits a mcsym.batch/1 envelope
-                       line (with --json followed by the full report);
-                       exit is the worst entry (2 > 1 > 4 > 3 > 0)
-  --cache N            verdict-cache capacity for --batch / serve
-                       (default 256); --no-cache disables caching
   --max-seconds S      joint wall-clock budget across all engines (default off)
-  --max-states N       explicit-state budget (states expanded)
-  --max-transitions N  DPOR budget (transitions executed)
+  --max-states N       explicit-state budget (states expanded; 0 = default)
+  --max-transitions N  DPOR budget (transitions executed; 0 = default)
   --conflicts N        CDCL conflict budget per solver query (default off)
+  --timeout S          wall-clock limit through the progress callback
   --traces N           traces to record and check (symbolic/portfolio, default 1)
-  --stateful           visited-state matching + cycle detection for the
-                       explicit/DPOR engines: looping programs terminate
-                       with a definitive verdict, and a realized
-                       non-progressive cycle reports non-termination
-                       (exit 4) with a replayable lasso witness
-  --state-capacity N   visited-store capacity in states for --stateful
-                       (default 1048576; 0 = unbounded; eviction trades
-                       re-exploration for bounded memory)
-  --workers N          worker threads: work-stealing DPOR exploration,
-                       sharded symbolic per-trace checks, concurrent
-                       portfolio engines (default 1 = serial; verdicts are
-                       identical at every worker count). N may be `auto`
-                       or `0` to use all hardware threads (clamped to 64);
-                       the resolved count is echoed in the parallel
-                       engine row's counters
-
-common options:
+  --stateful           visited-state matching + cycle detection (explicit/DPOR):
+                       looping programs get a definitive verdict, and a
+                       non-progressive cycle is non-termination (exit 4)
+  --state-capacity N   visited-store capacity for --stateful, which it
+                       implies (default 1048576; 0 = unbounded)
+  --workers N          worker threads for DPOR, the symbolic stage and the
+                       portfolio (default 1; verdicts are identical at every
+                       count); `auto` or 0 = all hardware threads (max 64)
   --seed N             scheduler seed for the recorded execution (default 1)
   --round-robin        use the deterministic round-robin scheduler instead
-  --property EXPR      extra end-of-run property, e.g. 't0.A == 20'
-                       (repeatable; conjoined with in-program asserts)
   --precise            generate match pairs by precise DFS instead of the
                        endpoint over-approximation
   --no-fifo            drop MCAPI per-channel FIFO constraints (ablation)
@@ -137,6 +108,16 @@ common options:
                        = issue order; misses Figure-4b behaviors)
   --assert-props       assert PProp instead of its negation (SAT = a fully
                        correct execution exists)
+
+other options:
+  --batch              FILE is a manifest of .mcp paths (one per line, `#`
+                       comments), verified through one shared service: one
+                       JSON envelope line per entry (with --json followed by
+                       the report); exit is the worst entry (2 > 1 > 4 > 3 > 0)
+  --cache N            verdict-cache capacity for --batch / serve
+                       (default 256); --no-cache disables caching
+  --property EXPR      extra end-of-run property, e.g. 't0.A == 20'
+                       (repeatable; conjoined with in-program asserts)
   --witness            print the decoded witness on SAT (check)
   --replay             re-execute the witness on the runtime and report the
                        outcome (check)
@@ -156,36 +137,16 @@ exit codes: 0 ok / verified safe; 1 violation or deadlock reachable
 struct Options {
   std::string command;
   std::string file;
-  std::uint64_t seed = 1;
-  bool round_robin = false;
+  RequestSpec spec;  // every request option (the service's option table)
   std::vector<std::string> properties;
-  bool precise = false;
-  bool no_fifo = false;
-  bool delay_ignorant = false;
-  bool assert_props = false;
   bool witness = false;
   bool replay = false;
   bool with_explicit = false;
   bool with_mcc = false;
   std::vector<std::string> pairs;
   std::string out_path;
-  // verify
-  std::string engine = "dpor";
-  bool json = false;
-  double max_seconds = 0;
-  std::uint64_t max_states = 0;       // 0 = facade default
-  std::uint64_t max_transitions = 0;  // 0 = facade default
-  std::uint64_t conflicts = 0;
-  std::uint32_t traces = 1;
-  std::uint32_t workers = 1;
-  bool stateful = false;
-  std::uint64_t state_capacity =
-      mcsym::check::VisitedStateStore::kDefaultCapacity;  // 0 = unbounded
   bool batch = false;
   std::size_t cache_capacity = 256;  // --batch / serve verdict cache
-  // serve per-request only (set from `k=v` header options, not flags):
-  double timeout = 0;      // wall-clock seconds; cancels via the progress hook
-  std::string request_id;  // echoed back in the reply envelope
 };
 
 int fail(const std::string& message) {
@@ -193,7 +154,8 @@ int fail(const std::string& message) {
   return 2;
 }
 
-std::optional<Options> parse_args(int argc, char** argv) {
+/// nullopt with an empty `error` means "print the usage text".
+std::optional<Options> parse_args(int argc, char** argv, std::string& error) {
   Options o;
   if (argc < 2) return std::nullopt;
   o.command = argv[1];
@@ -208,24 +170,13 @@ std::optional<Options> parse_args(int argc, char** argv) {
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (a == "--seed") {
+    if (a == "--property" || a == "--pair" || a == "--cache" || a == "-o") {
       const char* v = next();
       if (v == nullptr) return std::nullopt;
-      o.seed = std::strtoull(v, nullptr, 10);
-    } else if (a == "--round-robin") {
-      o.round_robin = true;
-    } else if (a == "--property") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      o.properties.emplace_back(v);
-    } else if (a == "--precise") {
-      o.precise = true;
-    } else if (a == "--no-fifo") {
-      o.no_fifo = true;
-    } else if (a == "--delay-ignorant") {
-      o.delay_ignorant = true;
-    } else if (a == "--assert-props") {
-      o.assert_props = true;
+      if (a == "--property") o.properties.emplace_back(v);
+      if (a == "--pair") o.pairs.emplace_back(v);
+      if (a == "--cache") o.cache_capacity = std::strtoull(v, nullptr, 10);
+      if (a == "-o") o.out_path = v;
     } else if (a == "--witness") {
       o.witness = true;
     } else if (a == "--replay") {
@@ -234,63 +185,25 @@ std::optional<Options> parse_args(int argc, char** argv) {
       o.with_explicit = true;
     } else if (a == "--mcc") {
       o.with_mcc = true;
-    } else if (a == "--pair") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      o.pairs.emplace_back(v);
-    } else if (a == "--engine") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      o.engine = v;
-    } else if (a.rfind("--engine=", 0) == 0) {
-      o.engine = a.substr(9);
-    } else if (a == "--json") {
-      o.json = true;
     } else if (a == "--batch") {
       o.batch = true;
-    } else if (a == "--cache") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      o.cache_capacity = std::strtoull(v, nullptr, 10);
     } else if (a == "--no-cache") {
       o.cache_capacity = 0;
-    } else if (a == "--max-seconds") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      o.max_seconds = std::strtod(v, nullptr);
-    } else if (a == "--max-states") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      o.max_states = std::strtoull(v, nullptr, 10);
-    } else if (a == "--max-transitions") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      o.max_transitions = std::strtoull(v, nullptr, 10);
-    } else if (a == "--conflicts") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      o.conflicts = std::strtoull(v, nullptr, 10);
-    } else if (a == "--traces") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      o.traces = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
-    } else if (a == "--workers") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      o.workers = resolve_workers(v);
-    } else if (a == "--stateful") {
-      o.stateful = true;
-    } else if (a == "--state-capacity") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      o.stateful = true;  // capacity only means anything stateful
-      o.state_capacity = std::strtoull(v, nullptr, 10);
-    } else if (a == "-o") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      o.out_path = v;
+    } else if (a.rfind("--", 0) == 0) {
+      // A request option: `--key=value`, `--key value`, or a bare switch.
+      std::string key = a.substr(2);
+      std::string value = "1";
+      if (const auto eq = key.find('='); eq != std::string::npos) {
+        value = key.substr(eq + 1);
+        key.resize(eq);
+      } else if (!mcsym::check::is_switch_option(key)) {
+        const char* v = next();
+        value = v != nullptr ? v : "";
+      }
+      error = mcsym::check::set_option(o.spec, key, value);
+      if (!error.empty()) return std::nullopt;
     } else {
-      std::cerr << "mcsym: unknown option '" << a << "'\n";
+      error = "unknown option '" + a + "'";
       return std::nullopt;
     }
   }
@@ -353,11 +266,11 @@ mcsym::mcapi::RunResult record(const Options& o, const mcsym::mcapi::Program& pr
                                mcsym::trace::Trace& trace) {
   mcsym::mcapi::System sys(program);
   mcsym::trace::Recorder rec(trace);
-  if (o.round_robin) {
+  if (o.spec.request.round_robin) {
     mcsym::mcapi::RoundRobinScheduler sched;
     return mcsym::mcapi::run(sys, sched, &rec);
   }
-  mcsym::mcapi::RandomScheduler sched(o.seed);
+  mcsym::mcapi::RandomScheduler sched(o.spec.request.trace_seed);
   return mcsym::mcapi::run(sys, sched, &rec);
 }
 
@@ -370,18 +283,6 @@ const char* outcome_name(mcsym::mcapi::RunResult::Outcome oc) {
     case Outcome::kStepLimit: return "step limit";
   }
   return "?";
-}
-
-SymbolicOptions symbolic_options(const Options& o) {
-  SymbolicOptions so;
-  so.match_gen = o.precise ? mcsym::check::MatchGen::kPrecise
-                           : mcsym::check::MatchGen::kOverapprox;
-  so.encode.fifo_non_overtaking = !o.no_fifo;
-  so.encode.delay_ignorant = o.delay_ignorant;
-  if (o.assert_props) {
-    so.encode.property_mode = mcsym::encode::PropertyMode::kAssert;
-  }
-  return so;
 }
 
 int cmd_run(const Options& o) {
@@ -411,75 +312,20 @@ int cmd_trace(const Options& o) {
   return write_output(o, trace.to_text());
 }
 
-/// Maps a facade verdict to the documented exit-code contract:
-/// 0 safe, 1 violation or deadlock, 3 budget exhausted / no verdict,
-/// 4 non-termination (stateful mode).
-int verdict_exit_code(mcsym::check::Verdict verdict) {
-  switch (verdict) {
-    case mcsym::check::Verdict::kSafe: return 0;
-    case mcsym::check::Verdict::kViolation:
-    case mcsym::check::Verdict::kDeadlock: return 1;
-    case mcsym::check::Verdict::kNonTermination: return 4;
-    case mcsym::check::Verdict::kBudgetExhausted:
-    case mcsym::check::Verdict::kUnknown: return 3;
-  }
-  return 3;
-}
-
-/// Builds the VerifyRequest every verify-shaped command shares (engine,
-/// budgets, trace plan, encoding knobs) from parsed options. Properties are
-/// NOT set here — the single-file path resolves them against the loaded
-/// program, the service paths pass them as source text. nullopt (with the
-/// reason in *error) when the engine name is unknown.
-std::optional<mcsym::check::VerifyRequest> request_from_options(
-    const Options& o, std::string* error) {
-  const auto engine = mcsym::check::engine_from_name(o.engine);
-  if (!engine.has_value()) {
-    *error = "unknown engine '" + o.engine +
-             "' (symbolic, explicit, dpor, dpor-sleepset, portfolio)";
-    return std::nullopt;
-  }
-  mcsym::check::VerifyRequest req;
-  req.engine = *engine;
-  req.budget.max_seconds = o.max_seconds;
-  if (o.max_states != 0) req.budget.max_states = o.max_states;
-  if (o.max_transitions != 0) req.budget.max_transitions = o.max_transitions;
-  req.budget.solver_conflicts = o.conflicts;
-  req.trace_seed = o.seed;
-  req.round_robin = o.round_robin;
-  req.traces = o.traces;
-  req.workers = o.workers;
-  req.stateful = o.stateful;
-  req.state_capacity = static_cast<std::size_t>(o.state_capacity);
-  req.symbolic = symbolic_options(o);
-  if (o.timeout > 0) {
-    // The per-request wall-clock limit rides the existing cancellation
-    // path: the progress callback returns false once the limit passes and
-    // the engines unwind to a kBudgetExhausted reply.
-    req.progress = [limit = o.timeout](const mcsym::check::Progress& p) {
-      return p.seconds <= limit;
-    };
-  }
-  return req;
-}
-
 int cmd_verify(const Options& o) {
-  std::string engine_error;
-  auto maybe_req = request_from_options(o, &engine_error);
-  if (!maybe_req) return fail(engine_error);
   const auto lp = load(o);
   if (!lp) return 2;
 
-  mcsym::check::VerifyRequest req = std::move(*maybe_req);
+  mcsym::check::VerifyRequest req = o.spec.request;
   req.properties = lp->properties;
 
   Verifier verifier;
   const auto vr = verifier.verify(lp->unit.program, req);
 
-  if (o.json) {
+  if (o.spec.json) {
     const int rc = write_output(o, mcsym::check::report_to_json(vr));
     if (rc != 0) return rc;
-    return verdict_exit_code(vr.verdict);
+    return mcsym::check::verdict_exit_code(vr.verdict);
   }
 
   std::ostringstream report;
@@ -521,288 +367,25 @@ int cmd_verify(const Options& o) {
   }
   const int rc = write_output(o, report.str());
   if (rc != 0) return rc;
-  return verdict_exit_code(vr.verdict);
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string format_seconds(double seconds) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6f", seconds);
-  return buf;
-}
-
-/// The shared tail of a batch/serve reply envelope: request outcome plus
-/// the service's cumulative cache counters. The envelope is service-level
-/// bookkeeping; the mcsym.verify/1 report (when requested) follows
-/// separately and is byte-identical across cache hits.
-void append_reply_fields(std::ostringstream& os,
-                         const VerifierService::Reply& reply,
-                         const VerifierService::Stats& stats) {
-  os << "\"ok\":" << (reply.ok ? "true" : "false");
-  if (!reply.ok) {
-    os << ",\"error\":\"" << json_escape(reply.error) << "\"";
-  } else {
-    os << ",\"name\":\"" << json_escape(reply.name) << "\""
-       << ",\"verdict\":\"" << mcsym::check::verdict_name(reply.verdict)
-       << "\"";
-    if (reply.cancelled) os << ",\"cancelled\":true";
-  }
-  os << ",\"exit\":" << reply.exit_code
-     << ",\"cache_hit\":" << (reply.cache_hit ? "true" : "false")
-     << ",\"cache_hits\":" << stats.cache_hits
-     << ",\"cache_misses\":" << stats.cache_misses
-     << ",\"seconds\":" << format_seconds(reply.seconds);
-}
-
-/// Worst-exit precedence for batch mode: usage/input errors dominate, then
-/// findings (violations/deadlocks, then non-termination), then exhausted
-/// budgets, then clean safes.
-int combine_exit(int a, int b) {
-  auto rank = [](int code) {
-    switch (code) {
-      case 2: return 4;
-      case 1: return 3;
-      case 4: return 2;
-      case 3: return 1;
-      default: return 0;
-    }
-  };
-  return rank(a) >= rank(b) ? a : b;
+  return mcsym::check::verdict_exit_code(vr.verdict);
 }
 
 int cmd_verify_batch(const Options& o) {
-  std::string engine_error;
-  const auto maybe_req = request_from_options(o, &engine_error);
-  if (!maybe_req) return fail(engine_error);
-  const auto manifest = slurp(o.file);
-  if (!manifest) return 2;
-
+  std::ifstream manifest(o.file, std::ios::binary);
+  if (!manifest) return fail("cannot open '" + o.file + "'");
   VerifierService service({o.cache_capacity});
   std::ostringstream out;
-  int exit_code = 0;
-  std::size_t entries = 0;
-  std::istringstream lines(*manifest);
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    const auto start = line.find_first_not_of(" \t");
-    if (start == std::string::npos) continue;
-    const auto stop = line.find_last_not_of(" \t");
-    const std::string path = line.substr(start, stop - start + 1);
-    if (path.front() == '#') continue;
-    ++entries;
-
-    std::ostringstream env;
-    env << "{\"schema\":\"mcsym.batch/1\",\"file\":\"" << json_escape(path)
-        << "\",";
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      VerifierService::Reply unreadable;
-      unreadable.error = "cannot open '" + path + "'";
-      append_reply_fields(env, unreadable, service.stats());
-      env << "}\n";
-      out << env.str();
-      exit_code = combine_exit(exit_code, 2);
-      continue;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const VerifierService::Reply reply =
-        service.verify_source(ss.str(), *maybe_req, o.properties);
-    append_reply_fields(env, reply, service.stats());
-    env << "}\n";
-    out << env.str();
-    if (o.json && !reply.report_json.empty()) {
-      out << reply.report_json;
-      if (reply.report_json.back() != '\n') out << "\n";
-    }
-    exit_code = combine_exit(exit_code, reply.exit_code);
-  }
-
-  const VerifierService::Stats& stats = service.stats();
-  out << "{\"schema\":\"mcsym.batch/1\",\"summary\":true,\"entries\":"
-      << entries << ",\"requests\":" << stats.requests
-      << ",\"parse_errors\":" << stats.parse_errors
-      << ",\"cache_hits\":" << stats.cache_hits
-      << ",\"cache_misses\":" << stats.cache_misses
-      << ",\"exit\":" << exit_code << "}\n";
+  const int exit_code = service.run_batch(manifest, out, o.spec, o.properties);
   const int rc = write_output(o, out.str());
-  if (rc != 0) return rc;
-  return exit_code;
+  return rc != 0 ? rc : exit_code;
 }
 
-// Serve protocol (line-oriented over stdio, one service for the whole
-// session so the verdict cache accumulates across requests):
-//
-//   verify [k=v ...]      header; the program text follows, terminated by a
-//     <.mcp lines>        line containing only "."
-//     .
-//   stats                 report cumulative service counters
-//   quit                  exit 0 (as does EOF)
-//
-// Header options override this process's command-line defaults per request:
-// engine, seed, traces, workers, round-robin (0/1), stateful (0/1),
-// state-capacity, max-seconds, max-states, max-transitions, conflicts,
-// timeout (wall-clock seconds, cancels via the progress callback), json
-// (0/1: append the mcsym.verify/1 report), and id (echoed in the reply).
-// Values cannot contain spaces; properties belong in the program text.
-//
-// Every reply is one mcsym.serve/1 envelope line, then (json=1, ok) the
-// report document, then a line containing only ".". Malformed headers,
-// unparseable programs, and exhausted budgets all produce an error or
-// exit=3 reply and the loop continues — the server only exits on EOF/quit.
+// Serve: one service for the whole session, so the verdict cache
+// accumulates across requests; the protocol is VerifierService::serve's.
+// Command-line request options are the defaults each header overrides.
 int cmd_serve(const Options& o) {
   VerifierService service({o.cache_capacity});
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    std::istringstream header(line);
-    std::string command;
-    header >> command;
-    if (command.empty()) continue;
-    if (command == "quit") return 0;
-
-    if (command == "stats") {
-      const VerifierService::Stats& s = service.stats();
-      std::cout << "{\"schema\":\"mcsym.serve/1\",\"stats\":true,\"requests\":"
-                << s.requests << ",\"parse_errors\":" << s.parse_errors
-                << ",\"cache_hits\":" << s.cache_hits
-                << ",\"cache_misses\":" << s.cache_misses
-                << ",\"cache_stores\":" << s.cache_stores
-                << ",\"cache_evictions\":" << s.cache_evictions
-                << ",\"cache_size\":" << service.cache_size() << "}\n.\n"
-                << std::flush;
-      continue;
-    }
-
-    auto error_reply = [&](const std::string& id, const std::string& message) {
-      std::cout << "{\"schema\":\"mcsym.serve/1\",";
-      if (!id.empty()) std::cout << "\"id\":\"" << json_escape(id) << "\",";
-      std::cout << "\"ok\":false,\"error\":\"" << json_escape(message)
-                << "\",\"exit\":2}\n.\n"
-                << std::flush;
-    };
-
-    if (command != "verify") {
-      error_reply("", "unknown command '" + command + "'");
-      continue;
-    }
-
-    // Per-request options start from this process's defaults.
-    Options ro = o;
-    std::string opt_error;
-    std::string token;
-    while (header >> token) {
-      const auto eq = token.find('=');
-      if (eq == std::string::npos) {
-        opt_error = "malformed option '" + token + "' (expected k=v)";
-        break;
-      }
-      const std::string key = token.substr(0, eq);
-      const std::string value = token.substr(eq + 1);
-      if (key == "engine") {
-        ro.engine = value;
-      } else if (key == "seed") {
-        ro.seed = std::strtoull(value.c_str(), nullptr, 10);
-      } else if (key == "traces") {
-        ro.traces = static_cast<std::uint32_t>(
-            std::strtoul(value.c_str(), nullptr, 10));
-      } else if (key == "workers") {
-        ro.workers = resolve_workers(value);
-      } else if (key == "round-robin") {
-        ro.round_robin = value != "0";
-      } else if (key == "stateful") {
-        ro.stateful = value != "0";
-      } else if (key == "state-capacity") {
-        ro.stateful = true;
-        ro.state_capacity = std::strtoull(value.c_str(), nullptr, 10);
-      } else if (key == "max-seconds") {
-        ro.max_seconds = std::strtod(value.c_str(), nullptr);
-      } else if (key == "max-states") {
-        ro.max_states = std::strtoull(value.c_str(), nullptr, 10);
-      } else if (key == "max-transitions") {
-        ro.max_transitions = std::strtoull(value.c_str(), nullptr, 10);
-      } else if (key == "conflicts") {
-        ro.conflicts = std::strtoull(value.c_str(), nullptr, 10);
-      } else if (key == "timeout") {
-        ro.timeout = std::strtod(value.c_str(), nullptr);
-      } else if (key == "json") {
-        ro.json = value != "0";
-      } else if (key == "id") {
-        ro.request_id = value;
-      } else {
-        opt_error = "unknown option '" + key + "'";
-        break;
-      }
-    }
-
-    // Consume the program body even when the header was bad, so the stream
-    // stays framed on the next request.
-    std::string body;
-    bool terminated = false;
-    while (std::getline(std::cin, line)) {
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line == ".") {
-        terminated = true;
-        break;
-      }
-      body += line;
-      body += '\n';
-    }
-    if (!terminated) {
-      error_reply(ro.request_id, "unexpected EOF inside a request body");
-      return 0;
-    }
-    if (!opt_error.empty()) {
-      error_reply(ro.request_id, opt_error);
-      continue;
-    }
-    std::string engine_error;
-    const auto req = request_from_options(ro, &engine_error);
-    if (!req) {
-      error_reply(ro.request_id, engine_error);
-      continue;
-    }
-
-    const VerifierService::Reply reply =
-        service.verify_source(body, *req, ro.properties);
-    std::ostringstream env;
-    env << "{\"schema\":\"mcsym.serve/1\",";
-    if (!ro.request_id.empty()) {
-      env << "\"id\":\"" << json_escape(ro.request_id) << "\",";
-    }
-    append_reply_fields(env, reply, service.stats());
-    env << "}\n";
-    std::cout << env.str();
-    if (ro.json && reply.ok && !reply.report_json.empty()) {
-      std::cout << reply.report_json;
-      if (reply.report_json.back() != '\n') std::cout << "\n";
-    }
-    std::cout << ".\n" << std::flush;
-  }
+  service.serve(std::cin, std::cout, o.spec, o.properties);
   return 0;
 }
 
@@ -815,9 +398,9 @@ int cmd_check(const Options& o) {
   // the witness; this command just formats the raw per-trace result.
   mcsym::check::VerifyRequest req;
   req.engine = mcsym::check::Engine::kSymbolic;
-  req.trace_seed = o.seed;
-  req.round_robin = o.round_robin;
-  req.symbolic = symbolic_options(o);
+  req.trace_seed = o.spec.request.trace_seed;
+  req.round_robin = o.spec.request.round_robin;
+  req.symbolic = o.spec.request.symbolic;
   req.properties = lp->properties;
   req.replay_witnesses = o.replay;
 
@@ -847,15 +430,17 @@ int cmd_check(const Options& o) {
   const auto& verdict = tc.verdict;
   const auto& trace = tc.trace;
 
+  const bool assert_props = req.symbolic.encode.property_mode ==
+                            mcsym::encode::PropertyMode::kAssert;
   std::ostringstream report;
   switch (verdict.result) {
     case mcsym::smt::SolveResult::kSat:
-      report << (o.assert_props ? "SAT: a fully correct execution exists"
+      report << (assert_props ? "SAT: a fully correct execution exists"
                                 : "SAT: a property violation is reachable")
              << "\n";
       break;
     case mcsym::smt::SolveResult::kUnsat:
-      report << (o.assert_props ? "UNSAT: no fully correct execution"
+      report << (assert_props ? "UNSAT: no fully correct execution"
                                 : "UNSAT: no execution of this trace violates the "
                                   "properties")
              << "\n";
@@ -905,9 +490,9 @@ int cmd_enumerate(const Options& o) {
   // the symbolic Figure-4 pipeline, and the optional explicit / MCC
   // cross-checks all live there now.
   mcsym::check::EnumerateRequest er;
-  er.trace_seed = o.seed;
-  er.round_robin = o.round_robin;
-  er.symbolic = symbolic_options(o);
+  er.trace_seed = o.spec.request.trace_seed;
+  er.round_robin = o.spec.request.round_robin;
+  er.symbolic = o.spec.request.symbolic;
   er.with_explicit = o.with_explicit;
   er.with_mcc = o.with_mcc;
 
@@ -960,9 +545,9 @@ int cmd_enumerate(const Options& o) {
 std::optional<mcsym::check::PairProposal> parse_pair(
     const std::string& text, const mcsym::mcapi::Program& program,
     const mcsym::trace::Trace& trace) {
-  auto bad = [&](const std::string& why) -> std::optional<mcsym::check::PairProposal> {
+  auto bad = [&](const std::string& why) {
     std::cerr << "mcsym: bad --pair '" << text << "': " << why << "\n";
-    return std::nullopt;
+    return false;
   };
 
   std::string lhs;
@@ -976,7 +561,8 @@ std::optional<mcsym::check::PairProposal> parse_pair(
     rhs = text.substr(rev + 2);
     lhs_is_send = false;
   } else {
-    return bad("expected 'tS:send#K -> tR:recv#J'");
+    bad("expected 'tS:send#K -> tR:recv#J'");
+    return std::nullopt;
   }
 
   // "thread:kind#ordinal"
@@ -988,26 +574,21 @@ std::optional<mcsym::check::PairProposal> parse_pair(
     const auto colon = s.find(':');
     const auto hash = s.find('#');
     if (colon == std::string::npos || hash == std::string::npos || hash < colon) {
-      std::cerr << "mcsym: bad --pair '" << text << "': malformed endpoint '" << s
-                << "'\n";
-      return false;
+      return bad("malformed endpoint '" + s + "'");
     }
     const std::string thread_name = s.substr(0, colon);
     const std::string kind = s.substr(colon + 1, hash - colon - 1);
     const std::uint32_t ordinal =
         static_cast<std::uint32_t>(std::strtoul(s.c_str() + hash + 1, nullptr, 10));
     if (kind != (expect_send ? "send" : "recv")) {
-      std::cerr << "mcsym: bad --pair '" << text << "': expected '"
-                << (expect_send ? "send" : "recv") << "', got '" << kind << "'\n";
-      return false;
+      return bad(std::string("expected '") + (expect_send ? "send" : "recv") +
+                 "', got '" + kind + "'");
     }
     for (mcsym::mcapi::ThreadRef t = 0; t < program.num_threads(); ++t) {
       if (program.thread(t).name != thread_name) continue;
       const mcsym::trace::EventIndex ev = trace.find(t, ordinal);
       if (ev == mcsym::trace::kNoEvent) {
-        std::cerr << "mcsym: bad --pair '" << text << "': no event '" << s
-                  << "' in the trace\n";
-        return false;
+        return bad("no event '" + s + "' in the trace");
       }
       using Kind = mcsym::mcapi::ExecEvent::Kind;
       const Kind k = trace.event(ev).ev.kind;
@@ -1015,16 +596,13 @@ std::optional<mcsym::check::PairProposal> parse_pair(
                                ? k == Kind::kSend
                                : (k == Kind::kRecv || k == Kind::kRecvIssue);
       if (!ok_kind) {
-        std::cerr << "mcsym: bad --pair '" << text << "': '" << s << "' is not a "
-                  << (expect_send ? "send" : "receive") << " event\n";
-        return false;
+        return bad("'" + s + "' is not a " + (expect_send ? "send" : "receive") +
+                   " event");
       }
       out = ev;
       return true;
     }
-    std::cerr << "mcsym: bad --pair '" << text << "': unknown thread '"
-              << thread_name << "'\n";
-    return false;
+    return bad("unknown thread '" + thread_name + "'");
   };
 
   mcsym::check::PairProposal p;
@@ -1050,7 +628,7 @@ int cmd_diagnose(const Options& o) {
   }
 
   mcsym::check::DiagnoseOptions dopts;
-  dopts.encode = symbolic_options(o).encode;
+  dopts.encode = o.spec.request.symbolic.encode;
   const mcsym::check::Diagnosis d =
       mcsym::check::diagnose_pairing(trace, proposals, dopts);
 
@@ -1090,7 +668,7 @@ int cmd_smt(const Options& o) {
   (void)record(o, lp->unit.program, trace);
 
   // Build the encoding exactly as `check` would, then print the assertions.
-  const SymbolicOptions so = symbolic_options(o);
+  const SymbolicOptions& so = o.spec.request.symbolic;
   const mcsym::match::MatchSet matches =
       so.match_gen == mcsym::check::MatchGen::kPrecise
           ? mcsym::match::enumerate_feasible(trace).precise
@@ -1150,8 +728,10 @@ int cmd_fmt(const Options& o) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = parse_args(argc, argv);
+  std::string error;
+  const auto options = parse_args(argc, argv, error);
   if (!options) {
+    if (!error.empty()) return fail(error);
     std::cerr << kUsage;
     return 2;
   }
