@@ -37,14 +37,14 @@
 // apply -> inspect -> undo on that same live state: rewind to the pre-race
 // frame, run the candidate sequence, roll it back, and replay the executed
 // suffix. Frames therefore store only reduction bookkeeping (wakeup tree,
-// sleep set, chosen footprint) plus the event's incrementally-built
-// happens-before row; no System is ever copied on the exploration path.
+// sleep set, chosen footprint) plus the event's vector clock; no System is
+// ever copied on the exploration path.
 //
 // Optimal mode has two explorers — the serial loop (dpor.cpp) and the
 // work-stealing one for workers > 1 (dpor_parallel.cpp) — and one race
 // core, dpor_detail::Prefix (dpor_internal.hpp): the live System, the
-// executed footprints and their happens-before rows, and the race scan
-// with its counting and simulated feasibility checks. The explorers differ
+// executed footprints and their per-process vector clocks, and the race
+// scan with its counting and simulated feasibility checks. The explorers differ
 // only in where a frame's sleep set lives and where a reversal is
 // scheduled, which they hand to the scan as two callbacks.
 #pragma once

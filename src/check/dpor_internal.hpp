@@ -2,13 +2,31 @@
 // (dpor_parallel.cpp) optimal-DPOR translation units: the weak-initial
 // test, the wakeup-tree arena, the internal-step classifier, the initial
 // pick, and the race core both explorers run on — Prefix, the executed
-// prefix with its happens-before rows, race scan and race-reversal
+// prefix with its per-process vector clocks, race scan and race-reversal
 // feasibility checks. The explorers differ only in where
 // a frame's sleep set lives and where a reversal is scheduled, which they
 // pass to Prefix::scan_races as two callbacks. Not part of the public
 // check/ surface.
+//
+// Happens-before is the transitive closure of mcapi::dependent over the
+// executed prefix, kept as vector clocks (Abdulla et al., JACM'17). The
+// processes are the threads plus one delivery channel per (src, dst) pair
+// a send names; dependent() orders every two events of one process, so
+// event i's clock row — clock[i][q], the highest ordinal of process q that
+// happens before or equals i — answers hb(k, i) in O(1) as
+// clock[i][proc k] >= seq k. Appending ev walks the prefix downward and
+// joins the row of every dependent event its row does not already cover.
+// The walk also yields the races of ev for free: a dependent k left
+// uncovered when the walk reaches it has no event m with k -> m -> ev.
+// Were there one, some direct dependent predecessor m' of ev with
+// m ->* m' (possibly m' = m) lies above k, was joined before k was
+// reached, and its row covers k. Conversely a covered k has a later
+// event of its process, or k itself, happening before some joined m' > k,
+// which is such an m. So the uncovered dependent events are exactly the
+// ones with nothing happening between them and ev.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -197,47 +215,77 @@ inline const mcapi::Action* initial_pick(
 /// one parallel worker) and the race core that runs on it.
 ///
 /// `sys` is the one live journaling System the explorer walks up and down:
-/// push() applies an event and appends its happens-before row, pop() undoes
-/// both, and a checkpoint is simply a depth (one undo record per event).
-/// hb_[i][k] says events[k] happens-before events[i]; rows fold in the
-/// transitive closure, so the push also keeps a direct-dependence row for
-/// the race scan of the event it appended.
+/// push() applies an event and appends its vector clock, pop() undoes both,
+/// and a checkpoint is simply a depth (one undo record per event). Clock
+/// rows live in one flat arena of P entries per event, so a push allocates
+/// nothing once the arena has grown; the push also records the race
+/// candidates of the event it appended (see the file comment).
 class Prefix {
  public:
   Prefix(const mcapi::Program& program, mcapi::DeliveryMode mode)
       : sys(program, mode),
         mode_(mode),
         countable_(countable_program(program, mode)),
+        threads_(static_cast<std::uint32_t>(program.num_threads())),
         ep_len_(program.num_endpoints(), 0) {
     sys.enable_undo_log();
-  }
-
-  /// Applies `ev` (a footprint taken at the current state) and appends its
-  /// happens-before row.
-  void push(const mcapi::ActionFootprint& ev) {
-    sys.apply(ev.action);
-    const std::size_t n = events.size();
-    std::vector<bool> row(n, false);
-    direct_dep_.assign(n, false);
-    for (std::size_t k = 0; k < n; ++k) {
-      if (mcapi::dependent(events[k], ev, mode_)) {
-        direct_dep_[k] = true;
-        row[k] = true;
-        const std::vector<bool>& below = hb_[k];
-        for (std::size_t l = 0; l < below.size(); ++l) {
-          if (below[l]) row[l] = true;
+    // Processes: threads [0, T), then one per channel a send can fill.
+    for (mcapi::ThreadRef t = 0; t < threads_; ++t) {
+      for (const mcapi::Instr& i : program.thread(t).code) {
+        if (i.kind == mcapi::OpKind::kSend) {
+          channels_.push_back(channel_key({i.src, i.dst}));
         }
       }
     }
-    events.push_back(ev);
-    hb_.push_back(std::move(row));
+    std::sort(channels_.begin(), channels_.end());
+    channels_.erase(std::unique(channels_.begin(), channels_.end()),
+                    channels_.end());
+    procs_ = threads_ + channels_.size();
+    count_.assign(procs_, 0);
   }
 
-  /// Undoes the last event and drops its row.
+  /// Applies `ev` (a footprint taken at the current state) and appends its
+  /// vector clock.
+  void push(const mcapi::ActionFootprint& ev) {
+    sys.apply(ev.action);
+    const std::size_t n = events.size();
+    clock_.resize((n + 1) * procs_);  // value-initialized: the row is zero
+    std::uint32_t* row = clock_.data() + n * procs_;
+    races_.clear();
+    for (std::size_t k = n; k-- > 0;) {
+      if (row[proc_[k]] >= seq_[k]) continue;  // k happens before a joined m
+      if (!mcapi::dependent(events[k], ev, mode_)) continue;
+      races_.push_back(k);
+      const std::uint32_t* below = clock_.data() + k * procs_;
+      // Once the row covers the whole prefix, every k below is covered.
+      bool all = true;
+      for (std::size_t q = 0; q < procs_; ++q) {
+        row[q] = std::max(row[q], below[q]);
+        all = all && row[q] == count_[q];
+      }
+      if (all) break;
+    }
+    const std::uint32_t p = proc_of(ev.action);
+    row[p] = ++count_[p];
+    events.push_back(ev);
+    proc_.push_back(p);
+    seq_.push_back(row[p]);
+  }
+
+  /// Undoes the last event and drops its clock.
   void pop() {
     sys.undo();
     events.pop_back();
-    hb_.pop_back();
+    --count_[proc_.back()];
+    proc_.pop_back();
+    seq_.pop_back();
+    clock_.resize(events.size() * procs_);
+    races_.clear();
+  }
+
+  /// Whether events[k] happens before events[j] (k < j).
+  [[nodiscard]] bool hb(std::size_t k, std::size_t j) const {
+    return clock_[j * procs_ + proc_[k]] >= seq_[k];
   }
 
   /// Scans the prefix for reversible races ending in the last pushed event
@@ -258,23 +306,17 @@ class Prefix {
     // executed prefix is replayed once at the end instead of per race.
     std::size_t rewound = events.size();
     std::vector<mcapi::ActionFootprint> v;
-    for (std::size_t k = n; k-- > 0;) {
+    for (const std::size_t k : races_) {  // decreasing depth
       const mcapi::ActionFootprint& ek = events[k];
       if (ek.internal) continue;
-      if (!direct_dep_[k]) continue;  // independent or ordered transitively
       if (ek.action == ev.action) continue;  // program order, not a race
-      bool adjacent = true;  // no event happens-between ek and ev
-      for (std::size_t m = k + 1; m < n && adjacent; ++m) {
-        if (hb_[m][k] && hb_[n][m]) adjacent = false;
-      }
-      if (!adjacent) continue;
 
       // Candidate reversal: everything after ek not causally behind it,
       // then the racing process itself.
       v.clear();
       v.reserve(n - k);
       for (std::size_t j = k + 1; j < n; ++j) {
-        if (!hb_[j][k]) v.push_back(events[j]);
+        if (!hb(k, j)) v.push_back(events[j]);
       }
       v.push_back(ev);
 
@@ -388,10 +430,33 @@ class Prefix {
   std::vector<mcapi::ActionFootprint> events;
 
  private:
+  static std::uint64_t channel_key(mcapi::ChannelId c) {
+    return (static_cast<std::uint64_t>(c.src) << 32) | c.dst;
+  }
+
+  /// Process of an action: its thread, or the channel it delivers on.
+  [[nodiscard]] std::uint32_t proc_of(const mcapi::Action& a) const {
+    if (a.kind == mcapi::Action::Kind::kThreadStep) return a.thread;
+    const std::uint64_t key = channel_key(a.channel);
+    const auto it = std::lower_bound(channels_.begin(), channels_.end(), key);
+    MCSYM_ASSERT(it != channels_.end() && *it == key);
+    return threads_ + static_cast<std::uint32_t>(it - channels_.begin());
+  }
+
   const mcapi::DeliveryMode mode_;
   const bool countable_;
-  std::vector<std::vector<bool>> hb_;
-  std::vector<bool> direct_dep_;
+  // Vector clocks over procs_ processes: the threads_ threads, then the
+  // channels, process threads_ + i for channels_[i] (sorted keys).
+  const std::uint32_t threads_;
+  std::vector<std::uint64_t> channels_;
+  std::size_t procs_ = 0;
+  std::vector<std::uint32_t> count_;  // events per process in the prefix
+  std::vector<std::uint32_t> proc_;   // per event: its process
+  std::vector<std::uint32_t> seq_;    // per event: 1-based ordinal in it
+  std::vector<std::uint32_t> clock_;  // row i at [i * procs_, (i+1) * procs_)
+  // Race candidates of the last pushed event (dependent, nothing between),
+  // in decreasing depth.
+  std::vector<std::size_t> races_;
   // count_feasible scratch: per-channel in-transit and per-endpoint
   // delivered-queue lengths reconstructed at the race point.
   std::vector<std::pair<mcapi::ChannelId, std::ptrdiff_t>> chan_len_;

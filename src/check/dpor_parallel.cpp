@@ -1,7 +1,7 @@
 // Work-stealing parallel optimal-DPOR exploration (DporOptions::workers > 1).
 //
 // Each worker runs the race core it shares with the serial engine —
-// dpor_detail::Prefix (dpor_internal.hpp): happens-before rows, race scan,
+// dpor_detail::Prefix (dpor_internal.hpp): vector clocks, race scan,
 // counting/simulated feasibility. What this file adds is the scheduling:
 // where sleep coverage is read and reversals are grafted (the two scan
 // callbacks in ParallelExplorer::scan_and_graft), and how the tree is
@@ -53,7 +53,7 @@
 //    state, so they equal what the serial engine would have recorded.
 //  * Race scans run once per tree edge: only the worker that first
 //    executes an event scans the prefix for reversible races; prefix
-//    replays rebuild events/happens-before rows but never re-scan, so
+//    replays rebuild events/vector clocks but never re-scan, so
 //    races_detected and the insert set per tree position match the serial
 //    engine's.
 //  * Termination is steal-round quiescence, not a condition variable:
@@ -249,7 +249,7 @@ class ParallelExplorer {
 
  private:
   /// Worker-private exploration state: the executed prefix (its own
-  /// journaling System, footprints and happens-before rows, rebuilt on
+  /// journaling System, footprints and vector clocks, rebuilt on
   /// prefix replay, never shared) walked up and down the shared tree.
   struct Worker {
     Worker(const mcapi::Program& program, mcapi::DeliveryMode mode,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <functional>
 #include <mutex>
 #include <sstream>
@@ -361,16 +362,20 @@ void produce_symbolic_trace(Ctx& ctx, const SymbolicOptions& so,
 }
 
 struct SymbolicProduction {
-  std::vector<SymbolicOutcome> outcomes;
+  // One slot per claimed trace index. A deque, so a claim appends without
+  // moving the slots other workers are filling.
+  std::deque<SymbolicOutcome> outcomes;
   SymbolicOptions so;
   bool assert_props = false;
   double seconds = 0;  // wall clock of the production phase
 };
 
 /// The production half of the symbolic engine: record + check + replay for
-/// every requested trace. Workers claim trace indices from a shared atomic
-/// counter, each with its own journaling System; request.workers > 1 runs
-/// that many on their own threads, one worker runs on the calling thread.
+/// every requested trace. Workers claim trace indices in order, each with
+/// its own journaling System; request.workers > 1 runs that many on their
+/// own threads, one worker runs on the calling thread. The outcome table
+/// grows by claim, never to the requested count up front, so a huge
+/// `traces` runs until its budget like any long request.
 SymbolicProduction produce_symbolic(Ctx& ctx) {
   const support::Stopwatch timer;
   const VerifyRequest& req = ctx.request;
@@ -384,19 +389,25 @@ SymbolicProduction produce_symbolic(Ctx& ctx) {
   // results stay available in trace_checks.
   prod.assert_props =
       prod.so.encode.property_mode == encode::PropertyMode::kAssert;
-  prod.outcomes.resize(req.traces);
 
   // Once one index is refused (wall budget or cancellation, both
-  // latching), every later claim returns at once without firing progress;
-  // the judge stops at the first refused index.
-  std::atomic<std::uint32_t> next{0};
-  auto worker = [&ctx, &req, &prod, &next] {
+  // latching), every later claim would be refused too, so its worker
+  // stops; the judge stops at the first refused index.
+  std::mutex claim_mu;
+  auto worker = [&ctx, &req, &prod, &claim_mu] {
     mcapi::System workspace(ctx.program, req.mode);
     workspace.enable_undo_log();
     for (;;) {
-      const std::uint32_t t = next.fetch_add(1, std::memory_order_relaxed);
-      if (t >= req.traces) return;
-      produce_symbolic_trace(ctx, prod.so, t, workspace, prod.outcomes[t]);
+      SymbolicOutcome* out = nullptr;
+      std::uint32_t t = 0;
+      {
+        std::lock_guard<std::mutex> g(claim_mu);
+        if (prod.outcomes.size() >= req.traces) return;
+        t = static_cast<std::uint32_t>(prod.outcomes.size());
+        out = &prod.outcomes.emplace_back();
+      }
+      produce_symbolic_trace(ctx, prod.so, t, workspace, *out);
+      if (!out->tc) return;
     }
   };
   const std::uint32_t workers =

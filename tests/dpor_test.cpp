@@ -5,6 +5,8 @@
 // both must agree with the unreduced explicit checker on every verdict.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "check/dpor.hpp"
 #include "check/dpor_internal.hpp"
 #include "check/explicit_checker.hpp"
@@ -346,6 +348,138 @@ TEST(DporTest, CountingFeasibilityMatchesSimulation) {
   }
   EXPECT_GT(feasible, 0u);
   EXPECT_GT(infeasible, 0u);
+}
+
+// The vector clocks against a naive oracle, the transitive closure of
+// mcapi::dependent over the executed prefix. Random walks with random
+// backtracking (pop, then a different push) over random programs of every
+// shape: countable and not, arbitrary delay and global FIFO, test/wait_any
+// observers, loops. After every push: hb(k, j) agrees with the closure for
+// all k < j; the race points reaching the scan's coverage callback are
+// exactly the directly dependent events of another process with no event m
+// such that k -> m -> ev; and each candidate is the events after k not
+// causally behind it, then ev. The callback reports every race covered, so
+// the scan never rewinds the live System.
+TEST(DporTest, VectorClocksMatchClosure) {
+  using mcapi::ActionFootprint;
+  // At least 16 programs, so every shape (and an observer) occurs.
+  const std::uint64_t programs = std::max<std::uint64_t>(
+      16, 4 * support::env_u64("MCSYM_TEST_ITERS", 12));
+  std::uint64_t races = 0;
+  std::uint64_t countable_races = 0;
+  std::uint64_t fifo_races = 0;
+  std::uint64_t backtracks = 0;
+  std::uint64_t observers = 0;
+  for (std::uint64_t seed = 0; seed < programs; ++seed) {
+    RandomProgramOptions popts;
+    popts.threads = 3 + static_cast<std::uint32_t>(seed % 3);
+    popts.allow_deadlocks = seed % 3 == 0;
+    popts.allow_nonblocking = seed % 4 >= 2;
+    popts.allow_test_poll = seed % 4 == 2;
+    popts.allow_wait_any = seed % 4 == 3;
+    popts.add_asserts = seed % 5 == 1;
+    popts.allow_loops = seed % 5 == 3;
+    const mcapi::DeliveryMode mode = (seed / 4) % 2 == 0
+                                         ? mcapi::DeliveryMode::kArbitraryDelay
+                                         : mcapi::DeliveryMode::kGlobalFifo;
+    const mcapi::Program p = random_program(1700 + seed, popts);
+    const bool countable = dpor_detail::countable_program(p, mode);
+    support::Rng rng(seed);
+    dpor_detail::Prefix prefix(p, mode);
+    // closure[j][k]: events[k] happens before events[j].
+    std::vector<std::vector<bool>> closure;
+    std::vector<std::size_t> expected;
+    std::vector<std::size_t> seen;
+    auto record = [&](std::size_t k, const std::vector<ActionFootprint>& v) {
+      seen.push_back(k);
+      const std::size_t n = prefix.events.size() - 1;
+      std::vector<mcapi::Action> want;
+      for (std::size_t j = k + 1; j < n; ++j) {
+        if (!closure[j][k]) want.push_back(prefix.events[j].action);
+      }
+      want.push_back(prefix.events[n].action);
+      EXPECT_EQ(dpor_detail::actions_of(v), want)
+          << "seed " << seed << " depth " << n << " race point " << k;
+      return true;
+    };
+    auto schedule_none = [](std::size_t, std::vector<ActionFootprint>&&) {
+      return std::size_t{0};
+    };
+    DporStats st;
+    std::vector<mcapi::Action> enabled;
+    // The action the last backtrack popped; the next push takes another.
+    bool backtracked = false;
+    mcapi::Action undone{mcapi::Action::Kind::kThreadStep, 0, {}};
+    for (int step = 0; step < 200; ++step) {
+      prefix.sys.enabled(enabled);
+      const bool terminal = enabled.empty();
+      if (terminal || (!prefix.events.empty() && rng.below(5) == 0)) {
+        if (prefix.events.empty()) break;
+        const std::size_t drop =
+            1 + rng.below(std::min<std::size_t>(3, prefix.events.size()));
+        backtracked = true;
+        for (std::size_t i = 0; i < drop; ++i) {
+          undone = prefix.events.back().action;
+          prefix.pop();
+          closure.pop_back();
+        }
+        ++backtracks;
+        continue;
+      }
+      mcapi::Action a = enabled[rng.below(enabled.size())];
+      if (backtracked && a == undone) {
+        for (const mcapi::Action& b : enabled) {
+          if (!(b == undone)) a = b;
+        }
+      }
+      backtracked = false;
+
+      const ActionFootprint ev = prefix.sys.footprint(a);
+      const std::size_t n = prefix.events.size();
+      std::vector<bool> row(n, false);
+      for (std::size_t k = 0; k < n; ++k) {
+        if (!mcapi::dependent(prefix.events[k], ev, mode)) continue;
+        row[k] = true;
+        for (std::size_t l = 0; l < k; ++l) {
+          if (closure[k][l]) row[l] = true;
+        }
+      }
+      closure.push_back(std::move(row));
+      prefix.push(ev);
+      if (!ev.observed_pending.empty()) ++observers;
+
+      for (std::size_t j = 1; j <= n; ++j) {
+        for (std::size_t k = 0; k < j; ++k) {
+          ASSERT_EQ(prefix.hb(k, j), static_cast<bool>(closure[j][k]))
+              << "seed " << seed << " hb(" << k << ", " << j << ")";
+        }
+      }
+      expected.clear();
+      if (!ev.internal) {
+        for (std::size_t k = n; k-- > 0;) {
+          const ActionFootprint& ek = prefix.events[k];
+          if (ek.internal || ek.action == ev.action) continue;
+          if (!mcapi::dependent(ek, ev, mode)) continue;
+          bool adjacent = true;
+          for (std::size_t m = k + 1; m < n && adjacent; ++m) {
+            if (closure[m][k] && closure[n][m]) adjacent = false;
+          }
+          if (adjacent) expected.push_back(k);
+        }
+      }
+      seen.clear();
+      prefix.scan_races(st, record, schedule_none);
+      ASSERT_EQ(seen, expected) << "seed " << seed << " depth " << n;
+      races += seen.size();
+      if (countable) countable_races += seen.size();
+      if (mode == mcapi::DeliveryMode::kGlobalFifo) fifo_races += seen.size();
+    }
+  }
+  EXPECT_GT(races, countable_races);
+  EXPECT_GT(countable_races, 0u);
+  EXPECT_GT(fifo_races, 0u);
+  EXPECT_GT(backtracks, 0u);
+  EXPECT_GT(observers, 0u);
 }
 
 TEST(DporTest, IndependenceRelationBasics) {

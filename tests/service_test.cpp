@@ -619,8 +619,8 @@ TEST(ServeLoop, StatsThenQuitEndsTheSession) {
 }
 
 TEST(ServeLoop, BadNumericValuesAreErrorRepliesNotCrashes) {
-  // Wrapped to 4294967295, traces=-1 would size the symbolic stage's
-  // per-trace table from it and abort the whole server.
+  // Wrapped to 4294967295, traces=-1 would pass as a huge trace count;
+  // it is a bad value instead.
   const std::string fig = example("figure1.mcp");
   VerifierService service;
   const std::string out = serve_session(
@@ -650,6 +650,28 @@ TEST(ServeLoop, BadNumericValuesAreErrorRepliesNotCrashes) {
             std::string::npos)
       << lines[6];
   EXPECT_EQ(service.stats().requests, 1u);
+}
+
+TEST(ServeLoop, HugeTraceCountEndsAtItsWallBudget) {
+  // A valid but huge count runs until its wall budget like any long
+  // request (the per-trace table grows by claimed trace), and the server
+  // goes on to the next request.
+  const std::string fig = example("figure1.mcp");
+  VerifierService service;
+  const std::string out = serve_session(
+      service, "verify id=huge engine=symbolic traces=4000000000 "
+               "max-seconds=0.2\n" + fig + ".\n"
+               "verify id=next\n" + fig + ".\n");
+  EXPECT_TRUE(strictly_framed(out)) << out;
+  const auto lines = lines_of(out);
+  ASSERT_EQ(lines.size(), 4u) << out;
+  EXPECT_NE(lines[0].find("\"id\":\"huge\",\"ok\":true,"), std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[2].find("\"id\":\"next\",\"ok\":true,\"name\":\"figure1\","
+                          "\"verdict\":\"safe\",\"exit\":0"),
+            std::string::npos)
+      << lines[2];
+  EXPECT_EQ(service.stats().requests, 2u);
 }
 
 TEST(ServeLoop, EncodingKeysReachTheRequest) {

@@ -9,12 +9,15 @@
 #include <atomic>
 #include <cctype>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "check/verifier.hpp"
 #include "check/workloads.hpp"
 #include "mcapi/program.hpp"
+#include "text/program_text.hpp"
 
 namespace mcsym::check {
 namespace {
@@ -157,6 +160,31 @@ TEST(VerifierTest, BudgetTruncationIsABudgetExhaustedVerdict) {
     const VerifyReport report = verifier.verify(p, req);
     EXPECT_EQ(report.verdict, Verdict::kBudgetExhausted);
     EXPECT_TRUE(report.engines.front().truncated);
+  }
+}
+
+TEST(VerifierTest, StatelessDporOnALivelockEndsAtItsTransitionBudget) {
+  // livelock.mcp spins forever on mcapi_test, so stateless DPOR walks one
+  // never-ending path and only the transition budget stops it. The race
+  // scan of each appended event must stay cheap as that path grows: 4000
+  // transitions take milliseconds.
+  std::ifstream in(std::string(MCSYM_EXAMPLES_DIR) + "/livelock.mcp",
+                   std::ios::binary);
+  ASSERT_TRUE(in.good());
+  const std::string source{std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>()};
+  const text::ParseOutcome parsed = text::parse_program(source);
+  ASSERT_TRUE(parsed.ok()) << parsed.error_text();
+  for (const std::uint32_t workers : {1u, 2u}) {
+    VerifyRequest req;
+    req.engine = Engine::kDporOptimal;
+    req.workers = workers;
+    req.budget.max_transitions = 4000;
+    Verifier verifier;
+    const VerifyReport report = verifier.verify(parsed.parsed->program, req);
+    EXPECT_EQ(report.verdict, Verdict::kBudgetExhausted) << workers;
+    ASSERT_EQ(report.engines.size(), 1u);
+    EXPECT_TRUE(report.engines.front().truncated) << workers;
   }
 }
 
