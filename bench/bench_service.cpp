@@ -2,15 +2,18 @@
 //
 // BM_Service_Miss is the full pipeline per request — parse, canonical
 // fingerprint, engines, report serialization (cache cleared each
-// iteration). BM_Service_Hit answers the identical request from the cache:
-// parse + fingerprint + LRU lookup + stored-bytes copy, no engines.
-// BM_Service_HitRenamed resubmits an alpha-renamed spelling of the same
-// program, showing the canonicalization holds at full speed. The hit/miss
-// ratio is the multiplier a long-running `mcsym serve` session earns on
-// repeated traffic; the nightly pins its floor.
+// iteration). BM_Service_Hit answers the identical request from the
+// exact-text memo: spelling build + lookup + stored-bytes copy, no parse,
+// no engines. BM_Service_HitRenamed cycles through more alpha-renamed
+// spellings of the same program than the memo keeps per entry, so every
+// iteration takes the canonical path: parse + fingerprint + LRU lookup.
+// The hit/miss ratios are the multipliers a long-running `mcsym serve`
+// session earns on repeated traffic; the nightly pins their floors, and
+// pins Hit against KeyOnly so a verbatim hit provably skips the parse.
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
 #include "check/random_program.hpp"
 #include "check/service.hpp"
@@ -28,16 +31,18 @@ std::string workload_text(std::uint32_t threads) {
   return text::program_to_text(check::random_program(11, opts), {}, "unit");
 }
 
-/// Crude whole-word rename of the generator's thread spellings — enough to
-/// force the canonical (not textual) path while keeping the program valid.
-std::string renamed_workload_text(std::uint32_t threads) {
-  std::string text = workload_text(threads);
+/// Crude whole-word rename of the generator's thread spellings (`rt<k>`
+/// becomes `task<variant>_<k>`) — enough to force the canonical (not
+/// textual) path while keeping the program valid.
+std::string renamed_workload_text(std::uint32_t threads, int variant) {
+  const std::string text = workload_text(threads);
+  const std::string prefix = "task" + std::to_string(variant) + "_";
   std::string out;
   std::size_t i = 0;
   while (i < text.size()) {
     if (text.compare(i, 2, "rt") == 0 &&
         (i == 0 || !std::isalnum(static_cast<unsigned char>(text[i - 1])))) {
-      out += "task";
+      out += prefix;
       i += 2;
       continue;
     }
@@ -83,10 +88,21 @@ void BM_Service_HitRenamed(benchmark::State& state) {
   const check::VerifyRequest req = dpor_request();
   check::VerifierService service;
   (void)service.verify_source(workload_text(threads), req);
-  const std::string renamed = renamed_workload_text(threads);
+  // Cycling through twice the spellings the memo keeps per entry means each
+  // one was dropped (oldest first) before it comes round again.
+  std::vector<std::string> renamed;
+  for (std::size_t v = 0; v < 2 * check::VerifierService::kSpellingsPerEntry;
+       ++v) {
+    renamed.push_back(renamed_workload_text(threads, static_cast<int>(v)));
+  }
+  std::size_t next = 0;
   for (auto _ : state) {
-    auto reply = service.verify_source(renamed, req);
+    auto reply = service.verify_source(renamed[next], req);
     benchmark::DoNotOptimize(reply.report_json.data());
+    next = (next + 1) % renamed.size();
+  }
+  if (service.stats().verbatim_hits != 0) {
+    state.SkipWithError("a renamed spelling was served from the memo");
   }
 }
 BENCHMARK(BM_Service_HitRenamed)->Arg(3)->Arg(4);

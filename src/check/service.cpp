@@ -13,6 +13,7 @@
 
 #include "check/json_internal.hpp"
 #include "mcapi/canonical.hpp"
+#include "support/assert.hpp"
 #include "support/stats.hpp"
 #include "text/program_text.hpp"
 
@@ -127,6 +128,35 @@ support::Hash128 build_key(const mcapi::Program& program,
   }
   mix_request(h, request);
   return h.digest();
+}
+
+/// The exact-text memo's key: the digest of the semantic request config
+/// (mix_request, the same fields the canonical key covers), then each extra
+/// property text, then the source bytes. Every variable-length part but
+/// the last is length-prefixed, so two requests share a spelling only when
+/// they are byte-identical in all three.
+std::string spelling_of(std::string_view source, const VerifyRequest& request,
+                        const std::vector<std::string>& extra_properties) {
+  support::StateHasher h;
+  mix_request(h, request);
+  const support::Hash128 config = h.digest();
+  std::size_t size = sizeof config + sizeof(std::size_t) + source.size();
+  for (const std::string& text : extra_properties) {
+    size += sizeof(std::size_t) + text.size();
+  }
+  std::string spelling;
+  spelling.reserve(size);
+  const auto append_raw = [&spelling](const auto& value) {
+    spelling.append(reinterpret_cast<const char*>(&value), sizeof value);
+  };
+  append_raw(config);
+  append_raw(extra_properties.size());
+  for (const std::string& text : extra_properties) {
+    append_raw(text.size());
+    spelling += text;
+  }
+  spelling += source;
+  return spelling;
 }
 
 /// Only definitive, complete answers are cacheable: a budget-starved or
@@ -343,6 +373,18 @@ VerifierService::VerifierService(Options options) : options_(options) {}
 void VerifierService::clear_cache() {
   cache_.clear();
   lru_.clear();
+  memo_.clear();
+}
+
+void VerifierService::answer_hit(Entry& entry, const support::Hash128& key,
+                                 Reply& reply) {
+  ++stats_.cache_hits;
+  touch(entry, key);
+  reply.ok = true;
+  reply.cache_hit = true;
+  reply.verdict = entry.verdict;
+  reply.exit_code = entry.exit_code;
+  reply.report_json = entry.report_json;  // byte-identical document
 }
 
 void VerifierService::touch(Entry& entry, const support::Hash128& key) {
@@ -351,18 +393,37 @@ void VerifierService::touch(Entry& entry, const support::Hash128& key) {
   entry.lru = lru_.begin();
 }
 
-void VerifierService::store(const support::Hash128& key, Entry entry) {
-  if (options_.cache_capacity == 0) return;
+VerifierService::Entry& VerifierService::store(const support::Hash128& key,
+                                               Entry entry) {
   while (cache_.size() >= options_.cache_capacity) {
-    const support::Hash128 victim = lru_.back();
+    const auto victim = cache_.find(lru_.back());
     lru_.pop_back();
+    forget_spellings(victim->second);
     cache_.erase(victim);
     ++stats_.cache_evictions;
   }
   lru_.push_front(key);
   entry.lru = lru_.begin();
-  cache_.emplace(key, std::move(entry));
   ++stats_.cache_stores;
+  return cache_.emplace(key, std::move(entry)).first->second;
+}
+
+void VerifierService::remember(Entry& entry, const support::Hash128& key,
+                               std::string spelling, std::string name) {
+  if (entry.spellings.size() == kSpellingsPerEntry) {
+    memo_.erase(memo_.find(*entry.spellings.front()));
+    entry.spellings.erase(entry.spellings.begin());
+  }
+  const auto [it, inserted] =
+      memo_.emplace(std::move(spelling), Spelled{key, std::move(name)});
+  MCSYM_ASSERT_MSG(inserted, "only a spelling the memo missed is remembered");
+  entry.spellings.push_back(&it->first);
+}
+
+void VerifierService::forget_spellings(const Entry& entry) {
+  for (const std::string* spelling : entry.spellings) {
+    memo_.erase(memo_.find(*spelling));
+  }
 }
 
 VerifierService::KeyResult VerifierService::cache_key(
@@ -382,6 +443,23 @@ VerifierService::Reply VerifierService::verify_source(
   const support::Stopwatch timer;
   ++stats_.requests;
   Reply reply;
+  const bool caching = options_.cache_capacity > 0;
+
+  // A verbatim repeat: the memo holds what this spelling parsed to, and
+  // its entry is still cached (evicting an entry drops its spellings).
+  std::string spelling;
+  if (caching) {
+    spelling = spelling_of(source, request, extra_properties);
+    if (const auto m = memo_.find(spelling); m != memo_.end()) {
+      const auto it = cache_.find(m->second.key);
+      MCSYM_ASSERT_MSG(it != cache_.end(), "memo spelling outlived its entry");
+      ++stats_.verbatim_hits;
+      reply.name = m->second.name;
+      answer_hit(it->second, it->first, reply);
+      reply.seconds = timer.seconds();
+      return reply;
+    }
+  }
 
   ParsedRequest pr = parse_request(source, extra_properties);
   if (!pr.ok) {
@@ -396,15 +474,11 @@ VerifierService::Reply VerifierService::verify_source(
 
   const support::Hash128 key =
       build_key(pr.unit.program, pr.properties, request);
-  if (options_.cache_capacity > 0) {
+  if (caching) {
     const auto it = cache_.find(key);
     if (it != cache_.end()) {
-      ++stats_.cache_hits;
-      touch(it->second, key);
-      reply.cache_hit = true;
-      reply.verdict = it->second.verdict;
-      reply.exit_code = it->second.exit_code;
-      reply.report_json = it->second.report_json;  // byte-identical document
+      answer_hit(it->second, key, reply);
+      remember(it->second, key, std::move(spelling), reply.name);
       reply.seconds = timer.seconds();
       return reply;
     }
@@ -418,12 +492,13 @@ VerifierService::Reply VerifierService::verify_source(
   reply.verdict = report.verdict;
   reply.exit_code = verdict_exit_code(report.verdict);
   reply.report_json = report_to_json(report);
-  if (cacheable(report)) {
+  if (caching && cacheable(report)) {
     Entry entry;
     entry.report_json = reply.report_json;
     entry.verdict = reply.verdict;
     entry.exit_code = reply.exit_code;
-    store(key, std::move(entry));
+    remember(store(key, std::move(entry)), key, std::move(spelling),
+             reply.name);
   }
   reply.seconds = timer.seconds();
   return reply;
@@ -449,7 +524,13 @@ void VerifierService::serve(std::istream& in, std::ostream& out,
       out << kServeHead << "\"stats\":true," << counters(stats_)
           << ",\"cache_stores\":" << stats_.cache_stores
           << ",\"cache_evictions\":" << stats_.cache_evictions
-          << ",\"cache_size\":" << cache_.size() << "}\n.\n" << std::flush;
+          << ",\"cache_size\":" << cache_.size();
+      // Additive, and written once nonzero (as "cancelled" on a reply), so
+      // a session without verbatim repeats keeps the shorter line.
+      if (stats_.verbatim_hits > 0) {
+        out << ",\"verbatim_hits\":" << stats_.verbatim_hits;
+      }
+      out << "}\n.\n" << std::flush;
       continue;
     }
     if (command != "verify") {

@@ -22,6 +22,17 @@
 //    stored text IS the miss's serialization — timing fields show the
 //    original run) without constructing a single engine. An LRU bound
 //    keeps a long-lived server's memory flat.
+//  * Lookup is two-level. An exact-text memo sits in front of the
+//    canonical cache: it maps a SPELLING — the source bytes, the extra
+//    property texts and a digest of the semantic request config — to the
+//    canonical key its parse produced, and to the program name it parsed
+//    to. A verbatim repeat is answered from the memo without parsing or
+//    fingerprinting; the memo compares whole spellings, so it adds no
+//    collision risk beyond the canonical key's. A first-seen spelling
+//    (e.g. an alpha-renaming) takes the canonical path and, on a hit or a
+//    store, is recorded. Spellings belong to their canonical entry: each
+//    entry keeps its newest kSpellingsPerEntry, and evicting or clearing
+//    the entry drops them, so the memo is bounded by the same LRU.
 //
 // The service also owns the wire protocol both front ends speak: one
 // request-option table (set_option) for `--key value` flags and serve
@@ -105,6 +116,9 @@ class VerifierService {
     std::uint64_t requests = 0;
     std::uint64_t parse_errors = 0;
     std::uint64_t cache_hits = 0;
+    /// The subset of cache_hits answered from the exact-text memo, without
+    /// parsing the source.
+    std::uint64_t verbatim_hits = 0;
     std::uint64_t cache_misses = 0;  // served by running the engines
     std::uint64_t cache_stores = 0;  // fresh verdicts that were cacheable
     std::uint64_t cache_evictions = 0;
@@ -113,11 +127,16 @@ class VerifierService {
   VerifierService() : VerifierService(Options()) {}
   explicit VerifierService(Options options);
 
-  /// Serves one request: parses `.mcp` source text, consults the cache,
-  /// and runs the engines only on a miss. `request.properties` is replaced
-  /// by the source's `property` lines plus `extra_properties` (parsed
-  /// against the program, as the CLI's --property); every other request
-  /// field is honored as Verifier::verify would.
+  /// Spellings the exact-text memo keeps per cached verdict; the oldest is
+  /// dropped first.
+  static constexpr std::size_t kSpellingsPerEntry = 4;
+
+  /// Serves one request: answers a verbatim repeat from the exact-text
+  /// memo, otherwise parses `.mcp` source text and consults the canonical
+  /// cache, and runs the engines only on a miss. `request.properties` is
+  /// replaced by the source's `property` lines plus `extra_properties`
+  /// (parsed against the program, as the CLI's --property); every other
+  /// request field is honored as Verifier::verify would.
   Reply verify_source(std::string_view source, const VerifyRequest& request,
                       const std::vector<std::string>& extra_properties = {});
 
@@ -148,6 +167,9 @@ class VerifierService {
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
+  /// Spellings held by the exact-text memo (at most kSpellingsPerEntry
+  /// per cached verdict).
+  [[nodiscard]] std::size_t memo_size() const { return memo_.size(); }
   void clear_cache();
 
   /// The cache key of one (source, request) pairing — exposed so tests can
@@ -168,16 +190,30 @@ class VerifierService {
     Verdict verdict = Verdict::kUnknown;
     int exit_code = 3;
     std::list<support::Hash128>::iterator lru;  // position in lru_ (MRU front)
+    /// The memo_ keys that resolve to this entry, oldest first (at most
+    /// kSpellingsPerEntry). Node-based map keys never move.
+    std::vector<const std::string*> spellings;
   };
 
+  /// What one spelling parsed to.
+  struct Spelled {
+    support::Hash128 key;
+    std::string name;
+  };
+
+  void answer_hit(Entry& entry, const support::Hash128& key, Reply& reply);
   void touch(Entry& entry, const support::Hash128& key);
-  void store(const support::Hash128& key, Entry entry);
+  Entry& store(const support::Hash128& key, Entry entry);  // capacity > 0
+  void remember(Entry& entry, const support::Hash128& key,
+                std::string spelling, std::string name);
+  void forget_spellings(const Entry& entry);
 
   Options options_;
   Verifier verifier_;
   Stats stats_;
   std::unordered_map<support::Hash128, Entry> cache_;
   std::list<support::Hash128> lru_;  // front = most recently used
+  std::unordered_map<std::string, Spelled> memo_;  // spelling -> parse
 };
 
 }  // namespace mcsym::check

@@ -498,6 +498,21 @@ TEST(CliTest, VerifyStateCapacityImpliesStatefulOnTheDefaultEngine) {
   EXPECT_NE(r.output.find("verdict: non-termination"), std::string::npos);
 }
 
+TEST(CliTest, EnumerateAndSmtRefuseTheLivelockTrace) {
+  // The recorded run spins until the step limit, leaving each recv_i
+  // without its wait. Both trace tools refuse it as `check` does: a
+  // diagnostic and the input-error exit, not an abort.
+  for (const char* command : {"enumerate ", "smt "}) {
+    const CliResult r = run_cli(command + livelock());
+    EXPECT_EQ(r.exit_code, 2) << command << r.output;
+    EXPECT_NE(r.output.find("mcsym: recorded execution hit the step limit"),
+              std::string::npos)
+        << command << r.output;
+    EXPECT_EQ(r.output.find("assertion failed"), std::string::npos)
+        << command << r.output;
+  }
+}
+
 TEST(CliTest, BatchRanksNonTerminationBetweenViolationAndBudget) {
   const std::string manifest = testing::TempDir() + "/mcsym_manifest_nt.txt";
   {

@@ -10,6 +10,10 @@
 //    behavioral difference);
 //  * byte-identical hits — a cache hit returns exactly the bytes the miss
 //    serialized, and is ≥10x faster than running the engines;
+//  * the exact-text memo — a verbatim repeat is answered without parsing
+//    and carries the name its spelling parsed to, a first-seen renaming
+//    still takes the canonical path, any semantic config change misses
+//    it, and it is bounded by (and cleared with) the LRU entries;
 //  * only definitive complete verdicts are stored (no budget-exhausted or
 //    cancelled entries), and the LRU bound holds.
 //
@@ -58,11 +62,13 @@ bool is_keyword(const std::string& word) {
 }
 
 /// Renames every non-keyword identifier in `.mcp` source text to a fresh
-/// `zz<k>` name, consistently (same spelling -> same replacement). This is
-/// a whole-program bijective alpha-renaming: threads, endpoints, locals,
-/// and labels all change spelling, nothing else does. Quoted strings
-/// (property labels) are left alone — labels are report content, not names.
-std::string alpha_rename(const std::string& source) {
+/// `<prefix><k>` name, consistently (same spelling -> same replacement).
+/// This is a whole-program bijective alpha-renaming: threads, endpoints,
+/// locals, and labels all change spelling, nothing else does. Quoted
+/// strings (property labels) are left alone — labels are report content,
+/// not names.
+std::string alpha_rename(const std::string& source,
+                         const std::string& prefix = "zz") {
   std::string out;
   out.reserve(source.size());
   std::unordered_map<std::string, std::string> renamed;
@@ -99,7 +105,7 @@ std::string alpha_rename(const std::string& source) {
       } else {
         auto it = renamed.find(word);
         if (it == renamed.end()) {
-          it = renamed.emplace(word, "zz" + std::to_string(renamed.size()))
+          it = renamed.emplace(word, prefix + std::to_string(renamed.size()))
                    .first;
         }
         out += it->second;
@@ -316,8 +322,8 @@ TEST(ServiceCache, HitIsByteIdenticalAndFast) {
   // for byte — timing fields show the original run, nothing is recomputed.
   EXPECT_EQ(hit.report_json, miss.report_json);
 
-  // A hit re-parses the source and looks up a hash; it never constructs an
-  // engine. The pinned floor is 10x, with the battery's program chosen big
+  // A verbatim repeat is answered from the exact-text memo without even
+  // parsing the source; no hit ever constructs an engine. The pinned floor is 10x, with the battery's program chosen big
   // enough that the real ratio is orders of magnitude beyond it.
   EXPECT_GE(miss.seconds, 10 * hit.seconds)
       << "miss " << miss.seconds << "s vs hit " << hit.seconds << "s";
@@ -398,6 +404,199 @@ TEST(ServiceCache, ParseErrorsReportNotCrash) {
   EXPECT_TRUE(reply.report_json.empty());
   EXPECT_EQ(service.stats().parse_errors, 1u);
   EXPECT_EQ(service.cache_size(), 0u);
+}
+
+// --- the exact-text memo in front of the canonical cache ------------------------
+
+std::string example(const std::string& name) {
+  std::ifstream in(std::string(MCSYM_EXAMPLES_DIR) + "/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << name;
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+std::string parsed_name(const std::string& source) {
+  const auto parsed = text::parse_program(source);
+  EXPECT_TRUE(parsed.ok()) << parsed.error_text();
+  return parsed.ok() ? parsed.parsed->name : std::string();
+}
+
+TEST(ServiceCache, VerbatimMemoAnswersARepeatWithoutParsing) {
+  VerifierService service;
+  const std::string text =
+      text::program_to_text(random_program(11), {}, "unit");
+  VerifyRequest req;
+  req.engine = Engine::kDporOptimal;
+
+  const auto miss = service.verify_source(text, req);
+  ASSERT_TRUE(miss.ok) << miss.error;
+  EXPECT_FALSE(miss.cache_hit);
+  EXPECT_EQ(service.memo_size(), 1u);  // the store recorded its spelling
+
+  const auto hit = service.verify_source(text, req);
+  ASSERT_TRUE(hit.ok);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.name, "unit");
+  EXPECT_EQ(hit.verdict, miss.verdict);
+  EXPECT_EQ(hit.exit_code, miss.exit_code);
+  EXPECT_EQ(hit.report_json, miss.report_json);
+  EXPECT_EQ(service.stats().cache_hits, 1u);
+  EXPECT_EQ(service.stats().verbatim_hits, 1u);
+  EXPECT_EQ(service.stats().cache_misses, 1u);
+  EXPECT_EQ(service.stats().cache_stores, 1u);
+}
+
+TEST(ServiceCache, VerbatimMemoLeavesFirstSeenRenamingsToTheCanonicalPath) {
+  VerifierService service;
+  const std::string text =
+      text::program_to_text(random_program(12), {}, "unit");
+  const std::string renamed = alpha_rename(text);
+  const std::string renamed_name = parsed_name(renamed);
+  ASSERT_NE(renamed_name, "unit");
+  VerifyRequest req;
+  req.engine = Engine::kDporOptimal;
+
+  const auto miss = service.verify_source(text, req);
+  ASSERT_TRUE(miss.ok) << miss.error;
+
+  // First sight of the renaming: parsed, canonically keyed, a hit that
+  // names the program as this spelling does.
+  const auto canonical = service.verify_source(renamed, req);
+  ASSERT_TRUE(canonical.ok) << canonical.error;
+  EXPECT_TRUE(canonical.cache_hit);
+  EXPECT_EQ(canonical.name, renamed_name);
+  EXPECT_EQ(canonical.report_json, miss.report_json);
+  EXPECT_EQ(service.stats().verbatim_hits, 0u);
+  EXPECT_EQ(service.memo_size(), 2u);
+
+  // Its second send is verbatim, and each spelling keeps its own name.
+  const auto again = service.verify_source(renamed, req);
+  EXPECT_TRUE(again.cache_hit);
+  EXPECT_EQ(again.name, renamed_name);
+  EXPECT_EQ(again.report_json, miss.report_json);
+  EXPECT_EQ(service.stats().verbatim_hits, 1u);
+  EXPECT_EQ(service.verify_source(text, req).name, "unit");
+  EXPECT_EQ(service.stats().verbatim_hits, 2u);
+  EXPECT_EQ(service.stats().cache_hits, 3u);
+  EXPECT_EQ(service.stats().cache_misses, 1u);
+}
+
+TEST(ServiceCache, VerbatimMemoKeysTheSemanticConfig) {
+  VerifierService service;
+  const std::string fig = example("figure1.mcp");
+  VerifyRequest req;
+  req.engine = Engine::kDporOptimal;
+  ASSERT_TRUE(service.verify_source(fig, req).ok);
+
+  // The same bytes under a different semantic config are a different
+  // problem: neither layer may answer them from the first entry.
+  VerifyRequest stateful = req;
+  stateful.stateful = true;
+  VerifyRequest traces = req;
+  traces.traces = 3;
+  for (const VerifyRequest& other : {stateful, traces}) {
+    const auto reply = service.verify_source(fig, other);
+    ASSERT_TRUE(reply.ok) << reply.error;
+    EXPECT_FALSE(reply.cache_hit);
+  }
+  for (const char* prop : {"t0.B == 10", "t0.B == 20"}) {
+    const auto with_prop = service.verify_source(fig, req, {prop});
+    ASSERT_TRUE(with_prop.ok) << with_prop.error;
+    EXPECT_FALSE(with_prop.cache_hit) << prop;
+  }
+  EXPECT_EQ(service.stats().cache_misses, 5u);
+  EXPECT_EQ(service.stats().verbatim_hits, 0u);
+
+  // Speed knobs stay out of the spelling, as they stay out of the key.
+  VerifyRequest faster = req;
+  faster.workers = 2;
+  faster.budget.max_seconds = 1000;
+  EXPECT_TRUE(service.verify_source(fig, faster).cache_hit);
+  EXPECT_TRUE(service.verify_source(fig, req, {"t0.B == 10"}).cache_hit);
+  EXPECT_EQ(service.stats().verbatim_hits, 2u);
+}
+
+TEST(ServiceCache, VerbatimMemoForgetsAnEvictedEntry) {
+  VerifierService::Options options;
+  options.cache_capacity = 1;
+  VerifierService service(options);
+  VerifyRequest req;
+  const std::string first =
+      text::program_to_text(random_program(21), {}, "first");
+  const std::string second =
+      text::program_to_text(random_program(22), {}, "second");
+
+  const auto original = service.verify_source(first, req);
+  ASSERT_TRUE(original.ok) << original.error;
+  ASSERT_TRUE(service.verify_source(second, req).ok);  // evicts `first`
+  EXPECT_EQ(service.stats().cache_evictions, 1u);
+  EXPECT_EQ(service.memo_size(), 1u);
+
+  const auto repeat = service.verify_source(first, req);
+  ASSERT_TRUE(repeat.ok);
+  EXPECT_FALSE(repeat.cache_hit);  // re-verified, not served from the memo
+  EXPECT_EQ(repeat.verdict, original.verdict);
+  EXPECT_EQ(service.stats().cache_misses, 3u);
+  EXPECT_EQ(service.stats().verbatim_hits, 0u);
+  EXPECT_EQ(service.memo_size(), 1u);
+}
+
+TEST(ServiceCache, VerbatimMemoKeepsABoundedSetOfSpellingsPerEntry) {
+  VerifierService service;
+  const std::string text =
+      text::program_to_text(random_program(31), {}, "unit");
+  VerifyRequest req;
+  ASSERT_TRUE(service.verify_source(text, req).ok);
+
+  std::vector<std::string> renamings;
+  for (int i = 0; i < 100; ++i) {
+    renamings.push_back(alpha_rename(text, "v" + std::to_string(i) + "_"));
+    const auto reply = service.verify_source(renamings.back(), req);
+    ASSERT_TRUE(reply.ok) << reply.error;
+    EXPECT_TRUE(reply.cache_hit);
+    EXPECT_LE(service.memo_size(), VerifierService::kSpellingsPerEntry);
+  }
+  EXPECT_EQ(service.cache_size(), 1u);
+  EXPECT_EQ(service.stats().verbatim_hits, 0u);
+
+  // The newest spellings are kept, the oldest were dropped first.
+  EXPECT_TRUE(service.verify_source(renamings.back(), req).cache_hit);
+  EXPECT_EQ(service.stats().verbatim_hits, 1u);
+  EXPECT_TRUE(service.verify_source(renamings.front(), req).cache_hit);
+  EXPECT_EQ(service.stats().verbatim_hits, 1u);
+  EXPECT_EQ(service.memo_size(), VerifierService::kSpellingsPerEntry);
+}
+
+TEST(ServiceCache, VerbatimMemoIsEmptyWhenClearedOrDisabled) {
+  const std::string text =
+      text::program_to_text(random_program(41), {}, "unit");
+  VerifyRequest req;
+
+  VerifierService service;
+  ASSERT_TRUE(service.verify_source(text, req).ok);
+  service.clear_cache();
+  EXPECT_EQ(service.memo_size(), 0u);
+  EXPECT_FALSE(service.verify_source(text, req).cache_hit);
+  EXPECT_EQ(service.stats().verbatim_hits, 0u);
+
+  VerifierService::Options off;
+  off.cache_capacity = 0;
+  VerifierService uncached(off);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_FALSE(uncached.verify_source(text, req).cache_hit);
+  }
+  EXPECT_EQ(uncached.stats().verbatim_hits, 0u);
+  EXPECT_EQ(uncached.memo_size(), 0u);
+}
+
+TEST(ServiceCache, VerbatimMemoDoesNotRememberParseErrors) {
+  VerifierService service;
+  VerifyRequest req;
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_FALSE(service.verify_source("thread t0\n  bogus\n", req).ok);
+  }
+  EXPECT_EQ(service.stats().parse_errors, 2u);
+  EXPECT_EQ(service.memo_size(), 0u);
 }
 
 // --- request-option table ------------------------------------------------------
@@ -488,13 +687,6 @@ TEST(RequestOptions, SwitchesEngineTimeoutAndUnknownKeys) {
 
 // --- serve and batch, in process -------------------------------------------------
 
-std::string example(const std::string& name) {
-  std::ifstream in(std::string(MCSYM_EXAMPLES_DIR) + "/" + name,
-                   std::ios::binary);
-  EXPECT_TRUE(in.good()) << name;
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
 std::string serve_session(VerifierService& service, const std::string& input,
                           const RequestSpec& defaults = {}) {
   std::istringstream in(input);
@@ -556,6 +748,27 @@ TEST(ServeLoop, RepeatIsACacheHit) {
             std::string::npos)
       << lines[2];
   EXPECT_EQ(service.stats().cache_hits, 1u);
+}
+
+TEST(ServiceCache, VerbatimMemoHitsShowOnTheServeStatsLineOnly) {
+  const std::string fig = example("figure1.mcp");
+  VerifierService service;
+  const std::string out = serve_session(
+      service, "verify id=a\n" + fig + ".\nverify id=b\n" + fig +
+                   ".\nstats\n");
+  EXPECT_TRUE(strictly_framed(out)) << out;
+  const auto lines = lines_of(out);
+  ASSERT_EQ(lines.size(), 6u) << out;
+  EXPECT_NE(lines[2].find("\"cache_hit\":true,\"cache_hits\":1,"
+                          "\"cache_misses\":1,\"seconds\":"),
+            std::string::npos)
+      << lines[2];
+  EXPECT_EQ(lines[2].find("verbatim"), std::string::npos) << lines[2];
+  EXPECT_EQ(lines[4],
+            "{\"schema\":\"mcsym.serve/1\",\"stats\":true,\"requests\":2,"
+            "\"parse_errors\":0,\"cache_hits\":1,\"cache_misses\":1,"
+            "\"cache_stores\":1,\"cache_evictions\":0,\"cache_size\":1,"
+            "\"verbatim_hits\":1}");
 }
 
 TEST(ServeLoop, UnknownCommandMalformedOptionAndBadBodyKeepServing) {

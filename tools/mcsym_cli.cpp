@@ -274,6 +274,24 @@ mcsym::mcapi::RunResult record(const Options& o, const mcsym::mcapi::Program& pr
   return mcsym::mcapi::run(sys, sched, &rec);
 }
 
+/// Records the run `enumerate` and `smt` reason about, and refuses it the
+/// way `check` does: a step-limited or structurally incomplete trace (a
+/// recv_i left without its wait) is not a checkable artifact. Returns 0
+/// when `trace` can be encoded, else the input-error exit code after a
+/// diagnostic.
+int record_checkable(const Options& o, const mcsym::mcapi::Program& program,
+                     mcsym::trace::Trace& trace) {
+  const auto result = record(o, program, trace);
+  if (result.outcome == mcsym::mcapi::RunResult::Outcome::kStepLimit) {
+    return fail("recorded execution hit the step limit");
+  }
+  if (const auto error = trace.validate()) {
+    return fail("recorded execution left a structurally incomplete trace (" +
+                *error + "); try another --seed");
+  }
+  return 0;
+}
+
 const char* outcome_name(mcsym::mcapi::RunResult::Outcome oc) {
   using Outcome = mcsym::mcapi::RunResult::Outcome;
   switch (oc) {
@@ -486,18 +504,19 @@ int cmd_enumerate(const Options& o) {
   const auto lp = load(o);
   if (!lp) return 2;
 
-  // Thin wrapper over the Verifier facade's enumeration: trace recording,
-  // the symbolic Figure-4 pipeline, and the optional explicit / MCC
-  // cross-checks all live there now.
+  // Thin wrapper over the Verifier facade's enumeration: the command
+  // records the trace (and refuses one that cannot be encoded); the
+  // symbolic Figure-4 pipeline and the optional explicit / MCC
+  // cross-checks live in the facade.
   mcsym::check::EnumerateRequest er;
-  er.trace_seed = o.spec.request.trace_seed;
-  er.round_robin = o.spec.request.round_robin;
   er.symbolic = o.spec.request.symbolic;
   er.with_explicit = o.with_explicit;
   er.with_mcc = o.with_mcc;
 
+  mcsym::trace::Trace recorded(lp->unit.program);
+  if (const int rc = record_checkable(o, lp->unit.program, recorded)) return rc;
   Verifier verifier;
-  const auto en = verifier.enumerate(lp->unit.program, er);
+  const auto en = verifier.enumerate(lp->unit.program, recorded, er);
   const auto& enumeration = en.symbolic;
   const auto& trace = en.trace;
 
@@ -665,7 +684,7 @@ int cmd_smt(const Options& o) {
   const auto lp = load(o);
   if (!lp) return 2;
   mcsym::trace::Trace trace(lp->unit.program);
-  (void)record(o, lp->unit.program, trace);
+  if (const int rc = record_checkable(o, lp->unit.program, trace)) return rc;
 
   // Build the encoding exactly as `check` would, then print the assertions.
   const SymbolicOptions& so = o.spec.request.symbolic;
