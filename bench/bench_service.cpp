@@ -57,6 +57,17 @@ check::VerifyRequest dpor_request() {
   return req;
 }
 
+/// Reports which share of the session's cache hits the exact-text memo
+/// answered without parsing (`Stats::verbatim_hits / cache_hits`).
+void report_verbatim_share(benchmark::State& state,
+                           const check::VerifierService& service) {
+  const auto& stats = service.stats();
+  state.counters["verbatim_share"] =
+      stats.cache_hits == 0 ? 0.0
+                            : static_cast<double>(stats.verbatim_hits) /
+                                  static_cast<double>(stats.cache_hits);
+}
+
 void BM_Service_Miss(benchmark::State& state) {
   const std::string text =
       workload_text(static_cast<std::uint32_t>(state.range(0)));
@@ -80,6 +91,7 @@ void BM_Service_Hit(benchmark::State& state) {
     auto reply = service.verify_source(text, req);
     benchmark::DoNotOptimize(reply.report_json.data());
   }
+  report_verbatim_share(state, service);
 }
 BENCHMARK(BM_Service_Hit)->Arg(3)->Arg(4);
 
@@ -101,6 +113,7 @@ void BM_Service_HitRenamed(benchmark::State& state) {
     benchmark::DoNotOptimize(reply.report_json.data());
     next = (next + 1) % renamed.size();
   }
+  report_verbatim_share(state, service);
   if (service.stats().verbatim_hits != 0) {
     state.SkipWithError("a renamed spelling was served from the memo");
   }

@@ -888,21 +888,6 @@ VerifyReport Verifier::verify(const mcapi::Program& program,
 }
 
 EnumerateReport Verifier::enumerate(const mcapi::Program& program,
-                                    EnumerateRequest request) {
-  trace::Trace tr(program);
-  trace::Recorder rec(tr);
-  mcapi::System sys(program);
-  if (request.round_robin) {
-    mcapi::RoundRobinScheduler sched;
-    (void)mcapi::run(sys, sched, &rec);
-  } else {
-    mcapi::RandomScheduler sched(request.trace_seed);
-    (void)mcapi::run(sys, sched, &rec);
-  }
-  return enumerate(program, tr, request);
-}
-
-EnumerateReport Verifier::enumerate(const mcapi::Program& program,
                                     const trace::Trace& trace,
                                     EnumerateRequest request) {
   EnumerateReport out{trace};

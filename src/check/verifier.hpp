@@ -241,14 +241,12 @@ struct VerifyReport {
 /// report_to_json output deterministic. Used by golden tests.
 void zero_report_seconds(VerifyReport& report);
 
-/// Unified matching-set enumeration (the Figure-4 experiment): records a
-/// trace (or takes one), enumerates feasible send/receive pairings
-/// symbolically, and optionally cross-checks against the explicit
-/// trace-filtered ground truth, the MCC-style global-FIFO baseline, and the
-/// precise abstract-execution DFS.
+/// Unified matching-set enumeration (the Figure-4 experiment): takes a
+/// recorded trace, enumerates feasible send/receive pairings symbolically,
+/// and optionally cross-checks against the explicit trace-filtered ground
+/// truth, the MCC-style global-FIFO baseline, and the precise
+/// abstract-execution DFS.
 struct EnumerateRequest {
-  std::uint64_t trace_seed = 1;
-  bool round_robin = false;
   SymbolicOptions symbolic;
   bool with_explicit = false;  // explicit-state trace-filtered ground truth
   bool with_mcc = false;       // delay-free global-FIFO baseline
@@ -282,10 +280,10 @@ class Verifier {
   [[nodiscard]] VerifyReport verify(const mcapi::Program& program,
                                     VerifyRequest request = {});
 
-  /// Enumerates the feasible matchings of one recorded trace.
-  [[nodiscard]] EnumerateReport enumerate(const mcapi::Program& program,
-                                          EnumerateRequest request = {});
-  /// Same, against a caller-provided trace of `program`.
+  /// Enumerates the feasible matchings of `trace`, a recorded run of
+  /// `program`. The trace must pass `Trace::validate()`: a run cut off by a
+  /// step limit can leave a recv_i without its wait, which the encoding
+  /// cannot express (`mcsym_cli enumerate` refuses such a run first).
   [[nodiscard]] EnumerateReport enumerate(const mcapi::Program& program,
                                           const trace::Trace& trace,
                                           EnumerateRequest request = {});

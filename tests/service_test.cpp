@@ -323,8 +323,9 @@ TEST(ServiceCache, HitIsByteIdenticalAndFast) {
   EXPECT_EQ(hit.report_json, miss.report_json);
 
   // A verbatim repeat is answered from the exact-text memo without even
-  // parsing the source; no hit ever constructs an engine. The pinned floor is 10x, with the battery's program chosen big
-  // enough that the real ratio is orders of magnitude beyond it.
+  // parsing the source; no hit ever constructs an engine. The pinned floor
+  // is 10x, with the battery's program chosen big enough that the real
+  // ratio is orders of magnitude beyond it.
   EXPECT_GE(miss.seconds, 10 * hit.seconds)
       << "miss " << miss.seconds << "s vs hit " << hit.seconds << "s";
 
