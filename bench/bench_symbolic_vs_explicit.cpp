@@ -242,6 +242,32 @@ void BM_Symbolic_Sharded(benchmark::State& state) {
 }
 BENCHMARK(BM_Symbolic_Sharded)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
+// One symbolic request as a client sends it (4 traces: record + encode +
+// solve + witness replay each) on the perfbench symbolic_traces hot inputs:
+// /0 relay_race(2), /1 message_race(3,2). All four traces are feasibility
+// queries the recorded run answers, so the warm-started search spends no
+// conflicts; the `conflicts` counter (summed over the traces) turning
+// non-zero means the warm start was lost.
+void BM_Symbolic_Request(benchmark::State& state) {
+  const mcapi::Program p =
+      state.range(0) == 0 ? wl::relay_race(2) : wl::message_race(3, 2);
+  state.SetLabel(state.range(0) == 0 ? "relay_race(2)" : "message_race(3,2)");
+  check::VerifyRequest req;
+  req.engine = check::Engine::kSymbolic;
+  req.traces = 4;
+  std::uint64_t conflicts = 0;
+  for (auto _ : state) {
+    check::Verifier verifier;
+    const check::VerifyReport report = verifier.verify(p, req);
+    for (const auto& [name, value] : report.engines.front().counters) {
+      if (name == "conflicts") conflicts = value;
+    }
+    benchmark::DoNotOptimize(&report);
+  }
+  state.counters["conflicts"] = static_cast<double>(conflicts);
+}
+BENCHMARK(BM_Symbolic_Request)->Arg(0)->Arg(1);
+
 // The state-fork micro-bench behind the whole refactor: forking the
 // execution state mid-exploration by copy-the-world (what every frame of
 // the old checkers paid, per branch and per race simulation) vs by

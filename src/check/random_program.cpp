@@ -74,7 +74,7 @@ Program random_program(std::uint64_t seed, RandomProgramOptions options) {
     std::uint32_t req = 0;
     std::vector<std::uint32_t> pending_waits;
     for (std::uint32_t k = 0; k < inbound[t] - early_recvs[t]; ++k) {
-      const std::string var = "v" + std::to_string(k);
+      const std::string var = std::string("v").append(std::to_string(k));
       if (options.allow_nonblocking && rng.chance(1, 3)) {
         builders[t].recv_nb(eps[t], var, req);
         pending_waits.push_back(req++);

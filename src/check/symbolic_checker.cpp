@@ -35,6 +35,9 @@ void SymbolicChecker::ensure_session() {
   eo.property_mode = encode::PropertyMode::kIgnore;
   encoder_ = std::make_unique<encode::Encoder>(*solver_, trace_, matches_, eo);
   enc_.emplace(encoder_->encode());
+  // Warm start: the recorded run satisfies every asserted group, so the
+  // search tries it first. Only phases change; verdicts cannot.
+  solver_->hint_phases(enc_->recorded_run);
   projection_ = enc_->id_projection();
   encode_seconds_ = timer.seconds();
   ++encode_count_;

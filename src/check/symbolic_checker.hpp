@@ -9,6 +9,10 @@
 // persist across queries. Properties are never asserted — PProp rides as an
 // activation-literal assumption — and enumeration blocking clauses are
 // guarded by a per-round activation literal, so queries stay independent.
+// Every session is warm-started from the recorded run (the encoding's
+// recorded_run values become the solver's saved phases): that run satisfies
+// all asserted groups, so a feasibility query (no property to refute) finds
+// its model without a conflict.
 #pragma once
 
 #include <cstdint>

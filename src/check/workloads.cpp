@@ -66,7 +66,7 @@ Program message_race(std::uint32_t senders, std::uint32_t msgs_each) {
     }
   }
   for (std::uint32_t m = 0; m < senders * msgs_each; ++m) {
-    rx.recv(sink, "m" + std::to_string(m));
+    rx.recv(sink, std::string("m").append(std::to_string(m)));
   }
   p.finalize();
   return p;
@@ -88,7 +88,7 @@ Program pipeline(std::uint32_t stages, std::uint32_t items) {
   // Stages 1..n-1: receive, add one, forward (last stage checks instead).
   for (std::uint32_t i = 1; i < stages; ++i) {
     for (std::uint32_t k = 0; k < items; ++k) {
-      const std::string x = "x" + std::to_string(k);
+      const std::string x = std::string("x").append(std::to_string(k));
       ts[i].recv(eps[i], x);
       if (i + 1 < stages) {
         ts[i].send(eps[i], eps[i + 1], ts[i].v(x, 1));
@@ -115,7 +115,7 @@ Program scatter_gather_base(std::uint32_t workers, bool naive_assert) {
   std::vector<EndpointRef> w_in;
   ws.reserve(workers);
   for (std::uint32_t w = 0; w < workers; ++w) {
-    ws.push_back(p.add_thread("w" + std::to_string(w)));
+    ws.push_back(p.add_thread(std::string("w").append(std::to_string(w))));
     w_in.push_back(p.add_endpoint("w_in" + std::to_string(w), ws.back().ref()));
   }
   for (std::uint32_t w = 0; w < workers; ++w) {
@@ -125,7 +125,7 @@ Program scatter_gather_base(std::uint32_t workers, bool naive_assert) {
     ws[w].send(w_in[w], gather, ws[w].v("y"));
   }
   for (std::uint32_t w = 0; w < workers; ++w) {
-    master.recv(gather, "r" + std::to_string(w));
+    master.recv(gather, std::string("r").append(std::to_string(w)));
   }
   if (naive_assert) {
     // The naive belief that results arrive in scatter order: r0 came from w0.
@@ -154,8 +154,9 @@ Program token_fanout(std::uint32_t racers) {
   std::vector<EndpointRef> out;
   rs.reserve(racers);
   for (std::uint32_t r = 0; r < racers; ++r) {
-    rs.push_back(p.add_thread("r" + std::to_string(r)));
-    gate.push_back(p.add_endpoint("gate" + std::to_string(r), rs.back().ref()));
+    rs.push_back(p.add_thread(std::string("r").append(std::to_string(r))));
+    gate.push_back(p.add_endpoint(std::string("gate").append(std::to_string(r)),
+                                  rs.back().ref()));
     out.push_back(p.add_endpoint("out" + std::to_string(r), rs.back().ref()));
   }
   auto master = p.add_thread("master");
@@ -169,7 +170,7 @@ Program token_fanout(std::uint32_t racers) {
     rs[r].send(out[r], sink_in, 100 + static_cast<std::int64_t>(r));
   }
   for (std::uint32_t r = 0; r < racers; ++r) {
-    sink.recv(sink_in, "p" + std::to_string(r));
+    sink.recv(sink_in, std::string("p").append(std::to_string(r)));
   }
   p.finalize();
   return p;
@@ -185,7 +186,7 @@ Program nonblocking_gather(std::uint32_t senders) {
     tx.send(out, in, 500 + s);
   }
   for (std::uint32_t s = 0; s < senders; ++s) {
-    rx.recv_nb(in, "x" + std::to_string(s), s);
+    rx.recv_nb(in, std::string("x").append(std::to_string(s)), s);
   }
   for (std::uint32_t s = 0; s < senders; ++s) {
     rx.wait(s);
@@ -202,7 +203,7 @@ Program ring(std::uint32_t threads) {
   std::vector<EndpointRef> eps;
   ts.reserve(threads);
   for (std::uint32_t i = 0; i < threads; ++i) {
-    ts.push_back(p.add_thread("r" + std::to_string(i)));
+    ts.push_back(p.add_thread(std::string("r").append(std::to_string(i))));
     eps.push_back(p.add_endpoint("rep" + std::to_string(i), ts.back().ref()));
   }
   ts[0].send(eps[0], eps[1 % threads], 0);
@@ -232,7 +233,7 @@ Program relay_race(std::uint32_t pairs) {
     relay.recv(re, "z").send(re, e0, 3000 + i);
   }
   for (std::uint32_t m = 0; m < 2 * pairs; ++m) {
-    t0.recv(e0, "m" + std::to_string(m));
+    t0.recv(e0, std::string("m").append(std::to_string(m)));
   }
   p.finalize();
   return p;
@@ -272,7 +273,7 @@ Program polling_race(std::uint32_t senders) {
   // pure delivery-timing nondeterminism.
   rx.recv_nb(er, "first", 0).test_poll(0, "done").wait(0);
   for (std::uint32_t i = 1; i < senders; ++i) {
-    rx.recv(er, "m" + std::to_string(i));
+    rx.recv(er, std::string("m").append(std::to_string(i)));
   }
   for (std::uint32_t i = 0; i < senders; ++i) {
     txs[i].send(eps[i], er, 100 + static_cast<std::int64_t>(i));

@@ -25,23 +25,43 @@ Encoder::Encoder(smt::Solver& solver, const trace::Trace& trace,
       tt_(solver.terms()),
       trace_(trace),
       matches_(matches),
-      options_(options) {}
+      options_(options),
+      stride_(static_cast<std::int64_t>(trace.receives().size()) + 1) {}
+
+TermId Encoder::int_var(const std::string& name, std::int64_t recorded) {
+  const TermId v = tt_.int_var(name);
+  recorded_.push_back({v, recorded});
+  return v;
+}
+
+TermId Encoder::bool_var(const std::string& name, bool recorded) {
+  const TermId v = tt_.bool_var(name);
+  recorded_.push_back({v, recorded ? 1 : 0});
+  return v;
+}
+
+std::int64_t Encoder::recorded_uid(EventIndex recv) const {
+  const trace::TraceEvent& te = trace_.event(recv);
+  if (te.ev.kind == ExecEvent::Kind::kRecv) return static_cast<std::int64_t>(te.ev.uid);
+  // A request the trace never completed (accepted only by the issue-anchored
+  // ablation) consumed nothing; any value serves as the hint.
+  if (te.wait_event == trace::kNoEvent) return 0;
+  return static_cast<std::int64_t>(trace_.event(te.wait_event).ev.uid);
+}
 
 TermId Encoder::local_term(mcapi::ThreadRef t, support::Symbol var) {
   const auto key = std::make_pair(static_cast<std::uint32_t>(t), var.raw());
   if (auto it = ssa_.find(key); it != ssa_.end()) return it->second;
-  // First read before any write: the runtime zero-initializes locals. The
-  // havoc alternative introduces a fresh unconstrained variable instead.
-  TermId init;
-  if (options_.initial_locals_zero) {
-    init = tt_.int_const(0);
-  } else {
-    const std::string name = "init_" + trace_.program().thread(t).name + "_" +
-                             trace_.program().interner().spelling(var);
-    init = tt_.int_var(name);
-  }
+  const TermId init = initial_term(t, trace_.program().interner().spelling(var));
   ssa_.emplace(key, init);
   return init;
+}
+
+TermId Encoder::initial_term(mcapi::ThreadRef t, const std::string& var) {
+  // First read before any write: the runtime zero-initializes locals. The
+  // havoc alternative introduces a fresh unconstrained variable instead.
+  if (options_.initial_locals_zero) return tt_.int_const(0);
+  return int_var("init_" + trace_.program().thread(t).name + "_" + var, 0);
 }
 
 TermId Encoder::expr_term(mcapi::ThreadRef t, const ValueExpr& e) {
@@ -78,7 +98,7 @@ void Encoder::build_events_and_ssa(Encoding& enc) {
       const std::string tag = tname + "_" + std::to_string(e.op_index);
       switch (e.kind) {
         case ExecEvent::Kind::kSend: {
-          enc.clock.emplace(idx, tt_.int_var("clk_" + tag));
+          enc.clock.emplace(idx, int_var("clk_" + tag, clock_at(idx)));
           ++enc.stats.clock_vars;
           // Payload evaluated in the sender's SSA at the send point.
           send_payload_.emplace(idx, expr_term(t, e.expr));
@@ -86,26 +106,26 @@ void Encoder::build_events_and_ssa(Encoding& enc) {
           break;
         }
         case ExecEvent::Kind::kRecv: {
-          enc.clock.emplace(idx, tt_.int_var("clk_" + tag));
+          enc.clock.emplace(idx, int_var("clk_" + tag, clock_at(idx)));
           ++enc.stats.clock_vars;
-          const TermId rv = tt_.int_var("rv_" + tag);
+          const TermId rv = int_var("rv_" + tag, e.value);
           ++enc.stats.value_vars;
           ssa_[{t, e.var.raw()}] = rv;
           enc.recv_value.emplace(idx, rv);
           break;
         }
         case ExecEvent::Kind::kRecvIssue: {
-          enc.clock.emplace(idx, tt_.int_var("clk_" + tag));
+          enc.clock.emplace(idx, int_var("clk_" + tag, clock_at(idx)));
           ++enc.stats.clock_vars;
           // The received value becomes visible at the wait; nothing here.
           break;
         }
         case ExecEvent::Kind::kWait: {
-          enc.clock.emplace(idx, tt_.int_var("clk_" + tag));
+          enc.clock.emplace(idx, int_var("clk_" + tag, clock_at(idx)));
           ++enc.stats.clock_vars;
           const EventIndex issue = trace_.event(idx).issue_event;
           const ExecEvent& ie = trace_.event(issue).ev;
-          const TermId rv = tt_.int_var("rv_" + tag);
+          const TermId rv = int_var("rv_" + tag, e.value);
           ++enc.stats.value_vars;
           ssa_[{t, ie.var.raw()}] = rv;
           enc.recv_value.emplace(issue, rv);
@@ -116,11 +136,13 @@ void Encoder::build_events_and_ssa(Encoding& enc) {
           // POrder) and its observed outcome is pinned against the linked
           // receive's bind time in build_matches. The polled flag itself is
           // the traced constant in SSA — the pinning makes it exact.
-          enc.clock.emplace(idx, tt_.int_var("clk_" + tag));
+          enc.clock.emplace(idx, int_var("clk_" + tag, clock_at(idx)));
           ++enc.stats.clock_vars;
           ssa_[{t, e.var.raw()}] = tt_.int_const(e.outcome ? 1 : 0);
           tests_.push_back(idx);
-          tested_anchors_.insert(trace_.event(idx).issue_event);
+          const auto seen = tested_anchors_.try_emplace(
+              trace_.event(idx).issue_event, trace::kNoEvent);
+          if (!e.outcome) seen.first->second = idx;
           break;
         }
         case ExecEvent::Kind::kWaitAny: {
@@ -128,11 +150,11 @@ void Encoder::build_events_and_ssa(Encoding& enc) {
           // completion anchor points here via wait_event); additionally the
           // requests scanned before the winner were observed still pending,
           // which build_matches pins as bind > this clock.
-          enc.clock.emplace(idx, tt_.int_var("clk_" + tag));
+          enc.clock.emplace(idx, int_var("clk_" + tag, clock_at(idx)));
           ++enc.stats.clock_vars;
           const EventIndex issue = trace_.event(idx).issue_event;
           const ExecEvent& ie = trace_.event(issue).ev;
-          const TermId rv = tt_.int_var("rv_" + tag);
+          const TermId rv = int_var("rv_" + tag, e.value);
           ++enc.stats.value_vars;
           ssa_[{t, ie.var.raw()}] = rv;
           enc.recv_value.emplace(issue, rv);
@@ -142,7 +164,7 @@ void Encoder::build_events_and_ssa(Encoding& enc) {
           for (const std::uint32_t op : e.loser_issue_ops) {
             const EventIndex loser = trace_.find(t, op);
             MCSYM_ASSERT(loser != trace::kNoEvent);
-            tested_anchors_.insert(loser);
+            tested_anchors_[loser] = idx;
           }
           break;
         }
@@ -196,6 +218,9 @@ void Encoder::build_matches(Encoding& enc) {
   // Fig. 2: PMatchPairs := AND over receives of (OR over candidate sends of
   // match(recv, send)).
   std::vector<TermId> all;
+  // Recorded bind time of the previous anchor on each endpoint. receives()
+  // is in observed order, which is issue order on an endpoint (one owner).
+  std::unordered_map<mcapi::EndpointRef, std::int64_t> last_bind;
   for (const EventIndex r : trace_.receives()) {
     enc.recv_order.push_back(r);
     const ExecEvent& re = trace_.event(r).ev;
@@ -203,7 +228,8 @@ void Encoder::build_matches(Encoding& enc) {
         options_.anchor_nb_at_wait ? trace_.completion_of(r) : r;
     const std::string& tname = trace_.program().thread(re.thread).name;
     const std::string tag = tname + "_" + std::to_string(re.op_index);
-    const TermId id = tt_.int_var("id_" + tag);
+    const std::int64_t uid = recorded_uid(r);
+    const TermId id = int_var("id_" + tag, uid);
     enc.match_id.emplace(r, id);
     ++enc.stats.id_vars;
     const TermId rv = enc.recv_value.at(r);
@@ -218,11 +244,28 @@ void Encoder::build_matches(Encoding& enc) {
     // variable.
     TermId bind = anchor_clock;
     const bool nonblocking = re.kind == ExecEvent::Kind::kRecvIssue;
-    const bool tested = tested_anchors_.contains(r);
+    const auto tested = tested_anchors_.find(r);
+    // In the recorded run a request binds after its issue, its matched
+    // send, the previous bind on its endpoint and every poll or wait_any
+    // that saw it pending; the recorded bind sits just above all of them.
+    std::int64_t bind_at = clock_at(r);
+    if (nonblocking) {
+      if (const auto s = enc.send_of_uid.find(uid); s != enc.send_of_uid.end()) {
+        bind_at = std::max(bind_at, clock_at(s->second));
+      }
+      if (const auto prev = last_bind.find(re.dst); prev != last_bind.end()) {
+        bind_at = std::max(bind_at, prev->second);
+      }
+      if (tested != tested_anchors_.end() && tested->second != trace::kNoEvent) {
+        bind_at = std::max(bind_at, clock_at(tested->second));
+      }
+      ++bind_at;
+    }
+    last_bind[re.dst] = bind_at;
     if (nonblocking &&
-        (tested || (options_.order_endpoint_completions &&
-                    options_.anchor_nb_at_wait))) {
-      bind = tt_.int_var("bind_" + tag);
+        (tested != tested_anchors_.end() ||
+         (options_.order_endpoint_completions && options_.anchor_nb_at_wait))) {
+      bind = int_var("bind_" + tag, bind_at);
       event_like_constraints_.push_back(tt_.lt(enc.clock.at(r), bind));
       // Bound by the real completion (the wait), independent of where the
       // match window is anchored.
@@ -384,12 +427,16 @@ void Encoder::build_unique_ladders(Encoding& enc, std::vector<TermId>& uniq) {
     // before position i fired"; any later selector then contradicts it.
     // 3m-4 constraints and m-2 auxiliary bools for m selectors, against
     // m(m-1)/2 pairwise negations.
+    // Recorded: b_i is the OR of the recorded selectors up to position i.
     const std::string tag = "amo_s" + std::to_string(se.uid) + "_";
-    TermId prev_b = tt_.bool_var(tag + "0");
+    const auto uid_value = static_cast<std::int64_t>(se.uid);
+    bool fired = recorded_uid(rs[0]) == uid_value;
+    TermId prev_b = bool_var(tag + "0", fired);
     uniq.push_back(tt_.implies(sel(0), prev_b));
     ++enc.stats.unique_constraints;
     for (std::size_t i = 1; i + 1 < rs.size(); ++i) {
-      const TermId b = tt_.bool_var(tag + std::to_string(i));
+      fired = fired || recorded_uid(rs[i]) == uid_value;
+      const TermId b = bool_var(tag + std::to_string(i), fired);
       uniq.push_back(tt_.implies(sel(i), b));
       uniq.push_back(tt_.implies(prev_b, b));
       uniq.push_back(tt_.not_(tt_.and2(sel(i), prev_b)));
@@ -478,30 +525,38 @@ void Encoder::build_fifo(Encoding& enc) {
             trace_.event(ss[k - 1]).ev.uid < trace_.event(ss[k]).ev.uid,
             "channel sends must carry program-order-increasing uids");
       }
-      std::vector<std::pair<EventIndex, TermId>> chain;  // (recv, drawn-here)
+      struct Link {
+        EventIndex recv;
+        TermId drawn;   // the receive consumes a send of this channel
+        bool drawn_at;  // ... and did so in the recorded run
+      };
+      std::vector<Link> chain;
       for (const EventIndex r : rs) {
         std::vector<TermId> arms;
+        bool drawn_at = false;
         for (const EventIndex s : ss) {
           if (matches_.contains(r, s)) {
-            arms.push_back(tt_.eq(
-                enc.match_id.at(r),
-                tt_.int_const(static_cast<std::int64_t>(trace_.event(s).ev.uid))));
+            const auto uid = static_cast<std::int64_t>(trace_.event(s).ev.uid);
+            arms.push_back(tt_.eq(enc.match_id.at(r), tt_.int_const(uid)));
+            drawn_at = drawn_at || recorded_uid(r) == uid;
           }
         }
-        if (!arms.empty()) chain.emplace_back(r, tt_.or_(arms));
+        if (!arms.empty()) chain.push_back({r, tt_.or_(arms), drawn_at});
       }
       if (chain.size() < 2) continue;  // nothing to order
       const std::string ctag = "hw_c" + std::to_string(channel.src) + "_" +
                                std::to_string(channel.dst) + "_";
-      TermId hi = tt_.int_const(
-          static_cast<std::int64_t>(trace_.event(ss[0]).ev.uid) - 1);
+      // Recorded: each mark is the running maximum of the drawn ids.
+      std::int64_t hi_at = static_cast<std::int64_t>(trace_.event(ss[0]).ev.uid) - 1;
+      TermId hi = tt_.int_const(hi_at);
       for (std::size_t i = 0; i < chain.size(); ++i) {
-        const auto& [r, drawn] = chain[i];
+        const auto& [r, drawn, drawn_at] = chain[i];
         const TermId id = enc.match_id.at(r);
         fifo.push_back(tt_.implies(drawn, tt_.lt(hi, id)));
         ++enc.stats.fifo_constraints;
         if (i + 1 == chain.size()) break;  // last mark is never read
-        const TermId next = tt_.int_var(ctag + std::to_string(i));
+        if (drawn_at) hi_at = std::max(hi_at, recorded_uid(r));
+        const TermId next = int_var(ctag + std::to_string(i), hi_at);
         fifo.push_back(tt_.le(hi, next));
         fifo.push_back(tt_.implies(drawn, tt_.le(id, next)));
         enc.stats.fifo_constraints += 2;
@@ -575,9 +630,12 @@ void Encoder::build_delay_ignorant(Encoding& enc) {
 TermId Encoder::property_term(const Property& p) {
   auto operand = [&](const Operand& o) -> TermId {
     if (!o.is_var) return tt_.int_const(o.k);
-    const support::Symbol sym =
-        const_cast<mcapi::Program&>(trace_.program()).interner().intern(o.var);
-    const TermId base = local_term(o.thread, sym);
+    // Look up, never intern: concurrent sessions share the Program. A name
+    // the program never interned is a local nothing wrote, so its final
+    // value is its initial one.
+    const support::Symbol sym = trace_.program().interner().find(o.var);
+    const TermId base =
+        sym.valid() ? local_term(o.thread, sym) : initial_term(o.thread, o.var);
     return tt_.add_const(base, o.k);
   };
   const TermId a = operand(p.lhs);
@@ -613,6 +671,8 @@ Encoding Encoder::encode(std::span<const Property> properties) {
   if (options_.fifo_non_overtaking) build_fifo(enc);
   if (options_.delay_ignorant) build_delay_ignorant(enc);
   build_properties(enc, properties);
+  enc.recorded_run = std::move(recorded_);
+  recorded_.clear();
 
   if (options_.defer_assertions) return enc;
 

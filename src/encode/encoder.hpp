@@ -17,6 +17,14 @@
 // payload equality, and id equality. All atoms stay in integer difference
 // logic by construction.
 //
+// Warm start: the recorded run is itself one execution consistent with the
+// trace, so it satisfies every asserted group (all but ¬PProp). While it
+// emits, the encoder records each variable's value in that run
+// (Encoding::recorded_run): clocks spread out by trace position, match ids
+// and received values from the completion events, bind times just above
+// their latest lower bound, FIFO marks and ladder bits as running max / OR.
+// smt::Solver::hint_phases turns these into the solver's first guess.
+//
 // Options toggle the semantics knobs the reproduction studies: MCAPI
 // per-channel FIFO (non-overtaking), the delay-ignorant baseline encoding
 // (Elwakil–Yang-style: network delivery order = send issue order, the
@@ -29,7 +37,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "encode/property.hpp"
@@ -120,6 +127,10 @@ struct Encoding {
   std::vector<EventIndex> recv_order;  // receive anchors, ascending
   std::unordered_map<std::int64_t, EventIndex> send_of_uid;
   std::vector<std::pair<std::string, smt::TermId>> prop_terms;
+  // Every variable the encoder created, with its value in the recorded run
+  // (booleans as 0 / 1). Satisfies every group but p_prop and p_delay (the
+  // delay-ignorant baseline, which the runtime need not obey).
+  std::vector<smt::VarValue> recorded_run;
   // Final SSA version of every (thread, local symbol raw) pair.
   std::map<std::pair<std::uint32_t, std::uint32_t>, smt::TermId> final_ssa;
 
@@ -147,6 +158,17 @@ class Encoder {
   smt::TermId expr_term(mcapi::ThreadRef t, const mcapi::ValueExpr& e);
   smt::TermId cond_term(mcapi::ThreadRef t, const mcapi::Cond& c);
   smt::TermId local_term(mcapi::ThreadRef t, support::Symbol var);
+  smt::TermId initial_term(mcapi::ThreadRef t, const std::string& var);
+  // Fresh variables, each recorded with its value in the traced run.
+  smt::TermId int_var(const std::string& name, std::int64_t recorded);
+  smt::TermId bool_var(const std::string& name, bool recorded);
+  // Recorded clock of an event: trace positions spread by stride_, which
+  // leaves room for every bind time between two consecutive events.
+  [[nodiscard]] std::int64_t clock_at(EventIndex idx) const {
+    return stride_ * static_cast<std::int64_t>(idx);
+  }
+  // Uid of the send a receive anchor consumed in the recorded run.
+  [[nodiscard]] std::int64_t recorded_uid(EventIndex recv) const;
   void build_events_and_ssa(Encoding& enc);
   void build_order(Encoding& enc);
   void build_matches(Encoding& enc);
@@ -161,16 +183,19 @@ class Encoder {
   const trace::Trace& trace_;
   const match::MatchSet& matches_;
   EncodeOptions options_;
+  std::int64_t stride_;
+  std::vector<smt::VarValue> recorded_;
 
   // SSA environment: (thread, symbol raw) -> current version term.
   std::map<std::pair<std::uint32_t, std::uint32_t>, smt::TermId> ssa_;
   std::unordered_map<EventIndex, smt::TermId> send_payload_;
   std::vector<smt::TermId> event_constraints_;
   // mcapi_test / mcapi_wait_any events and the receive anchors they observe
-  // (these anchors always get a real bind-time variable).
+  // (these anchors always get a real bind-time variable), each mapped to the
+  // last event that saw it still pending (kNoEvent if none did).
   std::vector<EventIndex> tests_;
   std::vector<EventIndex> wait_anys_;
-  std::unordered_set<EventIndex> tested_anchors_;
+  std::unordered_map<EventIndex, EventIndex> tested_anchors_;
   // Bind-time window and endpoint completion-order constraints (folded into
   // p_match because they refine the match relation).
   std::vector<smt::TermId> event_like_constraints_;

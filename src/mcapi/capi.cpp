@@ -83,7 +83,9 @@ mcapi_endpoint_t NodeSession::endpoint_create(mcapi_port_t port,
     return {};
   }
   const EndpointRef ref = target_->program_.add_endpoint(
-      "n" + std::to_string(node_) + "p" + std::to_string(port), builder_.ref());
+      std::string("n").append(std::to_string(node_)).append("p").append(
+          std::to_string(port)),
+      builder_.ref());
   target_->endpoints_.emplace(addr_key(node_, port), ref);
   set_status(status, mcapi_status_t::MCAPI_SUCCESS);
   return mcapi_endpoint_t{ref};

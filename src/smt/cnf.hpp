@@ -34,6 +34,12 @@ class CnfBuilder {
   [[nodiscard]] std::optional<Lit> find_literal(TermId t) const;
   [[nodiscard]] std::optional<IntVarId> find_int_var(TermId t) const;
 
+  /// Every term converted so far with its literal (kNot terms have no entry
+  /// of their own: they are the negation of their child's literal).
+  [[nodiscard]] const std::unordered_map<TermId, Lit>& converted() const {
+    return cache_;
+  }
+
  private:
   Lit convert(TermId t);
   Lit atom_literal(const TermNode& n);

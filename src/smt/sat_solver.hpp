@@ -80,6 +80,11 @@ class SatSolver {
 
   void set_theory(TheoryClient* theory) { theory_ = theory; }
 
+  /// Overwrites the saved phase of `lit`'s variable so that the next
+  /// decision on it (if any) assigns `lit` true. Search stays complete:
+  /// only the branching polarity changes, never the clause set.
+  void set_phase(Lit lit) { saved_phase_[lit.var()] = lit.negated() ? 0 : 1; }
+
   /// Solves under the given assumptions. Leaves the solver at decision level
   /// zero afterwards; the model (if SAT) is retained until the next solve.
   SolveResult solve(std::span<const Lit> assumptions = {});

@@ -43,6 +43,39 @@ Solver::AssumingResult Solver::check_assuming(std::span<const TermId> assumption
   return out;
 }
 
+void Solver::hint_phases(std::span<const VarValue> values) {
+  // One pass in TermId order: hash-consing creates children before their
+  // parents, so every operand is evaluated by the time it is read.
+  std::vector<std::int64_t> val(terms_.size(), 0);
+  for (const VarValue& v : values) val[v.var] = v.value;
+  const auto holds = [&val](TermId c) { return val[c] != 0; };
+  for (TermId t = 0; t < val.size(); ++t) {
+    const TermNode& n = terms_.node(t);
+    switch (n.op) {
+      case Op::kTrue: val[t] = 1; break;
+      case Op::kNot: val[t] = !holds(n.child0); break;
+      case Op::kAnd: val[t] = std::ranges::all_of(terms_.children(t), holds); break;
+      case Op::kOr: val[t] = std::ranges::any_of(terms_.children(t), holds); break;
+      case Op::kLeAtom: {
+        // Atom slots hold IntVar terms or kNoTerm (the constant 0).
+        const std::int64_t x = n.child0 == kNoTerm ? 0 : val[n.child0];
+        const std::int64_t y = n.child1 == kNoTerm ? 0 : val[n.child1];
+        val[t] = x - y <= n.value;
+        break;
+      }
+      case Op::kFalse:
+      case Op::kBoolVar:
+      case Op::kIntVar:
+      case Op::kIntConst:  // constants and offsets never reach an atom slot
+      case Op::kAddConst:
+        break;
+    }
+  }
+  for (const auto& [t, lit] : cnf_.converted()) {
+    sat_.set_phase(holds(t) ? lit : ~lit);
+  }
+}
+
 std::int64_t Solver::model_int(TermId t) const {
   const TermTable::IntDecomp d = terms_.decompose_int(t);
   if (d.var == kNoTerm) return d.offset;

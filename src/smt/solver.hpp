@@ -38,6 +38,13 @@ class Model {
   std::unordered_map<TermId, bool> bools_;
 };
 
+/// One variable's value in a known assignment: an int var's value, or a
+/// bool var's as 0 / 1.
+struct VarValue {
+  TermId var;
+  std::int64_t value;
+};
+
 class Solver {
  public:
   Solver();
@@ -66,6 +73,14 @@ class Solver {
   /// without committing them: later checks are unaffected. The workhorse of
   /// the pairing diagnosis feature (check::diagnose_pairing).
   [[nodiscard]] AssumingResult check_assuming(std::span<const TermId> assumptions);
+
+  /// Warm start: evaluates every term under `values` (variables left out
+  /// count as 0 / false) and sets the saved phase of every literal converted
+  /// so far to that term's value, so the search tries this assignment
+  /// first. Nothing is asserted or assumed; verdicts are unchanged. When
+  /// `values` satisfy the asserted formula, a check without assumptions
+  /// finds a model without a conflict.
+  void hint_phases(std::span<const VarValue> values);
 
   /// Bounds the conflict count of subsequent check() calls (0 = unbounded).
   void set_conflict_budget(std::uint64_t budget) { sat_.set_conflict_budget(budget); }

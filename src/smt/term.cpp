@@ -271,7 +271,7 @@ void TermTable::render(TermId t, std::string& out) const {
     case Op::kAddConst:
       out += "(+ ";
       render(n.child0, out);
-      out += " " + std::to_string(n.value) + ")";
+      out.append(" ").append(std::to_string(n.value)).append(")");
       return;
     case Op::kNot:
       out += "(not ";

@@ -40,7 +40,7 @@ class Lit {
 
   /// DIMACS-style rendering: "7" or "-7" (1-based).
   [[nodiscard]] std::string str() const {
-    return (negated() ? "-" : "") + std::to_string(var() + 1);
+    return std::string(negated() ? "-" : "").append(std::to_string(var() + 1));
   }
 
  private:

@@ -877,11 +877,13 @@ std::string program_to_text(const mcapi::Program& program,
         targets.insert(i.target);
       }
     }
-    auto label_name = [](std::uint32_t pc) { return "L" + std::to_string(pc); };
+    auto label_name = [](std::uint32_t pc) {
+      return std::string("L").append(std::to_string(pc));
+    };
 
     for (std::uint32_t pc = 0; pc <= thread.code.size(); ++pc) {
       if (targets.contains(pc)) {
-        out += "  label " + label_name(pc) + "\n";
+        out.append("  label ").append(label_name(pc)).append("\n");
       }
       if (pc == thread.code.size()) break;
       const mcapi::Instr& i = thread.code[pc];

@@ -148,7 +148,7 @@ TEST(DporTest, IndependentWritersExploreSingleTrace) {
   std::vector<mcapi::ThreadBuilder> builders;
   std::vector<mcapi::EndpointRef> eps;
   for (int t = 0; t < 3; ++t) {
-    builders.push_back(p.add_thread("w" + std::to_string(t)));
+    builders.push_back(p.add_thread(std::string("w").append(std::to_string(t))));
     eps.push_back(p.add_endpoint("we" + std::to_string(t), builders.back().ref()));
   }
   for (int t = 0; t < 3; ++t) builders[t].send(eps[t], eps[t], t + 1);

@@ -2,6 +2,10 @@
 // semantics toggles, and witness decoding.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "check/random_program.hpp"
 #include "check/symbolic_checker.hpp"
 #include "check/workloads.hpp"
@@ -421,6 +425,123 @@ INSTANTIATE_TEST_SUITE_P(
     Seeds, EmissionShapeTest,
     ::testing::Range<std::uint64_t>(
         7000, 7000 + support::env_u64("MCSYM_TEST_ITERS", 25)));
+
+// --- Recorded-run warm start ------------------------------------------------
+
+// Value of every term under `run` (variables left out count as 0), in one
+// pass: hash-consing creates children before their parents.
+std::vector<std::int64_t> evaluate(const smt::TermTable& tt,
+                                   std::span<const smt::VarValue> run) {
+  std::vector<std::int64_t> val(tt.size(), 0);
+  for (const smt::VarValue& v : run) val[v.var] = v.value;
+  for (smt::TermId t = 0; t < tt.size(); ++t) {
+    const smt::TermNode& n = tt.node(t);
+    switch (n.op) {
+      case smt::Op::kTrue: val[t] = 1; break;
+      case smt::Op::kIntConst: val[t] = n.value; break;
+      case smt::Op::kAddConst: val[t] = val[n.child0] + n.value; break;
+      case smt::Op::kNot: val[t] = val[n.child0] == 0; break;
+      case smt::Op::kAnd:
+        val[t] = 1;
+        for (const smt::TermId c : tt.children(t)) val[t] = val[t] && val[c];
+        break;
+      case smt::Op::kOr:
+        val[t] = 0;
+        for (const smt::TermId c : tt.children(t)) val[t] = val[t] || val[c];
+        break;
+      case smt::Op::kLeAtom: {
+        const std::int64_t x = n.child0 == smt::kNoTerm ? 0 : val[n.child0];
+        const std::int64_t y = n.child1 == smt::kNoTerm ? 0 : val[n.child1];
+        val[t] = x - y <= n.value;
+        break;
+      }
+      default: break;  // kFalse, variables: as given
+    }
+  }
+  return val;
+}
+
+// The recorded run is one execution consistent with its own trace, so the
+// values the encoder records for it must satisfy every group it asserts
+// (the delay-ignorant baseline is left out: the runtime need not obey it).
+// Random programs with recv_i/wait, mcapi_test polls and wait_any, plus
+// the fixed workloads whose wait_any scans see losers; the seed count
+// scales with MCSYM_TEST_ITERS.
+class RecordedRunTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RecordedRunTest, RecordedValuesSatisfyEveryAssertedGroup) {
+  const std::uint64_t seed = GetParam();
+  check::RandomProgramOptions ropts;
+  ropts.threads = 3 + static_cast<std::uint32_t>(seed % 2);
+  ropts.allow_nonblocking = (seed % 3) != 0;
+  ropts.allow_test_poll = (seed % 2) == 0;
+  ropts.allow_wait_any = (seed % 4) < 2;
+  std::vector<mcapi::Program> programs;
+  programs.push_back(check::random_program(seed, ropts));
+  programs.push_back(wl::select_server(2));
+  programs.push_back(wl::polling_race(3));
+  programs.push_back(wl::reversed_waits());
+  programs.push_back(wl::message_race(2, 3));
+
+  std::vector<EncodeOptions> shapes(4);
+  shapes[1].unique_all_pairs = true;
+  shapes[2].fifo_chain = false;
+  shapes[3].unique_ladder = false;
+  for (const mcapi::Program& p : programs) {
+    const trace::Trace tr = record(p, seed, false);
+    const match::MatchSet set = match::generate_overapprox(tr);
+    for (std::size_t k = 0; k < shapes.size(); ++k) {
+      smt::Solver solver;
+      Encoder encoder(solver, tr, set, shapes[k]);
+      const Encoding enc = encoder.encode();
+      const smt::TermTable& tt = solver.terms();
+      const std::vector<std::int64_t> val = evaluate(tt, enc.recorded_run);
+      const std::string where =
+          "seed=" + std::to_string(seed) + " shape=" + std::to_string(k);
+      EXPECT_EQ(val[enc.p_order], 1) << where;
+      EXPECT_EQ(val[enc.p_match], 1) << where;
+      EXPECT_EQ(val[enc.p_unique], 1) << where;
+      EXPECT_EQ(val[enc.p_events], 1) << where;
+      if (enc.p_fifo != smt::kNoTerm) {
+        EXPECT_EQ(val[enc.p_fifo], 1) << where;
+      }
+      // Every variable the encoding created carries a recorded value.
+      std::set<smt::TermId> recorded;
+      for (const smt::VarValue& v : enc.recorded_run) recorded.insert(v.var);
+      for (smt::TermId t = 0; t < tt.size(); ++t) {
+        const smt::Op op = tt.node(t).op;
+        if (op == smt::Op::kIntVar || op == smt::Op::kBoolVar) {
+          EXPECT_TRUE(recorded.contains(t)) << where << " " << tt.var_name(t);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, RecordedRunTest,
+    ::testing::Range<std::uint64_t>(
+        9000, 9000 + support::env_u64("MCSYM_TEST_ITERS", 25)));
+
+// On an assertion-free trace the query is pure feasibility, which the
+// recorded run answers: the warm-started search must not hit one conflict.
+TEST(WarmStartTest, FeasibilityQueriesAreConflictFree) {
+  const std::vector<std::pair<std::string, mcapi::Program>> programs = {
+      {"relay_race(2)", wl::relay_race(2)},
+      {"message_race(3,2)", wl::message_race(3, 2)},
+      {"relay_race(3)", wl::relay_race(3)},
+      {"select_server(2)", wl::select_server(2)},
+  };
+  for (const auto& [name, p] : programs) {
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+      const trace::Trace tr = record(p, seed);
+      check::SymbolicChecker checker(tr);
+      const check::SymbolicVerdict v = checker.check();
+      EXPECT_EQ(v.result, smt::SolveResult::kSat) << name << " seed=" << seed;
+      EXPECT_EQ(v.sat_conflicts, 0u) << name << " seed=" << seed;
+    }
+  }
+}
 
 TEST(WitnessTest, ToStringMentionsScheduleAndMatching) {
   const auto [program, properties] = wl::figure1_with_property();

@@ -109,7 +109,7 @@ TEST(IdlTest, ManyVariableOrderingChain) {
   Solver s;
   auto& tt = s.terms();
   std::vector<TermId> v;
-  for (int i = 0; i < 200; ++i) v.push_back(tt.int_var("v" + std::to_string(i)));
+  for (int i = 0; i < 200; ++i) v.push_back(tt.int_var(std::string("v").append(std::to_string(i))));
   for (int i = 0; i + 1 < 200; ++i) {
     s.assert_term(tt.lt(v[static_cast<std::size_t>(i)], v[static_cast<std::size_t>(i + 1)]));
   }
@@ -189,7 +189,7 @@ TEST_P(RandomIdlTest, ConjunctionAgreesWithBellmanFord) {
   Solver s;
   auto& tt = s.terms();
   std::vector<TermId> vars;
-  for (unsigned v = 0; v < n; ++v) vars.push_back(tt.int_var("r" + std::to_string(v)));
+  for (unsigned v = 0; v < n; ++v) vars.push_back(tt.int_var(std::string("r").append(std::to_string(v))));
   for (const auto& c : cs) {
     s.assert_term(tt.le(vars[c.x], tt.add_const(vars[c.y], c.k)));
   }

@@ -50,8 +50,8 @@ DporResult run_optimal(const mcapi::Program& p, std::uint32_t workers) {
 mcapi::Program independent_writers(std::uint32_t pairs) {
   mcapi::Program p;
   for (std::uint32_t i = 0; i < pairs; ++i) {
-    auto s = p.add_thread("s" + std::to_string(i));
-    auto r = p.add_thread("r" + std::to_string(i));
+    auto s = p.add_thread(std::string("s").append(std::to_string(i)));
+    auto r = p.add_thread(std::string("r").append(std::to_string(i)));
     const auto es = p.add_endpoint("es" + std::to_string(i), s.ref());
     const auto er = p.add_endpoint("er" + std::to_string(i), r.ref());
     s.send(es, er, 1).send(es, er, 2);

@@ -133,7 +133,7 @@ TEST(IdlStressTest, LongChainWithRandomResolvableTangles) {
   auto& tt = s.terms();
   const int n = 300;
   std::vector<TermId> v;
-  for (int i = 0; i < n; ++i) v.push_back(tt.int_var("s" + std::to_string(i)));
+  for (int i = 0; i < n; ++i) v.push_back(tt.int_var(std::string("s").append(std::to_string(i))));
   for (int i = 0; i + 1 < n; ++i) {
     s.assert_term(tt.lt(v[static_cast<std::size_t>(i)], v[static_cast<std::size_t>(i + 1)]));
   }

@@ -551,7 +551,7 @@ TEST(ServiceCache, VerbatimMemoKeepsABoundedSetOfSpellingsPerEntry) {
 
   std::vector<std::string> renamings;
   for (int i = 0; i < 100; ++i) {
-    renamings.push_back(alpha_rename(text, "v" + std::to_string(i) + "_"));
+    renamings.push_back(alpha_rename(text, std::string("v").append(std::to_string(i)) + "_"));
     const auto reply = service.verify_source(renamings.back(), req);
     ASSERT_TRUE(reply.ok) << reply.error;
     EXPECT_TRUE(reply.cache_hit);

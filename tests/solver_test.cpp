@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "smt/smtlib.hpp"
 #include "smt/solver.hpp"
 #include "smt/z3_backend.hpp"
+#include "support/env.hpp"
 #include "support/rng.hpp"
 
 namespace mcsym::smt {
@@ -94,7 +96,7 @@ TEST(SolverTest, ConflictBudgetUnknown) {
   // A moderately hard scheduling core: 8 values forced pairwise distinct in
   // a window of 7 — UNSAT, needs search.
   std::vector<TermId> vars;
-  for (int i = 0; i < 8; ++i) vars.push_back(tt.int_var("q" + std::to_string(i)));
+  for (int i = 0; i < 8; ++i) vars.push_back(tt.int_var(std::string("q").append(std::to_string(i))));
   for (const TermId v : vars) {
     s.assert_term(tt.ge(v, tt.int_const(0)));
     s.assert_term(tt.le(v, tt.int_const(6)));
@@ -166,6 +168,120 @@ struct RandomFormula {
     }
   }
 };
+
+// --- Phase hints -------------------------------------------------------------
+
+// The random batteries of the SAT, IDL and Z3-agreement suites, rebuilt at
+// the solver layer. The same seed rebuilds the same terms, so one instance
+// can be fed to several solvers with differently hinted phases.
+enum class Family : std::uint8_t { kCnf, kIdl, kFormula };
+
+struct Instance {
+  std::vector<TermId> bools;
+  std::vector<TermId> ints;
+};
+
+Instance build_instance(Solver& s, Family family, std::uint64_t seed) {
+  support::Rng rng(seed);
+  auto& tt = s.terms();
+  Instance in;
+  switch (family) {
+    case Family::kCnf: {
+      // Random 3-SAT at the phase transition: about half the draws are SAT.
+      for (int v = 0; v < 40; ++v) {
+        in.bools.push_back(tt.bool_var(std::string("b").append(std::to_string(v))));
+      }
+      for (int c = 0; c < 170; ++c) {
+        std::vector<TermId> lits;
+        for (int k = 0; k < 3; ++k) {
+          const TermId b = in.bools[rng.below(in.bools.size())];
+          lits.push_back(rng.chance(1, 2) ? b : tt.not_(b));
+        }
+        s.assert_term(tt.or_(lits));
+      }
+      break;
+    }
+    case Family::kIdl: {
+      // Conjunctions of difference constraints, as in RandomIdlTest.
+      const unsigned n = 4 + static_cast<unsigned>(rng.below(5));
+      const unsigned m = n * 2 + static_cast<unsigned>(rng.below(n * 2));
+      for (unsigned v = 0; v < n; ++v) {
+        in.ints.push_back(tt.int_var(std::string("r").append(std::to_string(v))));
+      }
+      for (unsigned i = 0; i < m; ++i) {
+        const unsigned x = static_cast<unsigned>(rng.below(n));
+        const unsigned y = (x + 1 + static_cast<unsigned>(rng.below(n - 1))) % n;
+        s.assert_term(tt.le(in.ints[x], tt.add_const(in.ints[y], rng.range(-4, 6))));
+      }
+      break;
+    }
+    case Family::kFormula: {
+      for (int v = 0; v < 4; ++v) {
+        in.ints.push_back(tt.int_var(std::string("z").append(std::to_string(v))));
+      }
+      for (int a = 0; a < 3; ++a) {
+        s.assert_term(RandomFormula::build(tt, rng, 3, in.ints));
+      }
+      break;
+    }
+  }
+  return in;
+}
+
+class PhaseHintTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Hints only change phases, so no hint may change a verdict: random hints
+// and deliberately wrong ones (the negation of a model, or anything at all
+// on an UNSAT instance) leave SAT / UNSAT as the unhinted solver found it,
+// and every hinted model still satisfies the assertions. A hint that IS a
+// model is found without a single conflict.
+TEST_P(PhaseHintTest, HintsNeverChangeTheVerdict) {
+  const std::uint64_t seed = GetParam();
+  for (const Family family : {Family::kCnf, Family::kIdl, Family::kFormula}) {
+    Solver base;
+    const Instance in = build_instance(base, family, seed);
+    const SolveResult expected = base.check();
+    ASSERT_NE(expected, SolveResult::kUnknown);
+
+    support::Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
+    std::vector<VarValue> random;
+    std::vector<VarValue> wrong;
+    std::vector<VarValue> model;
+    const bool sat = expected == SolveResult::kSat;
+    for (const TermId b : in.bools) {
+      random.push_back({b, rng.chance(1, 2) ? 1 : 0});
+      wrong.push_back({b, sat && base.model_bool(b) ? 0 : 1});
+      if (sat) model.push_back({b, base.model_bool(b) ? 1 : 0});
+    }
+    for (const TermId x : in.ints) {
+      random.push_back({x, rng.range(-8, 8)});
+      // Negating every value reverses every difference the model chose.
+      wrong.push_back({x, sat ? -base.model_int(x) : 0});
+      if (sat) model.push_back({x, base.model_int(x)});
+    }
+
+    for (const auto* hints : {&random, &wrong, &model}) {
+      if (hints == &model && !sat) continue;
+      Solver hinted;
+      build_instance(hinted, family, seed);
+      hinted.hint_phases(*hints);
+      const std::string where = "seed=" + std::to_string(seed) +
+                                " family=" + std::to_string(static_cast<int>(family));
+      ASSERT_EQ(hinted.check(), expected) << where;
+      if (!sat) continue;
+      for (const TermId a : hinted.assertions()) {
+        EXPECT_TRUE(hinted.model_bool(a)) << where;
+      }
+      if (hints == &model) {
+        EXPECT_EQ(hinted.sat_stats().conflicts, 0u) << where;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, PhaseHintTest,
+    ::testing::Range<std::uint64_t>(0, 4 * support::env_u64("MCSYM_TEST_ITERS", 25)));
 
 // --- Assumptions and unsat cores --------------------------------------------
 
@@ -283,7 +399,7 @@ TEST_P(Z3AgreementTest, RandomFormulaSameVerdict) {
   Solver s;
   auto& tt = s.terms();
   std::vector<TermId> vars;
-  for (int v = 0; v < 4; ++v) vars.push_back(tt.int_var("z" + std::to_string(v)));
+  for (int v = 0; v < 4; ++v) vars.push_back(tt.int_var(std::string("z").append(std::to_string(v))));
   for (int a = 0; a < 3; ++a) {
     s.assert_term(RandomFormula::build(tt, rng, 3, vars));
   }

@@ -369,29 +369,30 @@ TEST(VerifierTest, ShardedDporEngineReportsThroughTheFacade) {
   }
 }
 
+/// The DPOR engines' worker-only counters (duplicates, echoed worker count,
+/// scheduler telemetry) exist solely when workers > 1: the one legitimate
+/// worker-count difference between two reports, stripped before comparing.
+std::string strip_parallel_duplicates(std::string json) {
+  for (const char* name :
+       {"parallel_duplicates", "workers", "steals", "steal_failures",
+        "claim_conflicts", "max_replay_depth"}) {
+    const std::string key = std::string(", \"") + name + "\": ";
+    for (std::size_t at = json.find(key); at != std::string::npos;
+         at = json.find(key, at)) {
+      std::size_t end = at + key.size();
+      while (end < json.size() && std::isdigit(json[end]) != 0) ++end;
+      json.erase(at, end - at);
+    }
+  }
+  return json;
+}
+
 TEST(VerifierTest, ShardedSymbolicStageIsByteIdenticalToSerial) {
   // The symbolic stage shards per-trace production across workers but is
   // judged serially in trace-index order, so the whole JSON report —
   // verdicts, witnesses, counters, portfolio stats — must be byte-identical
   // to the serial run at every worker count (timing fields zeroed, the one
-  // nondeterministic ingredient). The only legitimate worker-count
-  // artifacts are the DPOR engines' worker-only counters (duplicates,
-  // echoed worker count, scheduler telemetry), which exist solely when
-  // workers > 1; they are stripped before comparing.
-  const auto strip_parallel_duplicates = [](std::string json) {
-    for (const char* name :
-         {"parallel_duplicates", "workers", "steals", "steal_failures",
-          "claim_conflicts", "max_replay_depth"}) {
-      const std::string key = std::string(", \"") + name + "\": ";
-      for (std::size_t at = json.find(key); at != std::string::npos;
-           at = json.find(key, at)) {
-        std::size_t end = at + key.size();
-        while (end < json.size() && std::isdigit(json[end]) != 0) ++end;
-        json.erase(at, end - at);
-      }
-    }
-    return json;
-  };
+  // nondeterministic ingredient; worker-only DPOR counters stripped).
   struct Case {
     const char* name;
     Program program;
@@ -420,6 +421,40 @@ TEST(VerifierTest, ShardedSymbolicStageIsByteIdenticalToSerial) {
                                   << workers;
         }
       }
+    }
+  }
+}
+
+TEST(VerifierTest, PropertyOnAnUninternedLocalLeavesTheProgramUntouched) {
+  // A property built through the API may name a local the program never
+  // interned. Symbolic workers encode concurrently against the one shared
+  // Program, so the encoder only looks the name up, never interns it: an
+  // absent name is a local nothing wrote, whose final value is its initial
+  // 0. Reports agree at every worker count (the TSan leg runs this too).
+  const Program p = race_with_assert();
+  const std::size_t names = p.interner().size();
+  std::string serial;
+  for (const std::uint32_t workers : {1u, 4u}) {
+    VerifyRequest req;
+    req.engine = Engine::kSymbolic;
+    req.traces = 8;
+    req.workers = workers;
+    for (mcapi::ThreadRef t = 0; t < 3; ++t) {
+      req.properties.push_back(encode::make_property(
+          std::string("ghost").append(std::to_string(t)),
+          encode::Operand::final_var(t, "ghost"),
+          Rel::kEq, encode::Operand::constant(0)));
+    }
+    Verifier verifier;
+    VerifyReport report = verifier.verify(p, req);
+    EXPECT_EQ(report.verdict, Verdict::kViolation) << workers;
+    EXPECT_EQ(p.interner().size(), names) << workers;
+    zero_report_seconds(report);
+    const std::string json = strip_parallel_duplicates(report_to_json(report));
+    if (workers == 1) {
+      serial = json;
+    } else {
+      EXPECT_EQ(json, serial) << "workers=" << workers;
     }
   }
 }
