@@ -4,7 +4,6 @@
 
 #include "check/random_program.hpp"
 #include "check/verifier.hpp"
-#include "mcapi/scheduler.hpp"
 #include "support/rng.hpp"
 
 namespace mcsym::check {
@@ -69,7 +68,7 @@ void differential_iteration(std::uint64_t seed, const DifferentialOptions& optio
   req.trace_seed = seed * 0x9e3779b97f4a7c15ULL;
   req.check_dpor_modes = options.check_dpor_modes;
   req.replay_witnesses = options.check_witness_replay;
-  req.workers = options.dpor_workers;
+  req.workers = options.workers;
 
   Verifier verifier;
   const VerifyReport vr = verifier.verify(program, req);
@@ -109,58 +108,6 @@ void differential_iteration(std::uint64_t seed, const DifferentialOptions& optio
   report.deadlock_schedules_replayed += ps.deadlock_schedules_replayed;
   report.deadlocked_runs += ps.deadlocked_runs;
   report.optimal_redundant_paths += ps.optimal_redundant_paths;
-
-  // Serial-vs-parallel optimal DPOR, head to head: the sharded engine must
-  // reproduce the serial engine's verdicts and trace-determined counters
-  // exactly (raced duplicates land in parallel_duplicates, never in the
-  // trace counters — see DporOptions::workers).
-  if (options.dpor_workers > 1) {
-    DporOptions dopts;
-    dopts.max_transitions = options.dpor_max_transitions;
-    const DporResult sr = DporChecker(program, dopts).run();
-    dopts.workers = options.dpor_workers;
-    const DporResult pr = DporChecker(program, dopts).run();
-    if (sr.truncated || pr.truncated) {
-      ++report.dpor_skipped;
-    } else if (pr.violation_found != sr.violation_found) {
-      std::ostringstream os;
-      os << "parallel DPOR (workers=" << options.dpor_workers
-         << ") violation verdict split vs serial: " << pr.violation_found
-         << "/" << sr.violation_found;
-      mismatch(report, seed, os.str());
-    } else if (!sr.violation_found) {
-      // Both engines stop at the first violation, so deadlock flags and
-      // counters are only comparable on violation-free programs.
-      if (pr.deadlock_found != sr.deadlock_found) {
-        std::ostringstream os;
-        os << "parallel DPOR (workers=" << options.dpor_workers
-           << ") deadlock verdict split vs serial: " << pr.deadlock_found
-           << "/" << sr.deadlock_found;
-        mismatch(report, seed, os.str());
-      } else if (pr.stats.terminal_states != sr.stats.terminal_states ||
-                 pr.stats.executions !=
-                     sr.stats.executions - sr.stats.redundant_explorations ||
-                 pr.stats.redundant_explorations != 0) {
-        std::ostringstream os;
-        os << "parallel DPOR (workers=" << options.dpor_workers
-           << ") trace counters diverge from serial: terminals "
-           << pr.stats.terminal_states << "/" << sr.stats.terminal_states
-           << ", executions " << pr.stats.executions << "/"
-           << sr.stats.executions << " (serial redundant "
-           << sr.stats.redundant_explorations << "), parallel redundant "
-           << pr.stats.redundant_explorations;
-        mismatch(report, seed, os.str());
-      }
-    } else if (!pr.counterexample.empty()) {
-      mcapi::System sys(program);
-      mcapi::ReplayScheduler replay(pr.counterexample);
-      if (mcapi::run(sys, replay, nullptr, pr.counterexample.size() + 1)
-              .outcome != mcapi::RunResult::Outcome::kViolation) {
-        mismatch(report, seed,
-                 "parallel DPOR counterexample did not replay to a violation");
-      }
-    }
-  }
 
   // Matching-set enumeration: only meaningful when no assertion can end
   // executions early (crossval_test precedent) — and only for complete

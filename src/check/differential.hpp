@@ -61,13 +61,9 @@ struct DifferentialOptions {
   /// of the two reductions, plus the redundant_explorations == 0 invariant
   /// of optimal mode).
   bool check_dpor_modes = true;
-  /// Exploration threads forwarded to VerifyRequest::workers. >1 runs the
-  /// portfolio's engines concurrently with sharded DPOR, and adds a direct
-  /// serial-vs-parallel optimal-DPOR cross-check per program: verdicts and
-  /// the trace-determined counters (executions, terminal_states) must match
-  /// exactly, parallel redundant_explorations must be 0, and a parallel
-  /// counterexample must replay to a real violation.
-  std::uint32_t dpor_workers = 1;
+  /// Forwarded to VerifyRequest::workers: >1 runs the portfolio's
+  /// producers (explicit, both DPOR modes, sharded symbolic) concurrently.
+  std::uint32_t workers = 1;
   // Exploration budgets are deliberately modest: a rare blowup program is
   // worth seconds of wall clock at most — it gets counted as skipped and
   // the harness moves on to the next seed.

@@ -369,10 +369,6 @@ DporResult DporChecker::run() {
     std::vector<Action> sleep;
     std::vector<Action> script;
     explore_sleepset(sys, sleep, script, result, timer);
-  } else if (options_.workers > 1 && !options_.stateful) {
-    // Stateful exploration shares one store and one cycle stack across the
-    // whole search; it runs the serial optimal path regardless of workers.
-    run_parallel(result, timer);
   } else {
     run_optimal(result, timer);
   }

@@ -40,13 +40,12 @@
 // sleep set, chosen footprint) plus the event's vector clock; no System is
 // ever copied on the exploration path.
 //
-// Optimal mode has two explorers — the serial loop (dpor.cpp) and the
-// work-stealing one for workers > 1 (dpor_parallel.cpp) — and one race
-// core, dpor_detail::Prefix (dpor_internal.hpp): the live System, the
-// executed footprints and their per-process vector clocks, and the race
-// scan with its counting and simulated feasibility checks. The explorers differ
-// only in where a frame's sleep set lives and where a reversal is
-// scheduled, which they hand to the scan as two callbacks.
+// Optimal mode is one serial loop (dpor.cpp) over the race core
+// dpor_detail::Prefix (dpor_internal.hpp): the live System, the executed
+// footprints and their per-process vector clocks, and the race scan with
+// its counting and simulated feasibility checks. The loop hands the scan
+// two callbacks: whether a sleeping sibling already covers a race, and
+// where its reversal is scheduled.
 #pragma once
 
 #include <cstdint>
@@ -77,29 +76,8 @@ struct DporOptions {
   /// Optional cooperative cancellation probe, polled on the same amortized
   /// schedule as the wall clock: returning true abandons the search with
   /// result.truncated set. The Verifier facade routes its
-  /// progress/cancellation callback through this hook. With workers > 1
-  /// every worker probes it concurrently, so the callable must be
-  /// thread-safe (the facade's is).
+  /// progress/cancellation callback through this hook.
   std::function<bool()> interrupted;
-  /// Exploration threads for optimal mode. 1 (default) runs the serial
-  /// loop. N > 1 explores the wakeup tree with a
-  /// work-stealing scheduler: each worker owns a Chase–Lev deque of
-  /// unexplored branches (LIFO descent locally, oldest-first steals by idle
-  /// peers), claims branches lock-free via CAS, and replays claimed
-  /// prefixes on its own journaling System.
-  /// The trace-determined counters — executions, terminal_states, deadlock
-  /// counts — and all verdicts are identical to serial on non-violating
-  /// programs for every N (sleep sets kill raced duplicate explorations
-  /// before they complete; their work lands in parallel_duplicates, not in
-  /// the trace counters). Sleep-set-blocked paths also land there, so
-  /// redundant_explorations is always 0 in parallel and executions equals
-  /// serial executions minus serial redundant_explorations (equal outright
-  /// whenever serial redundant is 0, i.e. on every observer-free program).
-  /// transitions is charged arrival-edge-exact (see DporStats) and is
-  /// identical to serial at every N; races_detected / wakeup_nodes are
-  /// scheduling-work counters and depend on claim order. Sleep-set mode
-  /// ignores this and always runs serially.
-  std::uint32_t workers = 1;
   /// Stateful exploration (check/state_space.hpp): cut descent at on-stack
   /// fingerprint revisits (classifying non-progressive cycles into a
   /// non-termination lasso) and prune subtrees whose root state was already
@@ -109,8 +87,7 @@ struct DporOptions {
   /// here was covered on some other path) — and pruning additionally
   /// requires an empty incoming wakeup subtree (scheduled race reversals
   /// are never discarded by a hit). Cut paths are counted in the
-  /// state-space counters, never in executions/transitions. Forces the
-  /// serial optimal path: workers is ignored while stateful is set.
+  /// state-space counters, never in executions/transitions.
   /// CAVEAT — cycle cutting interacts with wakeup-tree scheduling: a
   /// reversal whose target lies beyond a cut revisit is dropped with the
   /// cut, so on cyclic programs stateful DPOR is a terminating
@@ -131,13 +108,12 @@ struct DporStats {
   /// Arrival-edge-exact transition charge: the sum over completed
   /// executions (terminal, deadlocked, or violating maximal paths) of the
   /// execution's full path length, charged at the moment the execution
-  /// completes. Sleep-set-blocked paths (serial) and raced duplicates
-  /// (parallel) charge nothing. Every linearization of a Mazurkiewicz
-  /// trace has the same length, so the sum depends only on the set of
-  /// completed traces — it is identical across exploration orders and
-  /// worker counts. The max_transitions budget is enforced against the raw
-  /// apply count (every executed step, including later-abandoned work),
-  /// not against this charge.
+  /// completes. Sleep-set-blocked paths charge nothing. Every
+  /// linearization of a Mazurkiewicz trace has the same length, so the sum
+  /// depends only on the set of completed traces — it is identical across
+  /// exploration orders. The max_transitions budget is enforced against
+  /// the raw apply count (every executed step, including later-abandoned
+  /// work), not against this charge.
   std::uint64_t transitions = 0;
   std::uint64_t executions = 0;
   std::uint64_t terminal_states = 0;
@@ -147,31 +123,6 @@ struct DporStats {
                                              // sleeping sibling
   std::uint64_t wakeup_nodes = 0;            // optimal: wakeup-tree nodes inserted
   std::uint64_t redundant_explorations = 0;  // sleep-set-blocked maximal paths
-  /// workers > 1 only: explorations abandoned because a concurrent claim
-  /// raced a scheduled insert (the sibling-order dependency wakeup trees
-  /// impose cannot be kept exactly under concurrency). Sleep sets kill
-  /// every such duplicate before it completes, and its work is excluded
-  /// from executions/transitions/terminal_states — those counters stay
-  /// equal to the serial engine's. Always 0 when workers == 1.
-  std::uint64_t parallel_duplicates = 0;
-  // Work-stealing scheduler telemetry (workers > 1 only; all 0 serially).
-  // These count scheduling WORK, not trace structure: like races_detected
-  // they vary run to run with thread timing, and are surfaced so contention
-  // is measurable, not pinned.
-  /// Branches taken from another worker's deque (each steal costs the thief
-  /// a prefix replay of up to the branch's depth — see max_replay_depth).
-  std::uint64_t steals = 0;
-  /// Whole steal rounds (one attempt at every victim) that found nothing.
-  /// The idle/backoff spin between rounds; high values mean starved workers.
-  std::uint64_t steal_failures = 0;
-  /// Branch claims lost to a concurrent claimer: the claim CAS observed the
-  /// branch pending but another worker won it first. The lock-free analogue
-  /// of mutex contention on the old single-queue scheduler's hot path.
-  std::uint64_t claim_conflicts = 0;
-  /// Deepest prefix replay any navigate() performed when repositioning a
-  /// worker onto claimed work (merged by max, not sum). Bounded by the
-  /// longest execution; small values mean stolen work sat high in the tree.
-  std::uint64_t max_replay_depth = 0;
   /// Stateful exploration telemetry (options.stateful only; zero otherwise).
   StateSpaceStats state_space;
 };
@@ -209,13 +160,6 @@ class DporChecker {
 
  private:
   void run_optimal(DporResult& result, const support::Stopwatch& timer);
-  /// Work-stealing optimal exploration (options_.workers > 1): the whole
-  /// wakeup tree lives in shared memory, every worker owns a Chase–Lev
-  /// deque of unexplored branches, claims are lock-free CAS transitions on
-  /// the branch state, and idle workers steal oldest-first from random
-  /// victims, replaying the claimed prefix on their own journaling System.
-  /// Implemented in dpor_parallel.cpp.
-  void run_parallel(DporResult& result, const support::Stopwatch& timer);
   /// Sleep-set DFS over the live journaling `sys`: each visited action is
   /// applied, explored, and rolled back to the frame's checkpoint.
   void explore_sleepset(mcapi::System& sys, std::vector<mcapi::Action>& sleep,
@@ -228,8 +172,7 @@ class DporChecker {
   // reset per run(). Shared by the optimal loop and the sleep-set DFS.
   VisitedStateStore store_{0};
   CycleStack cycle_stack_;
-  // Clock-read amortization for the budget probe (serial runs; each
-  // parallel worker keeps its own).
+  // Clock-read amortization for the budget probe.
   std::uint64_t budget_probe_ = 0;
   // Raw apply count driving max_transitions in the sleep-set DFS; the
   // reported stats.transitions is charged at execution completion instead

@@ -1,12 +1,11 @@
-// Internals shared by the serial (dpor.cpp) and parallel
-// (dpor_parallel.cpp) optimal-DPOR translation units: the weak-initial
-// test, the wakeup-tree arena, the internal-step classifier, the initial
-// pick, and the race core both explorers run on — Prefix, the executed
-// prefix with its per-process vector clocks, race scan and race-reversal
-// feasibility checks. The explorers differ only in where
-// a frame's sleep set lives and where a reversal is scheduled, which they
-// pass to Prefix::scan_races as two callbacks. Not part of the public
-// check/ surface.
+// Internals of the optimal-DPOR loop (dpor.cpp): the weak-initial test,
+// the wakeup-tree arena, the internal-step classifier, the initial pick,
+// and the race core — Prefix, the executed prefix with its per-process
+// vector clocks, race scan and race-reversal feasibility checks. The loop
+// passes Prefix::scan_races two callbacks: whether a sleeping sibling
+// covers a race, and where its reversal is scheduled. Kept in a header so
+// dpor_test can pin the clocks and the feasibility checks directly. Not
+// part of the public check/ surface.
 //
 // Happens-before is the transitive closure of mcapi::dependent over the
 // executed prefix, kept as vector clocks (Abdulla et al., JACM'17). The
@@ -211,10 +210,10 @@ inline const mcapi::Action* initial_pick(
   return nullptr;
 }
 
-/// The executed prefix of one optimal-DPOR explorer (the serial loop, or
-/// one parallel worker) and the race core that runs on it.
+/// The executed prefix of the optimal-DPOR loop and the race core that
+/// runs on it.
 ///
-/// `sys` is the one live journaling System the explorer walks up and down:
+/// `sys` is the one live journaling System the loop walks up and down:
 /// push() applies an event and appends its vector clock, pop() undoes both,
 /// and a checkpoint is simply a depth (one undo record per event). Clock
 /// rows live in one flat arena of P entries per event, so a push allocates

@@ -68,7 +68,9 @@ void mix_operand(support::StateHasher& h, const mcapi::Program& program,
 /// The semantic request configuration: everything that can change which
 /// report is correct. Wall clock (budget.max_seconds), workers, and the
 /// progress callback are deliberately absent — they only affect how fast
-/// the answer arrives (reports are pinned worker-count-invariant).
+/// the answer arrives (every engine's report is byte-identical across
+/// worker counts apart from timing fields, so a hit stored by a threaded
+/// request is the report a serial one would compute).
 void mix_request(support::StateHasher& h, const VerifyRequest& req) {
   h.mix(kTagConfig);
   h.mix(static_cast<std::uint64_t>(req.engine));
@@ -309,8 +311,7 @@ std::string set_option(RequestSpec& spec, std::string_view key,
   } else if (key == "workers") {
     // "auto" or 0 resolve to the hardware concurrency (1 when the runtime
     // cannot report it); the clamp keeps a stray huge value from
-    // oversubscribing the host. The request carries the resolved count, so
-    // the parallel engine row echoes it.
+    // oversubscribing the host.
     std::uint32_t n = 0;
     if (value != "auto") error = parse_number(key, value, n);
     if (n == 0) n = std::thread::hardware_concurrency();

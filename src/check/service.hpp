@@ -68,8 +68,9 @@ struct RequestSpec {
 ///
 ///   engine           symbolic | explicit | dpor | dpor-sleepset | portfolio
 ///   seed, traces     trace plan (first scheduler seed, traces to check)
-///   workers          worker threads; `auto` or 0 = hardware concurrency,
-///                    clamped to [1, 64]
+///   workers          threads for the symbolic stage and the portfolio's
+///                    engines (DPOR and explicit explore serially); `auto`
+///                    or 0 = hardware concurrency, clamped to [1, 64]
 ///   round-robin, stateful                           switches (0 = off)
 ///   state-capacity   visited-store capacity; implies stateful
 ///   max-seconds, max-states, max-transitions, conflicts     budgets

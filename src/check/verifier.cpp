@@ -50,11 +50,11 @@ constexpr double kBiases[] = {1.0, 0.5, 2.0};
 /// Shared state of one verify() call: the joint wall clock, the report
 /// under construction, and the progress/cancellation plumbing the engines'
 /// `interrupted` hooks route through. With request.workers > 1 several
-/// engine threads (and the DPOR workers inside them) probe fire() and the
-/// wall clock concurrently, so cancellation is an atomic latch and the
-/// callback itself is serialized; the report is only ever mutated by the
-/// thread that owns the current stage (engine rows are pushed in a fixed
-/// order after joins, never from inside concurrent engines).
+/// engine threads probe fire() and the wall clock concurrently, so
+/// cancellation is an atomic latch and the callback itself is serialized;
+/// the report is only ever mutated by the thread that owns the current
+/// stage (engine rows are pushed in a fixed order after joins, never from
+/// inside concurrent engines).
 struct Ctx {
   Ctx(const mcapi::Program& p, const VerifyRequest& r)
       : program(p), request(r) {}
@@ -159,7 +159,6 @@ DporResult run_dpor(Ctx& ctx, DporMode mode, EngineRun& run) {
   dopts.algorithm = mode;
   dopts.max_transitions = ctx.request.budget.max_transitions;
   dopts.max_seconds = ctx.engine_seconds();
-  dopts.workers = ctx.request.workers;
   dopts.stateful = ctx.request.stateful;
   dopts.state_capacity = ctx.request.state_capacity;
   if (ctx.request.progress) {
@@ -180,22 +179,6 @@ DporResult run_dpor(Ctx& ctx, DporMode mode, EngineRun& run) {
                   {"wakeup_nodes", result.stats.wakeup_nodes},
                   {"sleep_prunes", result.stats.sleep_prunes},
                   {"redundant_explorations", result.stats.redundant_explorations}};
-  // Surfaced only for threaded requests: the serial engine cannot produce
-  // duplicates or scheduler traffic, and the workers == 1 JSON report is
-  // golden-pinned. `workers` echoes the resolved thread count (the CLI maps
-  // `--workers auto`/`0` to hardware concurrency before the request is
-  // built); the scheduler telemetry rows mirror DporStats — see dpor.hpp
-  // for what each one measures.
-  if (ctx.request.workers > 1) {
-    run.counters.emplace_back("parallel_duplicates",
-                              result.stats.parallel_duplicates);
-    run.counters.emplace_back("workers", ctx.request.workers);
-    run.counters.emplace_back("steals", result.stats.steals);
-    run.counters.emplace_back("steal_failures", result.stats.steal_failures);
-    run.counters.emplace_back("claim_conflicts", result.stats.claim_conflicts);
-    run.counters.emplace_back("max_replay_depth",
-                              result.stats.max_replay_depth);
-  }
   // Stateful telemetry mirrors the explicit engine's rows (see above).
   if (ctx.request.stateful) {
     run.counters.emplace_back("visited_states",
@@ -682,14 +665,13 @@ void judge_symbolic(Ctx& ctx, SymbolicProduction prod,
 /// their results and engine rows, then every cross-check and the symbolic
 /// judging run serially, so the report is never mutated from two threads.
 /// With request.workers > 1 each producer runs on its own thread (the
-/// symbolic one sharding across its own worker pool, the DPOR ones
-/// exploring with request.workers threads), all probing the same joint
-/// wall clock and cancellation latch. With one worker they run inline in
-/// row order, and a truncated explicit truth stops the run before the
-/// others spend any budget. Engine rows keep the order explicit, dpor,
-/// dpor-sleepset, symbolic; a truncated truth ends the report with a
-/// budget-exhausted verdict and the rows of the engines that ran, without
-/// a symbolic row.
+/// symbolic one sharding across its own worker pool), all probing the same
+/// joint wall clock and cancellation latch. With one worker they run
+/// inline in row order, and a truncated explicit truth stops the run
+/// before the others spend any budget. Engine rows keep the order
+/// explicit, dpor, dpor-sleepset, symbolic; a truncated truth ends the
+/// report with a budget-exhausted verdict and the rows of the engines that
+/// ran, without a symbolic row.
 void run_portfolio(Ctx& ctx) {
   VerifyReport& report = ctx.report;
   report.portfolio = PortfolioStats{};

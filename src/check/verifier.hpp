@@ -79,17 +79,17 @@ struct VerifyRequest {
   Budget budget;
   mcapi::DeliveryMode mode = mcapi::DeliveryMode::kArbitraryDelay;
 
-  /// Worker threads. >1 shards optimal-DPOR exploration across that many
-  /// threads (DporOptions::workers), shards the symbolic stage's per-trace
-  /// pipeline (record, encode, solve, witness replay) across that many
-  /// workers claiming trace indices from a queue, and makes portfolio mode
-  /// run every engine concurrently under the same joint wall-clock budget.
+  /// Worker threads. >1 shards the symbolic stage's per-trace pipeline
+  /// (record, encode, solve, witness replay) across that many workers
+  /// claiming trace indices from a queue, and makes portfolio mode run
+  /// every engine concurrently under the same joint wall-clock budget.
   /// Sharded production is judged serially in trace-index order, so
   /// verdicts, matchings, witnesses and counters stay identical to serial
-  /// at every worker count. The progress callback is then fired from
-  /// several threads and must be thread-safe; cancellation still stops
-  /// every engine. 1 = fully serial (default, byte-identical reports to
-  /// previous releases).
+  /// at every worker count: every report is byte-identical to the
+  /// workers == 1 report apart from timing fields. The DPOR and explicit
+  /// engines always explore serially. The progress callback is fired from
+  /// several threads when workers > 1 and must be thread-safe;
+  /// cancellation still stops every engine. 1 = fully serial (default).
   std::uint32_t workers = 1;
 
   /// Symbolic / portfolio: how many traces to record and check, and the
@@ -113,8 +113,7 @@ struct VerifyRequest {
   /// replayable lasso witness when a non-progressive cycle is realized. On
   /// loop-free programs reports are byte-identical to stateless runs apart
   /// from the extra state-space counters; on cyclic programs this is what
-  /// makes the search terminate with a classification. Forces DPOR serial
-  /// (workers only shard the symbolic stage / portfolio engines).
+  /// makes the search terminate with a classification.
   bool stateful = false;
   /// Visited-store capacity in states for stateful mode; 0 = unbounded.
   std::size_t state_capacity = VisitedStateStore::kDefaultCapacity;
@@ -234,7 +233,8 @@ struct VerifyReport {
 /// `mcsym verify --json`. Schema "mcsym.verify/1"; field order is fixed and
 /// golden-tested, so downstream parsers may rely on it. Timing fields are
 /// the only nondeterministic content (tests zero them via
-/// zero_report_seconds).
+/// zero_report_seconds), and nothing in the document depends on
+/// VerifyRequest::workers.
 [[nodiscard]] std::string report_to_json(const VerifyReport& report);
 
 /// Zeroes every wall-clock field (report + per-engine), making

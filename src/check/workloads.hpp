@@ -56,20 +56,17 @@ struct Figure1WithProperty {
 
 /// scatter_gather without the (violated) arrival-order assertion: the same
 /// symmetric wide-frontier race, but safe, so exploration covers the full
-/// trace space instead of stopping at the first counterexample. The
-/// parallel-DPOR scaling workload: after the scatter prefix every worker's
-/// result send races at the gather endpoint, giving a root frontier of
-/// `workers` independent subtrees of equal size.
+/// trace space instead of stopping at the first counterexample: after the
+/// scatter prefix every worker's result send races at the gather endpoint,
+/// giving a root frontier of `workers` independent subtrees of equal size.
 [[nodiscard]] mcapi::Program scatter_gather_safe(std::uint32_t workers);
 
-/// Narrow-root / wide-subtree steal workload: a token threads through the
+/// Narrow-root / wide-subtree workload: a token threads through the
 /// `racers` threads in a deterministic chain (each blocks on its gate
 /// receive, forwards the token, then fires its payload at one collector
 /// endpoint). The exploration tree starts as a single path — exactly one
 /// action enabled until the first payloads are airborne — and only then
-/// fans out into the racers! payload orderings. A parallel explorer gets
-/// no root-level split to shard; idle workers MUST steal from inside the
-/// one busy worker's subtree to help at all.
+/// fans out into the racers! payload orderings.
 [[nodiscard]] mcapi::Program token_fanout(std::uint32_t racers);
 
 /// Receiver posts `senders` non-blocking receives up front, then waits for

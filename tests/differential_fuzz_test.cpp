@@ -82,20 +82,20 @@ TEST(DifferentialFuzz, DeadlockVerdictsAgreeAcrossEngines) {
   }
 }
 
-TEST(DifferentialFuzz, ParallelDporAgreesWithSerial) {
-  // dpor_workers > 1 shards the optimal-DPOR stage AND adds the direct
-  // serial-vs-parallel head-to-head (verdicts, trace counters, witness
-  // replay) to every iteration. Zero mismatches means the sharded engine
-  // never diverged from its own serial run across the whole battery.
+TEST(DifferentialFuzz, ThreadedPortfolioAgreesAcrossEngines) {
+  // workers > 1 runs the portfolio's producers (explicit, both DPOR modes,
+  // the sharded symbolic stage) on their own threads under one joint wall
+  // clock. Zero mismatches means concurrency never changed a verdict or a
+  // cross-check across the whole battery.
   DifferentialOptions opts;
-  opts.dpor_workers = 4;
+  opts.workers = 4;
   opts.allow_deadlocks = true;
   opts.iterations = support::env_u64("MCSYM_TEST_ITERS", 150);
 
   const DifferentialReport report =
       run_differential(0x70617261ULL /*"para"*/, opts);
-  std::cerr << "[differential/parallel] " << report.summary() << "\n";
-  report_mismatches(report, "parallel");
+  std::cerr << "[differential/threaded] " << report.summary() << "\n";
+  report_mismatches(report, "threaded");
   EXPECT_GT(report.programs, opts.iterations / 2) << report.summary();
 }
 

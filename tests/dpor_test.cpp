@@ -178,18 +178,25 @@ TEST(DporTest, MessageRaceFourExactTraceCount) {
   EXPECT_FALSE(opt.truncated);
 }
 
-// DporOptions::max_seconds is a truncation guard exactly like
-// max_transitions: an absurdly small budget must abandon the search with
-// truncated set instead of hanging or crashing, in both modes.
-TEST(DporTest, TimeBudgetTruncates) {
+// Every way of stopping a search — the transition budget, the wall clock
+// and the cooperative `interrupted` probe the facade routes cancellation
+// through — abandons it with truncated set instead of hanging or
+// crashing, in both modes.
+TEST(DporTest, BudgetsAndInterruptTruncate) {
   const mcapi::Program p = wl::message_race(3, 2);
+  DporOptions by_transitions;
+  by_transitions.max_transitions = 10;
+  DporOptions by_clock;
+  by_clock.max_seconds = 1e-9;
+  DporOptions by_probe;
+  by_probe.interrupted = [] { return true; };
   for (const auto mode : {DporMode::kOptimal, DporMode::kSleepSet}) {
-    DporOptions opts;
-    opts.algorithm = mode;
-    opts.max_seconds = 1e-9;
-    DporChecker checker(p, opts);
-    const DporResult r = checker.run();
-    EXPECT_TRUE(r.truncated);
+    for (DporOptions opts : {by_transitions, by_clock, by_probe}) {
+      opts.algorithm = mode;
+      const DporResult r = DporChecker(p, opts).run();
+      EXPECT_TRUE(r.truncated);
+      EXPECT_LT(r.stats.terminal_states, 90u);  // stopped before completion
+    }
   }
 }
 

@@ -10,6 +10,8 @@
 //    behavioral difference);
 //  * byte-identical hits — a cache hit returns exactly the bytes the miss
 //    serialized, and is ≥10x faster than running the engines;
+//  * worker-count-blind hits — a verdict stored by a threaded miss is the
+//    report a serial request computes, timing fields aside;
 //  * the exact-text memo — a verbatim repeat is answered without parsing
 //    and carries the name its spelling parsed to, a first-seen renaming
 //    still takes the canonical path, any semantic config change misses
@@ -28,6 +30,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iterator>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -515,6 +518,44 @@ TEST(ServiceCache, VerbatimMemoKeysTheSemanticConfig) {
   EXPECT_TRUE(service.verify_source(fig, faster).cache_hit);
   EXPECT_TRUE(service.verify_source(fig, req, {"t0.B == 10"}).cache_hit);
   EXPECT_EQ(service.stats().verbatim_hits, 2u);
+}
+
+/// A mcsym.verify/1 report with its wall-clock fields ("seconds" and the
+/// "*_micros" counters) zeroed: what stays is fixed by the request.
+std::string mask_timing(const std::string& json) {
+  static const std::regex kTiming(R"(("seconds"|_micros"): [0-9.eE+-]+)");
+  return std::regex_replace(json, kTiming, "$1: 0");
+}
+
+TEST(ServiceCache, ThreadedMissServesTheSerialReport) {
+  // Workers stay out of the key because no report depends on them: a
+  // verdict stored by a workers=4 miss must be the very report a serial
+  // request computes, so a workers=1 hit hands out no worker-only rows.
+  const std::string fig = example("figure1.mcp");
+  const auto parsed = text::parse_program(fig);
+  ASSERT_TRUE(parsed.ok()) << parsed.error_text();
+  for (const Engine engine : {Engine::kDporOptimal, Engine::kPortfolio}) {
+    SCOPED_TRACE(engine_name(engine));
+    VerifierService service;
+    VerifyRequest req;
+    req.engine = engine;
+    req.workers = 4;
+    const auto miss = service.verify_source(fig, req);
+    ASSERT_TRUE(miss.ok) << miss.error;
+    EXPECT_FALSE(miss.cache_hit);
+
+    req.workers = 1;
+    const auto hit = service.verify_source(fig, req);
+    ASSERT_TRUE(hit.ok) << hit.error;
+    EXPECT_TRUE(hit.cache_hit);
+
+    VerifyRequest fresh = req;
+    fresh.properties = parsed.parsed->properties;
+    const VerifyReport report =
+        Verifier().verify(parsed.parsed->program, fresh);
+    EXPECT_EQ(mask_timing(hit.report_json),
+              mask_timing(report_to_json(report)));
+  }
 }
 
 TEST(ServiceCache, VerbatimMemoForgetsAnEvictedEntry) {

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cstdint>
 #include <fstream>
 #include <iterator>
@@ -258,7 +257,7 @@ TEST(VerifierTest, PortfolioReproducesTheDifferentialAgreementChecks) {
   }
 }
 
-// --- Concurrent portfolio and sharded DPOR (workers > 1) -------------------------
+// --- Concurrent portfolio and sharded symbolic stage (workers > 1) --------------
 
 TEST(VerifierTest, ConcurrentPortfolioMatchesSerialVerdicts) {
   // workers > 1 moves explicit + both DPOR engines onto their own threads
@@ -337,54 +336,38 @@ TEST(VerifierTest, ConcurrentPortfolioSharesTheWallClock) {
 }
 
 TEST(VerifierTest, ShardedDporEngineReportsThroughTheFacade) {
-  // --workers on the single DPOR engine: the work-stealing run keeps the
-  // serial trace counters (90 traces for message_race(3,2)) and the report
-  // grows the counters that only exist when workers > 1: the raced
-  // duplicates, the resolved worker count, and the scheduler telemetry
-  // (steals / steal_failures / claim_conflicts / max_replay_depth). The
-  // telemetry VALUES are timing-dependent, so only presence and the echoed
-  // worker count are pinned here; the value invariants live in
-  // parallel_dpor_test.
+  // --workers on the single DPOR engine changes nothing: optimal DPOR
+  // explores serially at every worker count, so the report is the
+  // workers == 1 report — the 90 traces of message_race(3,2), the serial
+  // counter set and no worker-only rows.
   const Program p = workloads::message_race(3, 2);
-  VerifyRequest req;
-  req.engine = Engine::kDporOptimal;
-  req.workers = 4;
-  Verifier verifier;
-  const VerifyReport report = verifier.verify(p, req);
-  EXPECT_EQ(report.verdict, Verdict::kSafe);
-  ASSERT_EQ(report.engines.size(), 1u);
-  std::uint64_t executions = 0;
-  std::uint64_t workers_echo = 0;
-  std::vector<std::string> seen;
-  for (const auto& [name, value] : report.engines.front().counters) {
-    if (name == "executions") executions = value;
-    if (name == "workers") workers_echo = value;
-    seen.push_back(name);
-  }
-  EXPECT_EQ(executions, 90u);
-  EXPECT_EQ(workers_echo, 4u);
-  for (const char* key : {"parallel_duplicates", "steals", "steal_failures",
-                          "claim_conflicts", "max_replay_depth"}) {
-    EXPECT_NE(std::find(seen.begin(), seen.end(), key), seen.end()) << key;
-  }
-}
-
-/// The DPOR engines' worker-only counters (duplicates, echoed worker count,
-/// scheduler telemetry) exist solely when workers > 1: the one legitimate
-/// worker-count difference between two reports, stripped before comparing.
-std::string strip_parallel_duplicates(std::string json) {
-  for (const char* name :
-       {"parallel_duplicates", "workers", "steals", "steal_failures",
-        "claim_conflicts", "max_replay_depth"}) {
-    const std::string key = std::string(", \"") + name + "\": ";
-    for (std::size_t at = json.find(key); at != std::string::npos;
-         at = json.find(key, at)) {
-      std::size_t end = at + key.size();
-      while (end < json.size() && std::isdigit(json[end]) != 0) ++end;
-      json.erase(at, end - at);
+  std::string serial;
+  for (const std::uint32_t workers : {1u, 4u}) {
+    VerifyRequest req;
+    req.engine = Engine::kDporOptimal;
+    req.workers = workers;
+    Verifier verifier;
+    VerifyReport report = verifier.verify(p, req);
+    EXPECT_EQ(report.verdict, Verdict::kSafe);
+    ASSERT_EQ(report.engines.size(), 1u);
+    std::vector<std::string> seen;
+    for (const auto& [name, value] : report.engines.front().counters) {
+      if (name == "executions") {
+        EXPECT_EQ(value, 90u);
+      }
+      seen.push_back(name);
+    }
+    EXPECT_EQ(seen, (std::vector<std::string>{
+                        "transitions", "executions", "terminal_states",
+                        "races_detected", "wakeup_nodes", "sleep_prunes",
+                        "redundant_explorations"}));
+    zero_report_seconds(report);
+    if (workers == 1) {
+      serial = report_to_json(report);
+    } else {
+      EXPECT_EQ(report_to_json(report), serial);
     }
   }
-  return json;
 }
 
 TEST(VerifierTest, ShardedSymbolicStageIsByteIdenticalToSerial) {
@@ -392,7 +375,8 @@ TEST(VerifierTest, ShardedSymbolicStageIsByteIdenticalToSerial) {
   // judged serially in trace-index order, so the whole JSON report —
   // verdicts, witnesses, counters, portfolio stats — must be byte-identical
   // to the serial run at every worker count (timing fields zeroed, the one
-  // nondeterministic ingredient; worker-only DPOR counters stripped).
+  // nondeterministic ingredient). Optimal DPOR explores serially whatever
+  // the worker count, so its report joins the same identity.
   struct Case {
     const char* name;
     Program program;
@@ -403,7 +387,8 @@ TEST(VerifierTest, ShardedSymbolicStageIsByteIdenticalToSerial) {
   cases.push_back({"two-asserts", race_with_two_asserts()});
   for (Case& c : cases) {
     SCOPED_TRACE(c.name);
-    for (const Engine engine : {Engine::kSymbolic, Engine::kPortfolio}) {
+    for (const Engine engine :
+         {Engine::kSymbolic, Engine::kDporOptimal, Engine::kPortfolio}) {
       std::string serial;
       for (const std::uint32_t workers : {1u, 2u, 4u, 8u}) {
         VerifyRequest req;
@@ -413,7 +398,7 @@ TEST(VerifierTest, ShardedSymbolicStageIsByteIdenticalToSerial) {
         Verifier verifier;
         VerifyReport report = verifier.verify(c.program, req);
         zero_report_seconds(report);
-        const std::string json = strip_parallel_duplicates(report_to_json(report));
+        const std::string json = report_to_json(report);
         if (workers == 1) {
           serial = json;
         } else {
@@ -450,7 +435,7 @@ TEST(VerifierTest, PropertyOnAnUninternedLocalLeavesTheProgramUntouched) {
     EXPECT_EQ(report.verdict, Verdict::kViolation) << workers;
     EXPECT_EQ(p.interner().size(), names) << workers;
     zero_report_seconds(report);
-    const std::string json = strip_parallel_duplicates(report_to_json(report));
+    const std::string json = report_to_json(report);
     if (workers == 1) {
       serial = json;
     } else {

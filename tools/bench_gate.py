@@ -20,22 +20,18 @@ worker fleet.
 
 --speedup FAST:BASE:MIN (repeatable) is an intra-run ratio gate on
 NEW.json alone: fail unless time(BASE) / time(FAST) >= MIN. The nightly
-uses it to pin the parallel DPOR scaling floor, e.g.
-BM_Dpor_Parallel_MessageRace/4/4/real_time (4 workers) against .../4/1/
-real_time (serial) at 2.5x. Either side missing from NEW is a hard
-failure.
+uses it to pin the sharded symbolic stage's scaling floor, e.g.
+BM_Symbolic_Sharded/4/real_time (4 workers) against .../1/real_time
+(serial) at 1.8x. Either side missing from NEW is a hard failure.
 
 --min-counter BENCH:COUNTER:MIN (repeatable) gates a user counter of one
 benchmark in NEW.json: fail unless counters[COUNTER] >= MIN. The nightly
-uses it as the nonzero-steals sanity check — the wide scatter/gather
-workload at 8 workers must report steals >= 1, proving the work-stealing
-scheduler actually moved work between deques rather than scaling by luck
-of the initial split — and as the state_hits floor on the stateful
-exploration bench. A benchmark missing from NEW.json entirely is a skip
-with a ::notice (run_benches.sh BENCH_FILTER legitimately leaves whole
-bench binaries out of a run; an unfiltered night still catches a renamed
-series because the counter gate then guards nothing and the
-compared-nothing warning fires). A benchmark that IS present but lacks
+uses it as the state_hits floor on the stateful exploration bench: the
+visited-state store must actually collapse revisits. A benchmark missing
+from NEW.json entirely is a skip with a ::notice (run_benches.sh
+BENCH_FILTER legitimately leaves whole bench binaries out of a run; an
+unfiltered night still catches a renamed series because the counter gate
+then guards nothing and the compared-nothing warning fires). A benchmark that IS present but lacks
 the named counter is a hard failure — the series ran and silently lost
 its telemetry.
 

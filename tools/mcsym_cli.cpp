@@ -96,8 +96,9 @@ key=value, and --KEY=VALUE works too; numbers are non-negative decimals):
                        non-progressive cycle is non-termination (exit 4)
   --state-capacity N   visited-store capacity for --stateful, which it
                        implies (default 1048576; 0 = unbounded)
-  --workers N          worker threads for DPOR, the symbolic stage and the
-                       portfolio (default 1; verdicts are identical at every
+  --workers N          worker threads for the symbolic stage and the
+                       portfolio's engines; DPOR and explicit explore
+                       serially (default 1; reports are identical at every
                        count); `auto` or 0 = all hardware threads (max 64)
   --seed N             scheduler seed for the recorded execution (default 1)
   --round-robin        use the deterministic round-robin scheduler instead

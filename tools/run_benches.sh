@@ -27,7 +27,6 @@ benches=(
   bench_figure4
   bench_matchgen
   bench_nonblocking
-  bench_parallel_dpor
   bench_poll
   bench_service
   bench_solver
