@@ -11,9 +11,9 @@
 
 #include <cstdio>
 
-#include "check/compare.hpp"
-#include "check/baselines.hpp"
+#include "check/explicit_checker.hpp"
 #include "check/symbolic_checker.hpp"
+#include "check/verifier.hpp"
 #include "check/workloads.hpp"
 #include "mcapi/executor.hpp"
 #include "trace/trace.hpp"
@@ -32,27 +32,36 @@ trace::Trace record(const mcapi::Program& p, std::uint64_t seed = 1) {
   return tr;
 }
 
+/// One row of the Figure-4 table: ground truth (precise abstract
+/// execution), symbolic and MCC from one enumerate, the delay-ignorant
+/// encoding from a second.
+void print_row(const char* name, const mcapi::Program& p, const trace::Trace& tr) {
+  check::Verifier verifier;
+  check::EnumerateRequest request;
+  request.with_mcc = true;
+  request.with_precise = true;
+  const check::EnumerateReport paper = verifier.enumerate(p, tr, request);
+  check::EnumerateRequest ignorant;
+  ignorant.symbolic.encode.delay_ignorant = true;
+  const check::EnumerateReport baseline = verifier.enumerate(p, tr, ignorant);
+  std::printf("%-16s %-14zu %-12zu %-10zu %-16zu\n", name, paper.precise.size(),
+              paper.symbolic.matchings.size(), paper.mcc->matchings.size(),
+              baseline.symbolic.matchings.size());
+}
+
 void print_table() {
   std::printf("== E1: behaviors per engine (paper Figure 4) ==\n");
   std::printf("%-16s %-14s %-12s %-10s %-16s\n", "workload", "ground-truth",
               "symbolic", "MCC[5]", "delay-ignorant[2]");
   {
     const mcapi::Program p = wl::figure1();
-    const trace::Trace tr = record(p);
-    const check::BehaviorComparison cmp = check::compare_behaviors(p, tr);
-    std::printf("%-16s %-14zu %-12zu %-10zu %-16zu\n", "figure1",
-                cmp.ground_truth.size(), cmp.symbolic.size(), cmp.mcc.size(),
-                cmp.delay_ignorant.size());
+    print_row("figure1", p, record(p));
   }
   for (std::uint32_t k = 1; k <= 2; ++k) {
     const mcapi::Program p = wl::relay_race(k);
-    const trace::Trace tr = record(p, k);
-    const check::BehaviorComparison cmp = check::compare_behaviors(p, tr);
     char name[32];
     std::snprintf(name, sizeof name, "relay_race(%u)", k);
-    std::printf("%-16s %-14zu %-12zu %-10zu %-16zu\n", name,
-                cmp.ground_truth.size(), cmp.symbolic.size(), cmp.mcc.size(),
-                cmp.delay_ignorant.size());
+    print_row(name, p, record(p, k));
   }
   std::printf("paper expectation: symbolic == ground truth; baselines miss the "
               "Figure-4b-style pairings.\n\n");
@@ -85,9 +94,9 @@ void BM_Figure1_MccExplicit(benchmark::State& state) {
   const mcapi::Program p = wl::figure1();
   const trace::Trace tr = record(p);
   check::ExplicitOptions opts;
-  opts.collect_matchings = true;
+  opts.mode = mcapi::DeliveryMode::kGlobalFifo;
   for (auto _ : state) {
-    check::MccChecker mcc(p, opts);
+    check::ExplicitChecker mcc(p, opts);
     benchmark::DoNotOptimize(mcc.enumerate_against(tr).matchings.size());
   }
 }

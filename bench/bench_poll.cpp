@@ -67,9 +67,7 @@ void print_table() {
     const auto e = checker.enumerate_matchings();
     const auto verdict = checker.check();
 
-    check::ExplicitOptions eopts;
-    eopts.collect_matchings = true;
-    check::ExplicitChecker explicit_checker(p, eopts);
+    check::ExplicitChecker explicit_checker(p);
     const auto truth = explicit_checker.enumerate_against(*tr);
 
     char truthbuf[24];

@@ -61,9 +61,7 @@ int main() {
                 enumeration.matchings.size(), outcome == 1 ? 1 : 2);
 
     // Cross-check against exhaustive explicit-state enumeration.
-    check::ExplicitOptions eopts;
-    eopts.collect_matchings = true;
-    check::ExplicitChecker explicit_checker(program, eopts);
+    check::ExplicitChecker explicit_checker(program);
     const auto truth = explicit_checker.enumerate_against(tr);
     std::printf("  explicit-state ground truth:       %zu (%s)\n",
                 truth.matchings.size(),

@@ -8,7 +8,6 @@
 // symbolic engine to expose the race and print the offending schedule.
 #include <cstdio>
 
-#include "check/baselines.hpp"
 #include "check/symbolic_checker.hpp"
 #include "check/workloads.hpp"
 #include "mcapi/executor.hpp"
@@ -41,7 +40,9 @@ int main() {
   // The delay-ignorant baseline shrinks the behavior set; depending on the
   // workload it may still find this particular race via thread scheduling,
   // but it provably misses all reorderings that need message delay.
-  check::DelayIgnorantChecker baseline(tr);
+  check::SymbolicOptions delay_opts;
+  delay_opts.encode.delay_ignorant = true;
+  check::SymbolicChecker baseline(tr, delay_opts);
   const check::SymbolicVerdict base_verdict = baseline.check();
   std::printf("delay-ignorant baseline verdict: %s\n",
               base_verdict.violation_possible() ? "violable" : "holds");

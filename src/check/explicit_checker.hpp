@@ -6,8 +6,16 @@
 //    the symbolic engine is validated against and raced against (the
 //    Fusion-vs-Inspect comparison the paper cites as motivation);
 //  * the MCC baseline — under DeliveryMode::kGlobalFifo it explores exactly
-//    the delay-free world MCC searches, demonstrating the missed behaviors
-//    of Figure 4b.
+//    the delay-free world MCC (Sharma et al., FMCAD'09) searches: thread
+//    steps reorder, message arrivals never do, so it misses the Figure-4b
+//    pairing.
+//
+// The Figure-4 experiment itself (symbolic vs precise ground truth vs MCC
+// vs the delay-ignorant encoding, one trace) is check::Verifier::enumerate:
+// `with_precise` and `with_mcc` there drive this engine and the skeleton
+// DFS, and a second enumerate with `symbolic.encode.delay_ignorant` set
+// gives the Elwakil–Yang baseline. Tests that pin the engine itself call
+// enumerate_against() here, with `mode = kGlobalFifo` for MCC.
 #pragma once
 
 #include <cstdint>
@@ -37,14 +45,8 @@ struct ExplicitOptions {
   /// result.truncated set. The Verifier facade routes its
   /// progress/cancellation callback through this hook.
   std::function<bool()> interrupted;
-  /// Collect the matching of every terminal execution. Switches visited-state
-  /// pruning from the semantic fingerprint to the history fingerprint
-  /// (semantic state + accumulated match/branch records), which keeps the
-  /// enumeration exact while still collapsing the factorially many
-  /// interleavings that converge on the same state-and-history.
-  bool collect_matchings = false;
-  /// Disable history-fingerprint pruning in collect_matchings mode (the
-  /// naive enumeration; kept as the ablation baseline for bench E4).
+  /// Disable history-fingerprint pruning in enumerate_against() (the naive
+  /// enumeration; kept as the ablation baseline for bench E4).
   bool dedup_histories = true;
   std::uint64_t max_matchings = 1u << 20;
   /// Stateful exploration (see check/state_space.hpp): visited states live
@@ -55,7 +57,7 @@ struct ExplicitOptions {
   /// set is identical to the stateless fingerprint pruning, so verdicts and
   /// witnesses are byte-identical; on cyclic programs this is what makes
   /// the search terminate WITH a classification instead of silently
-  /// pruning spin states. Ignored in collect_matchings mode.
+  /// pruning spin states. Ignored by enumerate_against().
   bool stateful = false;
   /// Visited-store capacity in states for stateful mode; 0 = unbounded.
   /// Eviction trades re-exploration for bounded memory — termination is
@@ -87,12 +89,10 @@ struct ExplicitResult {
   bool truncated = false;
   double seconds = 0;
 
-  /// Matchings keyed the same way the symbolic side keys them (per-thread
-  /// receive ordinal), already converted to trace event indices when a
-  /// reference trace was supplied.
+  /// enumerate_against() only: the matching of every terminal execution
+  /// that followed the reference trace's control flow, in trace event
+  /// indices (the keys the symbolic side uses).
   std::set<match::Matching> matchings;
-  /// Raw (thread, recv ordinal, uid) matchings when no trace mapping exists.
-  std::set<std::vector<mcapi::MatchRecord>> raw_matchings;
 };
 
 class ExplicitChecker {
@@ -102,14 +102,19 @@ class ExplicitChecker {
   /// Searches the full state space for assertion violations and deadlocks.
   [[nodiscard]] ExplicitResult run();
 
-  /// Like run() with collect_matchings, but converts each execution's
-  /// matching into trace event indices via `reference`; executions whose
-  /// branch outcomes differ from the reference trace are skipped, so the
-  /// result is directly comparable with the symbolic enumeration for that
-  /// trace.
+  /// Collects the matching of every terminal execution, converted into
+  /// trace event indices via `reference`; executions whose branch outcomes
+  /// differ from the reference trace are skipped, so the result is directly
+  /// comparable with the symbolic enumeration for that trace. Visited-state
+  /// pruning switches from the semantic fingerprint to the history
+  /// fingerprint (semantic state + accumulated match/branch records), which
+  /// keeps the enumeration exact while still collapsing the factorially
+  /// many interleavings that converge on the same state-and-history.
   [[nodiscard]] ExplicitResult enumerate_against(const trace::Trace& reference);
 
  private:
+  /// run() (no reference) or enumerate_against() (a reference trace).
+  [[nodiscard]] ExplicitResult explore(const trace::Trace* reference);
   /// DFS over the one live journaling System: each enabled action is
   /// applied, explored, and undone back to the frame's checkpoint — no
   /// per-branch System copies.

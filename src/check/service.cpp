@@ -90,7 +90,6 @@ void mix_request(support::StateHasher& h, const VerifyRequest& req) {
   // (max_run_steps) is not "truncation", so budgets stay in the key.
   h.mix(req.budget.max_states);
   h.mix(req.budget.max_transitions);
-  h.mix(req.budget.solver_conflicts);
   h.mix(req.budget.max_run_steps);
   const SymbolicOptions& so = req.symbolic;
   h.mix(static_cast<std::uint64_t>(so.match_gen));
@@ -335,7 +334,7 @@ std::string set_option(RequestSpec& spec, std::string_view key,
       budget = states ? Budget().max_states : Budget().max_transitions;
     }
   } else if (key == "conflicts") {
-    error = parse_number(key, value, req.budget.solver_conflicts);
+    error = parse_number(key, value, req.symbolic.conflict_budget);
   } else if (key == "timeout") {
     // The wall-clock limit rides the cancellation path: the progress
     // callback returns false once it passes and the engines unwind to a

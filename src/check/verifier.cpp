@@ -278,9 +278,8 @@ struct SymbolicOutcome {
 /// worker's journaling `workspace`. Every step is deterministic given the
 /// trace index — the scheduler is seeded per index, the solver session is
 /// self-contained — so sharded production is indistinguishable from serial.
-void produce_symbolic_trace(Ctx& ctx, const SymbolicOptions& so,
-                            std::uint32_t t, mcapi::System& workspace,
-                            SymbolicOutcome& out) {
+void produce_symbolic_trace(Ctx& ctx, std::uint32_t t,
+                            mcapi::System& workspace, SymbolicOutcome& out) {
   const VerifyRequest& req = ctx.request;
   if (ctx.wall_exhausted() ||
       ctx.cancel_requested.load(std::memory_order_relaxed) ||
@@ -328,7 +327,7 @@ void produce_symbolic_trace(Ctx& ctx, const SymbolicOptions& so,
     out.truncated_at_solve = true;
     return;
   }
-  SymbolicChecker checker(tc.trace, so);
+  SymbolicChecker checker(tc.trace, req.symbolic);
   tc.verdict = checker.check(req.properties);
   tc.checked = true;
   out.solver_calls = checker.solver_calls();
@@ -348,8 +347,6 @@ struct SymbolicProduction {
   // One slot per claimed trace index. A deque, so a claim appends without
   // moving the slots other workers are filling.
   std::deque<SymbolicOutcome> outcomes;
-  SymbolicOptions so;
-  bool assert_props = false;
   double seconds = 0;  // wall clock of the production phase
 };
 
@@ -363,15 +360,6 @@ SymbolicProduction produce_symbolic(Ctx& ctx) {
   const support::Stopwatch timer;
   const VerifyRequest& req = ctx.request;
   SymbolicProduction prod;
-  prod.so = req.symbolic;
-  if (req.budget.solver_conflicts != 0) {
-    prod.so.conflict_budget = req.budget.solver_conflicts;
-  }
-  // --assert-props mode flips SAT's meaning (a fully *correct* execution
-  // exists), so the facade's violation vocabulary does not apply; raw
-  // results stay available in trace_checks.
-  prod.assert_props =
-      prod.so.encode.property_mode == encode::PropertyMode::kAssert;
 
   // Once one index is refused (wall budget or cancellation, both
   // latching), every later claim would be refused too, so its worker
@@ -389,7 +377,7 @@ SymbolicProduction produce_symbolic(Ctx& ctx) {
         t = static_cast<std::uint32_t>(prod.outcomes.size());
         out = &prod.outcomes.emplace_back();
       }
-      produce_symbolic_trace(ctx, prod.so, t, workspace, *out);
+      produce_symbolic_trace(ctx, t, workspace, *out);
       if (!out->tc) return;
     }
   };
@@ -420,7 +408,11 @@ void judge_symbolic(Ctx& ctx, SymbolicProduction prod,
   const support::Stopwatch judge_timer;
   const VerifyRequest& req = ctx.request;
   VerifyReport& report = ctx.report;
-  const bool assert_props = prod.assert_props;
+  // --assert-props mode flips SAT's meaning (a fully *correct* execution
+  // exists), so the facade's violation vocabulary does not apply; raw
+  // results stay available in trace_checks.
+  const bool assert_props =
+      req.symbolic.encode.property_mode == encode::PropertyMode::kAssert;
 
   bool violation = false;
   bool deadlock = false;
@@ -615,7 +607,7 @@ void judge_symbolic(Ctx& ctx, SymbolicProduction prod,
       }
       case smt::SolveResult::kUnknown: {
         ++unknown;
-        if (prod.so.conflict_budget == 0) {
+        if (req.symbolic.conflict_budget == 0) {
           ctx.disagree(
               "symbolic checker returned kUnknown on an unbounded-budget "
               "query");
@@ -883,21 +875,18 @@ EnumerateReport Verifier::enumerate(const mcapi::Program& program,
     out.precise = feas.matchings;
     out.precise_truncated = feas.truncated;
   }
+  // Explicit-state enumeration of the trace: ground truth under arbitrary
+  // delays, the MCC baseline under global-FIFO delivery.
+  auto explore = [&](mcapi::DeliveryMode mode) {
+    ExplicitOptions eopts;
+    eopts.max_states = request.explicit_max_states;
+    eopts.mode = mode;
+    return ExplicitChecker(program, eopts).enumerate_against(out.trace);
+  };
   if (request.with_explicit) {
-    ExplicitOptions eopts;
-    eopts.collect_matchings = true;
-    eopts.max_states = request.explicit_max_states;
-    ExplicitChecker truth(program, eopts);
-    out.explicit_truth = truth.enumerate_against(out.trace);
+    out.explicit_truth = explore(mcapi::DeliveryMode::kArbitraryDelay);
   }
-  if (request.with_mcc) {
-    ExplicitOptions eopts;
-    eopts.collect_matchings = true;
-    eopts.max_states = request.explicit_max_states;
-    eopts.mode = mcapi::DeliveryMode::kGlobalFifo;
-    ExplicitChecker mcc(program, eopts);
-    out.mcc = mcc.enumerate_against(out.trace);
-  }
+  if (request.with_mcc) out.mcc = explore(mcapi::DeliveryMode::kGlobalFifo);
 
   if (!out.truncated_any()) {
     if (request.with_precise && out.symbolic.matchings != out.precise) {

@@ -57,8 +57,6 @@ struct Budget {
   std::uint64_t max_states = 10'000'000;
   /// DPOR engines: transitions executed before truncation.
   std::uint64_t max_transitions = 50'000'000;
-  /// Symbolic engine: CDCL conflict budget per solver query; 0 = unbounded.
-  std::uint64_t solver_conflicts = 0;
   /// Steps per concrete trace-recording run (symbolic / portfolio).
   std::uint64_t max_run_steps = 1u << 20;
 };
@@ -101,8 +99,8 @@ struct VerifyRequest {
   /// Record trace(s) under the deterministic round-robin scheduler instead.
   bool round_robin = false;
 
-  /// Symbolic engine knobs (encoding, match generation). The solver
-  /// conflict budget comes from `budget`, not from here.
+  /// Symbolic engine knobs (encoding, match generation, and the CDCL
+  /// conflict budget per solver query, `symbolic.conflict_budget`).
   SymbolicOptions symbolic;
   /// Extra end-of-run properties, conjoined with in-program assertions.
   std::vector<encode::Property> properties;
@@ -245,7 +243,8 @@ void zero_report_seconds(VerifyReport& report);
 /// recorded trace, enumerates feasible send/receive pairings symbolically,
 /// and optionally cross-checks against the explicit trace-filtered ground
 /// truth, the MCC-style global-FIFO baseline, and the precise
-/// abstract-execution DFS.
+/// abstract-execution DFS. The delay-ignorant baseline is a second
+/// enumerate with `symbolic.encode.delay_ignorant` set.
 struct EnumerateRequest {
   SymbolicOptions symbolic;
   bool with_explicit = false;  // explicit-state trace-filtered ground truth

@@ -257,7 +257,7 @@ std::deque<Message>& System::transit_queue(ChannelId channel) {
 
 System::Checkpoint System::checkpoint() const {
   MCSYM_ASSERT_MSG(journaling_, "checkpoint() requires enable_undo_log()");
-  return undo_base_ + undo_log_.size();
+  return undo_log_.size();
 }
 
 void System::apply(const Action& action, ExecSink* sink) {
@@ -356,21 +356,9 @@ void System::undo() {
 }
 
 void System::rollback(Checkpoint mark) {
-  MCSYM_ASSERT_MSG(journaling_ && mark <= undo_base_ + undo_log_.size(),
+  MCSYM_ASSERT_MSG(journaling_ && mark <= undo_log_.size(),
                    "rollback() past the undo log");
-  MCSYM_ASSERT_MSG(mark >= undo_base_, "rollback() below the reclaim floor");
-  while (undo_base_ + undo_log_.size() > mark) undo();
-}
-
-void System::reclaim_undo_below(Checkpoint floor) {
-  MCSYM_ASSERT_MSG(journaling_, "reclaim requires enable_undo_log()");
-  MCSYM_ASSERT_MSG(floor <= undo_base_ + undo_log_.size(),
-                   "reclaim floor above the current watermark");
-  if (floor <= undo_base_) return;
-  undo_log_.erase(undo_log_.begin(),
-                  undo_log_.begin() +
-                      static_cast<std::ptrdiff_t>(floor - undo_base_));
-  undo_base_ = floor;
+  while (undo_log_.size() > mark) undo();
 }
 
 void System::bind_request(ThreadRef t, std::uint32_t slot, const Message& m) {

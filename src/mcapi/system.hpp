@@ -33,12 +33,7 @@
 // the watermark equals the number of applied actions) and rollback(c)
 // walks the state back to it. This is what lets the stateless checkers
 // keep ONE live System and move it up and down their exploration stacks
-// instead of copying the world at every frame. Long-lived journaling
-// Systems (a serve-mode session that never rolls all the way back) bound
-// the journal with reclaim_undo_below(): records below the oldest
-// checkpoint anyone still intends to roll back to are discarded, and
-// watermarks stay absolute — existing Checkpoint values above the floor
-// remain valid.
+// instead of copying the world at every frame.
 #pragma once
 
 #include <cstdint>
@@ -202,7 +197,8 @@ class System {
                   DeliveryMode mode = DeliveryMode::kArbitraryDelay);
   explicit System(Program&&, DeliveryMode = DeliveryMode::kArbitraryDelay) = delete;
 
-  // Copyable: the explicit checker forks states during DFS.
+  // Copyable: tests snapshot states to check rollback against, and a bench
+  // times the copy-per-branch fork that checkpoint/rollback replaced.
   System(const System&) = default;
   System& operator=(const System&) = default;
 
@@ -228,23 +224,8 @@ class System {
 
   /// Undoes actions until the log is back at `mark` (no-op when already
   /// there). `mark` must be a watermark previously returned by checkpoint()
-  /// that has not been invalidated by an earlier rollback past it, and must
-  /// not lie below the reclaim floor (see reclaim_undo_below).
+  /// that has not been invalidated by an earlier rollback past it.
   void rollback(Checkpoint mark);
-
-  /// Discards the oldest undo records — everything below the `floor`
-  /// watermark — so a long-lived journaling System keeps bounded memory.
-  /// Afterwards undo()/rollback() cannot cross below `floor` (the records
-  /// are gone; crossing asserts), but every watermark at or above it stays
-  /// valid unchanged: Checkpoint values are absolute apply counts, not log
-  /// offsets. `floor` must not exceed the current watermark; reclaiming at
-  /// or below the current floor is a no-op.
-  void reclaim_undo_below(Checkpoint floor);
-  /// Lowest watermark still rollback-reachable (0 until the first reclaim).
-  [[nodiscard]] Checkpoint undo_floor() const { return undo_base_; }
-  /// Live (unreclaimed) undo records currently held — the journal's actual
-  /// memory footprint, which reclaim_undo_below() bounds.
-  [[nodiscard]] std::size_t undo_log_size() const { return undo_log_.size(); }
 
   /// Appends all currently enabled actions to `out` (cleared first).
   void enabled(std::vector<Action>& out) const;
@@ -423,10 +404,6 @@ class System {
   std::vector<BranchRecord> branches_;
   bool journaling_ = false;
   std::vector<UndoRecord> undo_log_;
-  // Watermark of undo_log_.front(): records below it were reclaimed.
-  // checkpoint() = undo_base_ + undo_log_.size(), keeping watermarks
-  // absolute across reclaims.
-  std::size_t undo_base_ = 0;
 };
 
 }  // namespace mcsym::mcapi

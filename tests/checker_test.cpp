@@ -1,11 +1,15 @@
 // Tests for the end-to-end checkers: symbolic, explicit-state, and the two
-// baseline re-implementations, plus the Figure-4 behavior comparison.
+// baselines as engine settings (MCC: the explicit engine under global-FIFO
+// delivery; Elwakil–Yang: the symbolic engine with the delay-ignorant
+// encoding), plus the Figure-4 behavior counts through Verifier::enumerate.
 #include <gtest/gtest.h>
 
-#include "check/baselines.hpp"
-#include "check/compare.hpp"
+#include <ostream>
+#include <string>
+
 #include "check/explicit_checker.hpp"
 #include "check/symbolic_checker.hpp"
+#include "check/verifier.hpp"
 #include "check/workloads.hpp"
 #include "mcapi/executor.hpp"
 #include "trace/trace.hpp"
@@ -195,12 +199,12 @@ TEST(ExplicitCheckerTest, StateBudgetTruncates) {
 TEST(ExplicitCheckerTest, MccModeExploresFewerBehaviors) {
   const mcapi::Program p = wl::figure1();
   const trace::Trace tr = record(p);
-  ExplicitOptions opts;
-  opts.collect_matchings = true;
 
-  ExplicitChecker full(p, opts);
+  ExplicitChecker full(p);
   const auto full_matchings = full.enumerate_against(tr).matchings;
-  MccChecker mcc(p, opts);
+  ExplicitOptions mcc_opts;
+  mcc_opts.mode = mcapi::DeliveryMode::kGlobalFifo;
+  ExplicitChecker mcc(p, mcc_opts);
   const auto mcc_matchings = mcc.enumerate_against(tr).matchings;
 
   EXPECT_EQ(full_matchings.size(), 2u);
@@ -219,7 +223,9 @@ TEST(BaselineTest, DelayIgnorantMissesFigure1Bug) {
   SymbolicChecker paper(tr);
   EXPECT_TRUE(paper.check(properties).violation_possible());
 
-  DelayIgnorantChecker baseline(tr);
+  SymbolicOptions delay_opts;
+  delay_opts.encode.delay_ignorant = true;
+  SymbolicChecker baseline(tr, delay_opts);
   EXPECT_FALSE(baseline.check(properties).violation_possible())
       << "the baseline should miss the delay-dependent bug";
 }
@@ -227,7 +233,9 @@ TEST(BaselineTest, DelayIgnorantMissesFigure1Bug) {
 TEST(BaselineTest, MccMissesFigure1BugExplicitly) {
   const auto [program, properties] = wl::figure1_with_property();
   (void)properties;  // the in-program assert carries the property
-  MccChecker mcc(program);
+  ExplicitOptions mcc_opts;
+  mcc_opts.mode = mcapi::DeliveryMode::kGlobalFifo;
+  ExplicitChecker mcc(program, mcc_opts);
   const ExplicitResult r = mcc.run();
   EXPECT_FALSE(r.violation_found)
       << "MCC's delay-free world cannot reach the 4b pairing";
@@ -237,43 +245,69 @@ TEST(BaselineTest, MccMissesFigure1BugExplicitly) {
       << "with delay nondeterminism the bug is reachable";
 }
 
-// --- compare_behaviors ------------------------------------------------------
+// --- Figure 4 through Verifier::enumerate ----------------------------------
 
-TEST(CompareTest, Figure1Comparison) {
-  const mcapi::Program p = wl::figure1();
-  const trace::Trace tr = record(p);
-  const BehaviorComparison cmp = compare_behaviors(p, tr);
-  EXPECT_EQ(cmp.ground_truth.size(), 2u);
-  EXPECT_TRUE(cmp.symbolic_exact());
-  EXPECT_EQ(cmp.mcc.size(), 1u);
-  EXPECT_EQ(cmp.delay_ignorant.size(), 1u);
-  EXPECT_EQ(cmp.missed_by_mcc(), 1u);
-  EXPECT_EQ(cmp.missed_by_delay_ignorant(), 1u);
-  const std::string s = cmp.summary(tr);
-  EXPECT_NE(s.find("unseen by MCC"), std::string::npos);
+// Behavior counts of one recorded trace per engine: the precise abstract
+// execution (ground truth), the MCC global-FIFO baseline and the
+// delay-ignorant encoding. The symbolic engine must equal the ground truth;
+// each baseline sees a subset of it.
+struct Figure4Case {
+  const char* name;
+  mcapi::Program (*make)();
+  std::uint64_t seed;
+  std::size_t precise;
+  std::size_t mcc;
+  std::size_t delay_ignorant;
+};
+
+void PrintTo(const Figure4Case& c, std::ostream* os) { *os << c.name; }
+
+class Figure4Test : public ::testing::TestWithParam<Figure4Case> {};
+
+TEST_P(Figure4Test, ClosedFormsThroughEnumerate) {
+  const Figure4Case& c = GetParam();
+  const mcapi::Program p = c.make();
+  const trace::Trace tr = record(p, c.seed);
+  Verifier verifier;
+
+  EnumerateRequest request;
+  request.with_mcc = true;
+  request.with_precise = true;
+  const EnumerateReport paper = verifier.enumerate(p, tr, request);
+  ASSERT_FALSE(paper.truncated_any());
+  EXPECT_TRUE(paper.disagreements.empty());
+  EXPECT_EQ(paper.precise.size(), c.precise);
+  EXPECT_EQ(paper.symbolic.matchings, paper.precise);
+  ASSERT_TRUE(paper.mcc.has_value());
+  EXPECT_EQ(paper.mcc->matchings.size(), c.mcc);
+  for (const auto& m : paper.mcc->matchings) {
+    EXPECT_TRUE(paper.precise.contains(m));
+  }
+
+  EnumerateRequest ignorant;
+  ignorant.symbolic.encode.delay_ignorant = true;
+  const EnumerateReport baseline = verifier.enumerate(p, tr, ignorant);
+  ASSERT_FALSE(baseline.truncated_any());
+  EXPECT_EQ(baseline.symbolic.matchings.size(), c.delay_ignorant);
+  for (const auto& m : baseline.symbolic.matchings) {
+    EXPECT_TRUE(paper.precise.contains(m));
+  }
 }
 
-TEST(CompareTest, RelayRaceClosedForms) {
-  const mcapi::Program p = wl::relay_race(2);
-  const trace::Trace tr = record(p, 5);
-  const BehaviorComparison cmp = compare_behaviors(p, tr);
-  EXPECT_EQ(cmp.ground_truth.size(), 24u);      // (2*2)!
-  EXPECT_TRUE(cmp.symbolic_exact());
-  EXPECT_EQ(cmp.delay_ignorant.size(), 6u);     // (2*2)!/2^2
-  EXPECT_EQ(cmp.mcc.size(), 6u);
-}
-
-TEST(CompareTest, NoCausalityNoGap) {
-  // Independent senders: every arrival order is an issue order, so the
-  // baselines lose nothing (the baselines are wrong only under causality).
-  const mcapi::Program p = wl::message_race(2, 1);
-  const trace::Trace tr = record(p);
-  const BehaviorComparison cmp = compare_behaviors(p, tr);
-  EXPECT_EQ(cmp.ground_truth.size(), 2u);
-  EXPECT_EQ(cmp.mcc.size(), 2u);
-  EXPECT_EQ(cmp.delay_ignorant.size(), 2u);
-  EXPECT_TRUE(cmp.symbolic_exact());
-}
+// relay_race(K): (2K)! pairings, (2K)!/2^K without delays. message_race:
+// independent senders, so every arrival order is an issue order and the
+// baselines lose nothing (they are wrong only under causality).
+INSTANTIATE_TEST_SUITE_P(
+    ClosedForms, Figure4Test,
+    ::testing::Values(
+        Figure4Case{"figure1", [] { return wl::figure1(); }, 1, 2, 1, 1},
+        Figure4Case{"relay_race_2", [] { return wl::relay_race(2); }, 5, 24,
+                    6, 6},
+        Figure4Case{"message_race_2_1", [] { return wl::message_race(2, 1); },
+                    1, 2, 2, 2}),
+    [](const ::testing::TestParamInfo<Figure4Case>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace mcsym::check

@@ -95,6 +95,13 @@ TEST(CliTest, CheckFindsTheFigure4bViolation) {
             std::string::npos);
   EXPECT_NE(r.output.find("A saw send(Y) first"), std::string::npos);
   EXPECT_NE(r.output.find("replay: witness realized"), std::string::npos);
+
+  // --conflicts reaches check's solver query: a one-conflict budget gives
+  // no verdict, which is exit 3, not a verified 0.
+  const CliResult starved = run_cli("check " + figure1() + " --conflicts 1");
+  EXPECT_EQ(starved.exit_code, 3) << starved.output;
+  EXPECT_NE(starved.output.find("UNKNOWN: solver budget exhausted"),
+            std::string::npos);
 }
 
 TEST(CliTest, DelayIgnorantBaselineMissesTheViolation) {
@@ -500,6 +507,26 @@ TEST(CliTest, EnumerateAndSmtRefuseTheLivelockTrace) {
     EXPECT_EQ(r.output.find("assertion failed"), std::string::npos)
         << command << r.output;
   }
+}
+
+TEST(CliTest, DiagnoseRefusesAStepLimitedTrace) {
+  // b posts a recv_i and spins forever before its wait, so the recorded
+  // run hits the step limit with the receive unfinished. `diagnose`
+  // refuses it like `smt` and `enumerate` do instead of aborting on the
+  // incomplete trace.
+  const std::string file = testing::TempDir() + "/mcsym_step_limited.mcp";
+  {
+    std::ofstream out(file);
+    out << "program step_limited\n\n"
+           "thread a\n  endpoint ea\n  send ea -> eb : 7\n\n"
+           "thread b\n  endpoint eb\n  recv_i eb -> x req 0\n  label spin\n"
+           "  assign z = 1\n  if z == 1 goto spin\n  wait 0\n";
+  }
+  const CliResult r = run_cli("diagnose " + file + " --pair 'a:send#0 -> b:recv#0'");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("recorded execution hit the step limit"),
+            std::string::npos)
+      << r.output;
 }
 
 TEST(CliTest, BatchRanksNonTerminationBetweenViolationAndBudget) {

@@ -53,9 +53,7 @@ TEST_P(CrossValidationTest, SymbolicEqualsExplicitStateEnumeration) {
   const mcapi::Program p = random_program(seed);
   const trace::Trace tr = record(p, seed ^ 0xabcdef);
 
-  ExplicitOptions opts;
-  opts.collect_matchings = true;
-  ExplicitChecker explicit_checker(p, opts);
+  ExplicitChecker explicit_checker(p);
   const auto exp = explicit_checker.enumerate_against(tr);
   if (exp.truncated) {
     GTEST_SKIP() << "explicit reference truncated for seed " << seed;
@@ -102,7 +100,6 @@ TEST_P(DedupSoundnessTest, ExplicitDedupEqualsNaive) {
   const trace::Trace tr = record(p, seed ^ 0x77aa);
 
   ExplicitOptions naive;
-  naive.collect_matchings = true;
   naive.dedup_histories = false;
   ExplicitChecker naive_checker(p, naive);
   const auto truth = naive_checker.enumerate_against(tr);
@@ -110,9 +107,7 @@ TEST_P(DedupSoundnessTest, ExplicitDedupEqualsNaive) {
     GTEST_SKIP() << "naive reference blew its budget for seed " << seed;
   }
 
-  ExplicitOptions deduped;
-  deduped.collect_matchings = true;
-  ExplicitChecker dedup_checker(p, deduped);
+  ExplicitChecker dedup_checker(p);
   const auto got = dedup_checker.enumerate_against(tr);
   ASSERT_FALSE(got.truncated);
   EXPECT_EQ(got.matchings, truth.matchings) << "seed=" << seed;

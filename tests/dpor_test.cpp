@@ -89,8 +89,8 @@ TEST(DporTest, SleepSetsActuallyPrune) {
   const DporResult r = run_dpor(p, DporMode::kSleepSet);
   EXPECT_GT(r.stats.sleep_prunes, 0u);
 
-  // The unreduced stateless tree: ExplicitChecker in matching-collection
-  // mode with history memoization off explores the raw interleaving tree.
+  // The unreduced stateless tree: ExplicitChecker's matching enumeration
+  // with history memoization off explores the raw interleaving tree.
   // DPOR must take strictly fewer transitions than that.
   mcapi::System sys(p);
   trace::Trace tr(p);
@@ -98,7 +98,6 @@ TEST(DporTest, SleepSetsActuallyPrune) {
   mcapi::RoundRobinScheduler sched;
   ASSERT_TRUE(mcapi::run(sys, sched, &rec).completed());
   ExplicitOptions opts;
-  opts.collect_matchings = true;
   opts.dedup_histories = false;
   ExplicitChecker full(p, opts);
   const ExplicitResult fr = full.enumerate_against(tr);

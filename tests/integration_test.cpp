@@ -2,7 +2,6 @@
 // the full workflow on each shipped workload.
 #include <gtest/gtest.h>
 
-#include "check/baselines.hpp"
 #include "check/symbolic_checker.hpp"
 #include "check/verifier.hpp"
 #include "check/workloads.hpp"
@@ -212,7 +211,9 @@ TEST(IntegrationTest, BaselineAgreesWhereDelaysDontMatter) {
   const mcapi::Program p = wl::pipeline(3, 3);
   const trace::Trace tr = record(p);
   check::SymbolicChecker paper(tr);
-  check::DelayIgnorantChecker baseline(tr);
+  check::SymbolicOptions delay_opts;
+  delay_opts.encode.delay_ignorant = true;
+  check::SymbolicChecker baseline(tr, delay_opts);
   EXPECT_EQ(paper.check().result, smt::SolveResult::kUnsat);
   EXPECT_EQ(baseline.check().result, smt::SolveResult::kUnsat);
   EXPECT_EQ(paper.enumerate_matchings().matchings,

@@ -1046,7 +1046,7 @@ TEST(ServeLoop, FramingSurvivesMutatedStreams) {
   RequestSpec defaults;
   defaults.request.budget.max_states = 2000;
   defaults.request.budget.max_transitions = 2000;
-  defaults.request.budget.solver_conflicts = 2000;
+  defaults.request.symbolic.conflict_budget = 2000;
   defaults.request.budget.max_run_steps = 2000;
   defaults.request.budget.max_seconds = 0.2;
 

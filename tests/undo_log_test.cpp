@@ -109,117 +109,6 @@ TEST(UndoLog, RandomRollbacksMatchCopySnapshots) {
   }
 }
 
-// Reclaim fuzz: discarding journal records below the oldest live
-// checkpoint (reclaim_undo_below, the bounded-memory path of a long-lived
-// serve-mode System) must leave rollback behavior to every surviving
-// checkpoint bit-for-bit unchanged. Same walk as the main fuzz, but the
-// oldest snapshots are periodically retired and the journal reclaimed to
-// the new oldest live watermark; every subsequent rollback still has a
-// copy-constructed ground truth to compare against, and the live record
-// count is pinned to checkpoint() - undo_floor() throughout.
-TEST(UndoLog, RollbackUnchangedAfterReclaim) {
-  const std::uint64_t executions = support::env_u64("MCSYM_TEST_ITERS", 500);
-  for (std::uint64_t i = 0; i < executions; ++i) {
-    const std::uint64_t seed = 0xbeef01ULL + i * 0x9e3779b97f4a7c15ULL;
-    support::Rng rng(seed);
-    const Program program = check::random_program(seed, shape_for(rng));
-
-    System live(program);
-    live.enable_undo_log();
-    std::vector<std::pair<System::Checkpoint, System>> snapshots;
-    snapshots.emplace_back(live.checkpoint(), live);
-    std::uint64_t reclaims = 0;
-
-    std::vector<Action> enabled;
-    for (int step = 0; step < 160; ++step) {
-      live.enabled(enabled);
-      if (enabled.empty()) {
-        if (snapshots.size() <= 1) break;
-        const std::size_t pick = rng.below(snapshots.size());
-        live.rollback(snapshots[pick].first);
-        expect_observationally_equal(live, snapshots[pick].second, seed,
-                                     snapshots[pick].first);
-        snapshots.erase(snapshots.begin() + static_cast<std::ptrdiff_t>(pick) + 1,
-                        snapshots.end());
-        continue;
-      }
-      live.apply(enabled[rng.below(enabled.size())]);
-      if (rng.chance(1, 3)) snapshots.emplace_back(live.checkpoint(), live);
-
-      // Retire the oldest snapshot(s) and reclaim the journal below the new
-      // oldest live checkpoint — the serve-session pattern where history
-      // nobody will roll back to is dropped while the walk keeps going.
-      if (snapshots.size() > 2 && rng.chance(1, 5)) {
-        const std::size_t retire = 1 + rng.below(snapshots.size() - 2);
-        snapshots.erase(snapshots.begin(),
-                        snapshots.begin() + static_cast<std::ptrdiff_t>(retire));
-        live.reclaim_undo_below(snapshots.front().first);
-        ++reclaims;
-        ASSERT_EQ(live.undo_floor(), snapshots.front().first) << "seed=" << seed;
-        // The journal holds exactly the records between the floor and the
-        // current watermark: reclaimed memory is really gone.
-        ASSERT_EQ(live.undo_log_size(), live.checkpoint() - live.undo_floor())
-            << "seed=" << seed;
-      }
-
-      if (rng.chance(1, 6)) {
-        const std::size_t pick = rng.below(snapshots.size());
-        live.rollback(snapshots[pick].first);
-        expect_observationally_equal(live, snapshots[pick].second, seed,
-                                     snapshots[pick].first);
-        snapshots.erase(snapshots.begin() + static_cast<std::ptrdiff_t>(pick) + 1,
-                        snapshots.end());
-      }
-      if (HasFatalFailure()) return;
-    }
-
-    // Unwind to the oldest surviving checkpoint (watermark 0 may be below
-    // the reclaim floor — that history is gone by design).
-    live.rollback(snapshots.front().first);
-    expect_observationally_equal(live, snapshots.front().second, seed,
-                                 snapshots.front().first);
-    // Reclaiming at or below the floor is a no-op, not an error.
-    live.reclaim_undo_below(live.undo_floor());
-    ASSERT_EQ(live.undo_log_size(), live.checkpoint() - live.undo_floor());
-    if (HasFatalFailure()) return;
-  }
-}
-
-// Watermarks are absolute apply counts, not log offsets: a checkpoint taken
-// before a reclaim stays valid (and rolls back to the same state) as long
-// as it is at or above the floor.
-TEST(UndoLog, WatermarksStayAbsoluteAcrossReclaim) {
-  const Program program = check::random_program(7);
-  System live(program);
-  live.enable_undo_log();
-  std::vector<Action> enabled;
-  auto step = [&] {
-    live.enabled(enabled);
-    ASSERT_FALSE(enabled.empty());
-    live.apply(enabled.front());
-  };
-  step();
-  step();
-  const System::Checkpoint two = live.checkpoint();
-  const System at_two(live);
-  step();
-  step();
-  const System::Checkpoint four = live.checkpoint();
-  const System at_four(live);
-  step();
-
-  live.reclaim_undo_below(two);
-  EXPECT_EQ(live.undo_floor(), 2u);
-  EXPECT_EQ(live.checkpoint(), 5u);  // unchanged by the reclaim
-  EXPECT_EQ(live.undo_log_size(), 3u);
-
-  live.rollback(four);
-  expect_observationally_equal(live, at_four, 7, four);
-  live.rollback(two);  // exactly the floor: still reachable
-  expect_observationally_equal(live, at_two, 7, two);
-  EXPECT_EQ(live.undo_log_size(), 0u);
-}
-
 // Undo must restore a fired violation back to "not violated": a rolled-back
 // assert leaves no trace — the violation record, the terminal enabled-set
 // freeze, and the branch history all revert.

@@ -176,9 +176,7 @@ void expect_all_engines_agree(const trace::Trace& tr, std::uint64_t tag) {
   const auto sym = checker.enumerate_matchings();
   EXPECT_EQ(sym.matchings, truth.matchings) << "tag=" << tag;
 
-  ExplicitOptions eopts;
-  eopts.collect_matchings = true;
-  ExplicitChecker explicit_checker(tr.program(), eopts);
+  ExplicitChecker explicit_checker(tr.program());
   const auto exp = explicit_checker.enumerate_against(tr);
   ASSERT_FALSE(exp.truncated);
   EXPECT_EQ(sym.matchings, exp.matchings) << "tag=" << tag;

@@ -132,7 +132,8 @@ other options:
 
 exit codes: 0 ok / verified safe; 1 violation or deadlock reachable
             (check: SAT); 2 usage or input error; 3 budget exhausted /
-            no verdict (verify); 4 non-termination (verify --stateful)
+            no verdict (verify; check: UNKNOWN under --conflicts);
+            4 non-termination (verify --stateful)
 )";
 
 struct Options {
@@ -275,7 +276,7 @@ mcsym::mcapi::RunResult record(const Options& o, const mcsym::mcapi::Program& pr
   return mcsym::mcapi::run(sys, sched, &rec);
 }
 
-/// Records the run `enumerate` and `smt` reason about, and refuses it the
+/// Records the run `enumerate`, `smt` and `diagnose` reason about, and refuses it the
 /// way `check` does: a step-limited or structurally incomplete trace (a
 /// recv_i left without its wait) is not a checkable artifact. Returns 0
 /// when `trace` can be encoded, else the input-error exit code after a
@@ -498,7 +499,12 @@ int cmd_check(const Options& o) {
   }
   const int rc = write_output(o, report.str());
   if (rc != 0) return rc;
-  return verdict.result == mcsym::smt::SolveResult::kSat ? 1 : 0;
+  switch (verdict.result) {
+    case mcsym::smt::SolveResult::kSat: return 1;
+    case mcsym::smt::SolveResult::kUnsat: return 0;
+    case mcsym::smt::SolveResult::kUnknown: return 3;  // --conflicts ran out
+  }
+  return 3;
 }
 
 int cmd_enumerate(const Options& o) {
@@ -638,7 +644,7 @@ int cmd_diagnose(const Options& o) {
   if (!lp) return 2;
   if (o.pairs.empty()) return fail("diagnose needs at least one --pair");
   mcsym::trace::Trace trace(lp->unit.program);
-  (void)record(o, lp->unit.program, trace);
+  if (const int rc = record_checkable(o, lp->unit.program, trace)) return rc;
 
   std::vector<mcsym::check::PairProposal> proposals;
   for (const std::string& text : o.pairs) {
