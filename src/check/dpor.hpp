@@ -24,10 +24,12 @@
 // per-endpoint delivery order, the send -> deliver -> receive chain of
 // each message (by static send identity), the pending-request observations
 // of polls and wait_any, and — under DeliveryMode::kGlobalFifo — the
-// global send/delivery order. Race reversals are additionally validated by
-// simulating the candidate sequence against the real semantics, so purely
-// causal pairs (a send vs. the delivery of its own message) are never
-// scheduled as reversals.
+// global send/delivery order. A race on one message's chain (a send vs.
+// the delivery of its own message, a delivery vs. the recv or wait it
+// fed) is causal and never reversed: optimal mode drops it by message
+// identity before building a reversal. Every other reversal, except two
+// deliveries racing for one endpoint, is validated by simulating it
+// against the real semantics.
 //
 // State management is checkpoint/undo, not copy-the-world: both modes keep
 // ONE live journaling System (System::enable_undo_log) walked up and down
@@ -43,9 +45,9 @@
 // Optimal mode is one serial loop (dpor.cpp) over the race core
 // dpor_detail::Prefix (dpor_internal.hpp): the live System, the executed
 // footprints and their per-process vector clocks, and the race scan with
-// its counting and simulated feasibility checks. The loop hands the scan
-// two callbacks: whether a sleeping sibling already covers a race, and
-// where its reversal is scheduled.
+// its causal-pair rule and simulated feasibility check. The loop hands
+// the scan two callbacks: whether a sleeping sibling already covers a
+// race, and where its reversal is scheduled.
 #pragma once
 
 #include <cstdint>

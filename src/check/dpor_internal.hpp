@@ -1,11 +1,14 @@
 // Internals of the optimal-DPOR loop (dpor.cpp): the weak-initial test,
-// the wakeup-tree arena, the internal-step classifier, the initial pick,
-// and the race core — Prefix, the executed prefix with its per-process
-// vector clocks, race scan and race-reversal feasibility checks. The loop
-// passes Prefix::scan_races two callbacks: whether a sleeping sibling
-// covers a race, and where its reversal is scheduled. Kept in a header so
-// dpor_test can pin the clocks and the feasibility checks directly. Not
-// part of the public check/ surface.
+// the wakeup-tree arena, the internal-step classifier, the causal-pair
+// rule, the initial pick, and the race core — Prefix, the executed prefix
+// with its per-process vector clocks and race scan. The scan drops the
+// races of one message's chain by identity (enables), lets two racing
+// deliveries through unchecked, and decides every other reversal by
+// simulating it on the live System. The loop passes Prefix::scan_races
+// two callbacks: whether a sleeping sibling covers a race, and where its
+// reversal is scheduled. Kept in a header so dpor_test can pin the clocks,
+// the rule and the simulation directly. Not part of the public check/
+// surface.
 //
 // Happens-before is the transitive closure of mcapi::dependent over the
 // executed prefix, kept as vector clocks (Abdulla et al., JACM'17). The
@@ -150,32 +153,24 @@ class WakeupTree {
   std::vector<std::uint32_t> root_kids_;
 };
 
-/// Whether race-reversal feasibility can be decided by pure integer
-/// counting over footprints: a program whose only operations are send /
-/// blocking recv / straight-line locals under arbitrary-delay delivery.
-/// An action's enabledness then depends solely on a channel or endpoint
-/// queue LENGTH, and every footprinted op kind is fixed across replays
-/// (no data-dependent branches, no request observations, no asserts that
-/// could cut a simulation short).
-inline bool countable_program(const mcapi::Program& program,
-                              mcapi::DeliveryMode mode) {
-  if (mode != mcapi::DeliveryMode::kArbitraryDelay) return false;
-  for (mcapi::ThreadRef t = 0; t < program.num_threads(); ++t) {
-    for (const mcapi::Instr& i : program.thread(t).code) {
-      switch (i.kind) {
-        case mcapi::OpKind::kRecvNb:
-        case mcapi::OpKind::kWait:
-        case mcapi::OpKind::kWaitAny:
-        case mcapi::OpKind::kTest:
-        case mcapi::OpKind::kAssert:
-        case mcapi::OpKind::kJmpIf:
-          return false;
-        default:
-          break;
-      }
-    }
+/// Whether `f` consumes what `e` produced on one message's chain: `e` is
+/// the send of the message the delivery `f` moves, or `e` is the delivery
+/// of the message the blocking recv or wait `f` takes. Such a race never
+/// reverses (without `e`, `f` stays disabled), so the race scan drops it by
+/// message identity before building a candidate. A recv_i or test does not
+/// block, so its reversal is feasible with another outcome, and a wait_any
+/// can be won by another listed request: those stay with simulation.
+inline bool enables(const mcapi::ActionFootprint& e,
+                    const mcapi::ActionFootprint& f) {
+  if (!f.has_message) return false;
+  if (e.action.kind == mcapi::Action::Kind::kThreadStep) {
+    return e.op == mcapi::OpKind::kSend &&
+           f.action.kind == mcapi::Action::Kind::kDeliver &&
+           f.message_thread == e.action.thread && f.message_op == e.op_index;
   }
-  return true;
+  return e.has_message && f.action.kind == mcapi::Action::Kind::kThreadStep &&
+         (f.op == mcapi::OpKind::kRecv || f.op == mcapi::OpKind::kWait) &&
+         f.message_thread == e.message_thread && f.message_op == e.message_op;
 }
 
 /// The schedule of an executed prefix.
@@ -224,9 +219,7 @@ class Prefix {
   Prefix(const mcapi::Program& program, mcapi::DeliveryMode mode)
       : sys(program, mode),
         mode_(mode),
-        countable_(countable_program(program, mode)),
-        threads_(static_cast<std::uint32_t>(program.num_threads())),
-        ep_len_(program.num_endpoints(), 0) {
+        threads_(static_cast<std::uint32_t>(program.num_threads())) {
     sys.enable_undo_log();
     // Processes: threads [0, T), then one per channel a send can fill.
     for (mcapi::ThreadRef t = 0; t < threads_; ++t) {
@@ -309,6 +302,7 @@ class Prefix {
       const mcapi::ActionFootprint& ek = events[k];
       if (ek.internal) continue;
       if (ek.action == ev.action) continue;  // program order, not a race
+      if (enables(ek, ev)) continue;         // one message's chain
 
       // Candidate reversal: everything after ek not causally behind it,
       // then the racing process itself.
@@ -323,79 +317,22 @@ class Prefix {
       // comparisons, the feasibility check replays the candidate.
       if (covered(k, v)) continue;
 
-      // Reversibility against the real semantics: a purely causal pair (a
-      // send vs. the delivery of its own message, a delivery vs. the wait
-      // it unblocks) leaves the final action disabled. Two deliveries
-      // racing for one endpoint (the only dependent delivery pair under
-      // arbitrary delay) are always reversible — the reversal's causal
-      // prefix keeps both messages in transit — so they skip the check.
+      // Two deliveries racing for one endpoint (the only dependent
+      // delivery pair under arbitrary delay) are always reversible — the
+      // reversal's causal prefix keeps both messages in transit — so they
+      // skip the check. Every other candidate is simulated.
       const bool deliver_pair =
           mode_ == mcapi::DeliveryMode::kArbitraryDelay &&
           ek.action.kind == mcapi::Action::Kind::kDeliver &&
           ev.action.kind == mcapi::Action::Kind::kDeliver;
       if (!deliver_pair) {
-        if (countable_) {
-          if (!count_feasible(k, v)) continue;
-        } else {
-          rewound = k;
-          if (!simulate_feasible(k, v)) continue;
-        }
+        rewound = k;
+        if (!simulate_feasible(k, v)) continue;
       }
       ++st.races_detected;
       st.wakeup_nodes += schedule(k, std::move(v));
     }
     replay_from(rewound);
-  }
-
-  /// Counting feasibility of reversal candidate `v` at race point `k`, for
-  /// countable programs only (see countable_program): reconstructs the
-  /// channel/endpoint queue lengths at state k by inverting the executed
-  /// suffix against the live state (which must hold the whole prefix), then
-  /// runs `v` through the counters — a deliver needs its channel non-empty,
-  /// a recv its endpoint queue non-empty, everything else always fires.
-  /// Exact for countable programs because per-thread control is
-  /// straight-line, so the footprinted op kinds replay as-is. Never touches
-  /// the live System.
-  bool count_feasible(std::size_t k,
-                      const std::vector<mcapi::ActionFootprint>& v) {
-    chan_len_.clear();
-    auto chan = [&](mcapi::ChannelId c) -> std::ptrdiff_t& {
-      for (auto& [id, len] : chan_len_) {
-        if (id == c) return len;
-      }
-      chan_len_.emplace_back(c,
-                             static_cast<std::ptrdiff_t>(sys.transit_size(c)));
-      return chan_len_.back().second;
-    };
-    for (std::size_t e = 0; e < ep_len_.size(); ++e) {
-      ep_len_[e] = static_cast<std::ptrdiff_t>(
-          sys.queue_size(static_cast<mcapi::EndpointRef>(e)));
-    }
-    for (std::size_t j = events.size(); j-- > k;) {
-      const mcapi::ActionFootprint& e = events[j];
-      if (e.action.kind == mcapi::Action::Kind::kDeliver) {
-        ++chan(e.channel);
-        --ep_len_[e.channel.dst];
-      } else if (e.op == mcapi::OpKind::kSend) {
-        --chan(e.channel);
-      } else if (e.op == mcapi::OpKind::kRecv) {
-        ++ep_len_[e.endpoint];
-      }
-    }
-    for (const mcapi::ActionFootprint& e : v) {
-      if (e.action.kind == mcapi::Action::Kind::kDeliver) {
-        std::ptrdiff_t& len = chan(e.channel);
-        if (len <= 0) return false;
-        --len;
-        ++ep_len_[e.channel.dst];
-      } else if (e.op == mcapi::OpKind::kSend) {
-        ++chan(e.channel);
-      } else if (e.op == mcapi::OpKind::kRecv) {
-        if (ep_len_[e.endpoint] <= 0) return false;
-        --ep_len_[e.endpoint];
-      }
-    }
-    return true;
   }
 
   /// Simulated feasibility of `v` at race point `k`: apply -> inspect ->
@@ -443,7 +380,6 @@ class Prefix {
   }
 
   const mcapi::DeliveryMode mode_;
-  const bool countable_;
   // Vector clocks over procs_ processes: the threads_ threads, then the
   // channels, process threads_ + i for channels_[i] (sorted keys).
   const std::uint32_t threads_;
@@ -456,10 +392,6 @@ class Prefix {
   // Race candidates of the last pushed event (dependent, nothing between),
   // in decreasing depth.
   std::vector<std::size_t> races_;
-  // count_feasible scratch: per-channel in-transit and per-endpoint
-  // delivered-queue lengths reconstructed at the race point.
-  std::vector<std::pair<mcapi::ChannelId, std::ptrdiff_t>> chan_len_;
-  std::vector<std::ptrdiff_t> ep_len_;
 };
 
 }  // namespace mcsym::check::dpor_detail

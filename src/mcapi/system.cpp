@@ -214,12 +214,6 @@ void System::enabled(std::vector<Action>& out) const {
   }
 }
 
-std::size_t System::transit_size(ChannelId channel) const {
-  const auto it = std::find_if(transit_.begin(), transit_.end(),
-                               [&](const auto& e) { return e.first == channel; });
-  return it == transit_.end() ? 0 : it->second.size();
-}
-
 bool System::action_enabled(const Action& action) const {
   if (violation_.has_value() && !continue_past_violation_) {
     return false;  // violations are terminal

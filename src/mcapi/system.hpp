@@ -234,14 +234,6 @@ class System {
   /// hot path of DPOR race-reversal simulation and schedule replay.
   [[nodiscard]] bool action_enabled(const Action& action) const;
 
-  /// Current in-transit count of `channel` (0 when the channel has no
-  /// transit entry yet) and delivered-but-unreceived count of `ep` — the
-  /// inputs of the DPOR counting-based feasibility fast path.
-  [[nodiscard]] std::size_t transit_size(ChannelId channel) const;
-  [[nodiscard]] std::size_t queue_size(EndpointRef ep) const {
-    return endpoints_[ep].queue.size();
-  }
-
   /// Applies one enabled action; events are reported to `sink` (may be null).
   void apply(const Action& action, ExecSink* sink = nullptr);
 

@@ -146,6 +146,24 @@ TEST(CliTest, EnumerateAgreesWithExplicitAndExposesMccGap) {
   EXPECT_NE(r.output.find("misses 1 behavior(s)"), std::string::npos);
 }
 
+TEST(CliTest, EnumerateHonoursTheStateBudget) {
+  // One explicit state cannot enumerate figure1: both explicit runs stop
+  // truncated, nothing is compared against them, and the exit is 3.
+  const CliResult r =
+      run_cli("enumerate " + figure1() + " --explicit --mcc --max-states 1");
+  EXPECT_EQ(r.exit_code, 3) << r.output;
+  EXPECT_NE(r.output.find("ground truth: 0 pairing(s) (truncated)\n"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("baseline (no delay nondeterminism): 0 pairing(s) "
+                          "(truncated)\n"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("agrees"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("MISMATCH"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("misses"), std::string::npos) << r.output;
+}
+
 TEST(CliTest, SmtDumpIsWellFormed) {
   const CliResult r = run_cli("smt " + figure1());
   EXPECT_EQ(r.exit_code, 0) << r.output;

@@ -164,17 +164,32 @@ TEST(DporTest, IndependentWritersExploreSingleTrace) {
   EXPECT_GT(sleep.stats.executions, 1u);  // blocked paths all the way down
 }
 
-// The BM_Dpor_MessageRace/4 acceptance gate (ISSUE 4): optimal mode
-// completes message_race(4,2) at exactly the trace count, 8!/(2!)^4 =
-// 2520, with zero redundancy — the instance where the sleep-set baseline
-// burns ~5*10^4 executions. Optimal-only: the sleep-set run at this size
-// belongs in the bench (with its time budget), not in tier-1.
-TEST(DporTest, MessageRaceFourExactTraceCount) {
-  const DporResult opt = run_dpor(wl::message_race(4, 2), DporMode::kOptimal);
-  EXPECT_EQ(opt.stats.executions, 2520u);
-  EXPECT_EQ(opt.stats.terminal_states, 2520u);
-  EXPECT_EQ(opt.stats.redundant_explorations, 0u);
-  EXPECT_FALSE(opt.truncated);
+// The programs behind BM_Dpor_MessageRace/{3,4}: message_race(3,2) and
+// message_race(4,2) complete at exactly their trace counts, 6!/(2!)^3 = 90
+// and 8!/(2!)^4 = 2520, with zero redundancy. Every optimal-DPOR counter
+// is pinned, so a change to the race scan that drops or adds a reversal
+// shows here. Optimal-only: the sleep-set run at /4 belongs in the bench
+// (with its time budget), not in tier-1.
+TEST(DporTest, MessageRaceCountersArePinned) {
+  struct Case {
+    std::uint32_t senders;
+    std::uint64_t executions;
+    std::uint64_t transitions;
+    std::uint64_t races;
+    std::uint64_t wakeup_nodes;
+  };
+  for (const Case c : {Case{3, 90, 1620, 105, 89},
+                       Case{4, 2520, 60480, 3138, 2519}}) {
+    const DporResult opt =
+        run_dpor(wl::message_race(c.senders, 2), DporMode::kOptimal);
+    EXPECT_EQ(opt.stats.executions, c.executions) << c.senders;
+    EXPECT_EQ(opt.stats.terminal_states, c.executions) << c.senders;
+    EXPECT_EQ(opt.stats.transitions, c.transitions) << c.senders;
+    EXPECT_EQ(opt.stats.races_detected, c.races) << c.senders;
+    EXPECT_EQ(opt.stats.wakeup_nodes, c.wakeup_nodes) << c.senders;
+    EXPECT_EQ(opt.stats.redundant_explorations, 0u) << c.senders;
+    EXPECT_FALSE(opt.truncated) << c.senders;
+  }
 }
 
 // Every way of stopping a search — the transition budget, the wall clock
@@ -301,97 +316,133 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Range<std::uint64_t>(
         200, 200 + support::env_u64("MCSYM_TEST_ITERS", 12)));
 
-// The counting feasibility fast path claims to be exact on countable
-// programs (dpor_detail::countable_program). Pin it against the live-System
-// simulation: random walks over random countable programs, and after every
-// step each race candidate the shared scan builds is decided both ways. The
-// candidates are intercepted at the scan's coverage callback, which then
-// reports them covered so nothing is scheduled. Seed count scales with
+// A random program of every shape the race-core tests walk: arbitrary
+// delay and global FIFO, blocking and non-blocking receives, test/wait_any
+// observers, asserts, loops, deadlock-capable mutations.
+struct ShapedProgram {
+  mcapi::Program program;
+  mcapi::DeliveryMode mode;
+};
+
+ShapedProgram shaped_program(std::uint64_t seed) {
+  RandomProgramOptions popts;
+  popts.threads = 3 + static_cast<std::uint32_t>(seed % 3);
+  popts.allow_deadlocks = seed % 3 == 0;
+  popts.allow_nonblocking = seed % 4 >= 2;
+  popts.allow_test_poll = seed % 4 == 2;
+  popts.allow_wait_any = seed % 4 == 3;
+  popts.add_asserts = seed % 5 == 1;
+  popts.allow_loops = seed % 5 == 3;
+  return {random_program(1700 + seed, popts),
+          (seed / 4) % 2 == 0 ? mcapi::DeliveryMode::kArbitraryDelay
+                              : mcapi::DeliveryMode::kGlobalFifo};
+}
+
+// At least 16 programs, so every shape (and an observer) occurs.
+std::uint64_t shaped_program_count() {
+  return std::max<std::uint64_t>(
+      16, 4 * support::env_u64("MCSYM_TEST_ITERS", 12));
+}
+
+// The causal-pair rule (dpor_detail::enables) drops a race by message
+// identity before its reversal is built. Pin it against the live-System
+// simulation on every program shape. Random walks; after every push, the
+// race points of the new event (another process's dependent event with
+// nothing happening between them) that the scan decides without
+// simulating are simulated here. A pair the rule names must be
+// infeasible; two deliveries racing under arbitrary delay, which the scan
+// lets through unchecked, must be feasible. Seed count scales with
 // MCSYM_TEST_ITERS.
-TEST(DporTest, CountingFeasibilityMatchesSimulation) {
+TEST(DporTest, CausalRuleRejectsOnlyInfeasibleReversals) {
   using mcapi::ActionFootprint;
-  const mcapi::DeliveryMode mode = mcapi::DeliveryMode::kArbitraryDelay;
-  const std::uint64_t programs = 4 * support::env_u64("MCSYM_TEST_ITERS", 12);
-  std::uint64_t feasible = 0;
-  std::uint64_t infeasible = 0;
+  using Kind = mcapi::Action::Kind;
+  std::uint64_t send_deliver = 0;
+  std::uint64_t deliver_recv = 0;
+  std::uint64_t deliver_wait = 0;
+  std::uint64_t deliver_pairs = 0;
+  const std::uint64_t programs = shaped_program_count();
   for (std::uint64_t seed = 0; seed < programs; ++seed) {
-    RandomProgramOptions popts;
-    popts.threads = 3 + static_cast<std::uint32_t>(seed % 2);
-    popts.allow_deadlocks = seed % 3 == 0;
-    const mcapi::Program p = random_program(900 + seed, popts);
-    if (!dpor_detail::countable_program(p, mode)) continue;
+    const ShapedProgram sp = shaped_program(seed);
     support::Rng rng(seed);
     for (int walk = 0; walk < 3; ++walk) {
-      dpor_detail::Prefix prefix(p, mode);
-      auto decide_both = [&](std::size_t k,
-                             const std::vector<ActionFootprint>& v) {
-        const bool counted = prefix.count_feasible(k, v);
-        const bool simulated = prefix.simulate_feasible(k, v);
-        prefix.replay_from(k);
-        EXPECT_EQ(counted, simulated)
-            << "seed " << seed << " depth " << prefix.events.size()
-            << " race point " << k;
-        // The scan's shortcut: racing deliveries are always reversible.
-        if (prefix.events[k].action.kind == mcapi::Action::Kind::kDeliver &&
-            v.back().action.kind == mcapi::Action::Kind::kDeliver) {
-          EXPECT_TRUE(simulated) << "seed " << seed;
-        }
-        ++(simulated ? feasible : infeasible);
-        return true;
-      };
-      auto schedule_none = [](std::size_t, std::vector<ActionFootprint>&&) {
-        return std::size_t{0};
-      };
-      DporStats st;
+      dpor_detail::Prefix prefix(sp.program, sp.mode);
       std::vector<mcapi::Action> enabled;
-      for (prefix.sys.enabled(enabled); !enabled.empty();
-           prefix.sys.enabled(enabled)) {
-        const mcapi::Action a = enabled[rng.below(enabled.size())];
-        prefix.push(prefix.sys.footprint(a));
-        prefix.scan_races(st, decide_both, schedule_none);
+      std::vector<ActionFootprint> v;
+      prefix.sys.enabled(enabled);
+      for (int step = 0; step < 200 && !enabled.empty(); ++step) {
+        prefix.push(prefix.sys.footprint(enabled[rng.below(enabled.size())]));
+        const std::size_t n = prefix.events.size() - 1;
+        const ActionFootprint& ev = prefix.events[n];
+        for (std::size_t k = ev.internal ? 0 : n; k-- > 0;) {
+          const ActionFootprint& ek = prefix.events[k];
+          if (ek.internal || ek.action == ev.action) continue;
+          if (!mcapi::dependent(ek, ev, sp.mode)) continue;
+          bool adjacent = true;
+          for (std::size_t m = k + 1; m < n && adjacent; ++m) {
+            if (prefix.hb(k, m) && prefix.hb(m, n)) adjacent = false;
+          }
+          if (!adjacent) continue;
+          const bool causal = dpor_detail::enables(ek, ev);
+          const bool deliver_pair =
+              sp.mode == mcapi::DeliveryMode::kArbitraryDelay &&
+              ek.action.kind == Kind::kDeliver &&
+              ev.action.kind == Kind::kDeliver;
+          if (!causal && !deliver_pair) continue;
+          v.clear();
+          for (std::size_t j = k + 1; j < n; ++j) {
+            if (!prefix.hb(k, j)) v.push_back(prefix.events[j]);
+          }
+          v.push_back(ev);
+          const bool feasible = prefix.simulate_feasible(k, v);
+          prefix.replay_from(k);
+          if (deliver_pair) {
+            EXPECT_TRUE(feasible) << "seed " << seed << " race point " << k;
+            ++deliver_pairs;
+            continue;
+          }
+          EXPECT_FALSE(feasible) << "seed " << seed << " depth " << n
+                                 << " race point " << k;
+          if (ek.action.kind == Kind::kThreadStep) {
+            ++send_deliver;
+          } else {
+            ++(ev.op == mcapi::OpKind::kRecv ? deliver_recv : deliver_wait);
+          }
+        }
+        prefix.sys.enabled(enabled);
       }
     }
   }
-  EXPECT_GT(feasible, 0u);
-  EXPECT_GT(infeasible, 0u);
+  EXPECT_GT(send_deliver, 0u);
+  EXPECT_GT(deliver_recv, 0u);
+  EXPECT_GT(deliver_wait, 0u);
+  EXPECT_GT(deliver_pairs, 0u);
 }
 
 // The vector clocks against a naive oracle, the transitive closure of
 // mcapi::dependent over the executed prefix. Random walks with random
 // backtracking (pop, then a different push) over random programs of every
-// shape: countable and not, arbitrary delay and global FIFO, test/wait_any
-// observers, loops. After every push: hb(k, j) agrees with the closure for
-// all k < j; the race points reaching the scan's coverage callback are
-// exactly the directly dependent events of another process with no event m
-// such that k -> m -> ev; and each candidate is the events after k not
-// causally behind it, then ev. The callback reports every race covered, so
-// the scan never rewinds the live System.
+// shape (shaped_program). After every push: hb(k, j) agrees with the
+// closure for all k < j; the race points reaching the scan's coverage
+// callback are exactly the directly dependent events of another process
+// with no event m such that k -> m -> ev, less the pairs on one message's
+// chain (ek sends the message ev delivers, or delivers the message the
+// blocking recv or wait ev takes); and each candidate is the events after
+// k not causally behind it, then ev. The callback reports every race
+// covered, so the scan never rewinds the live System.
 TEST(DporTest, VectorClocksMatchClosure) {
   using mcapi::ActionFootprint;
-  // At least 16 programs, so every shape (and an observer) occurs.
-  const std::uint64_t programs = std::max<std::uint64_t>(
-      16, 4 * support::env_u64("MCSYM_TEST_ITERS", 12));
+  using Kind = mcapi::Action::Kind;
   std::uint64_t races = 0;
-  std::uint64_t countable_races = 0;
+  std::uint64_t causal_pairs = 0;
   std::uint64_t fifo_races = 0;
   std::uint64_t backtracks = 0;
   std::uint64_t observers = 0;
+  const std::uint64_t programs = shaped_program_count();
   for (std::uint64_t seed = 0; seed < programs; ++seed) {
-    RandomProgramOptions popts;
-    popts.threads = 3 + static_cast<std::uint32_t>(seed % 3);
-    popts.allow_deadlocks = seed % 3 == 0;
-    popts.allow_nonblocking = seed % 4 >= 2;
-    popts.allow_test_poll = seed % 4 == 2;
-    popts.allow_wait_any = seed % 4 == 3;
-    popts.add_asserts = seed % 5 == 1;
-    popts.allow_loops = seed % 5 == 3;
-    const mcapi::DeliveryMode mode = (seed / 4) % 2 == 0
-                                         ? mcapi::DeliveryMode::kArbitraryDelay
-                                         : mcapi::DeliveryMode::kGlobalFifo;
-    const mcapi::Program p = random_program(1700 + seed, popts);
-    const bool countable = dpor_detail::countable_program(p, mode);
+    const ShapedProgram sp = shaped_program(seed);
+    const mcapi::DeliveryMode mode = sp.mode;
     support::Rng rng(seed);
-    dpor_detail::Prefix prefix(p, mode);
+    dpor_detail::Prefix prefix(sp.program, mode);
     // closure[j][k]: events[k] happens before events[j].
     std::vector<std::vector<bool>> closure;
     std::vector<std::size_t> expected;
@@ -470,19 +521,36 @@ TEST(DporTest, VectorClocksMatchClosure) {
           for (std::size_t m = k + 1; m < n && adjacent; ++m) {
             if (closure[m][k] && closure[n][m]) adjacent = false;
           }
-          if (adjacent) expected.push_back(k);
+          if (!adjacent) continue;
+          const bool feeds =
+              ev.has_message &&
+              ((ek.action.kind == Kind::kThreadStep &&
+                ek.op == mcapi::OpKind::kSend &&
+                ev.action.kind == Kind::kDeliver &&
+                ev.message_thread == ek.action.thread &&
+                ev.message_op == ek.op_index) ||
+               (ek.action.kind == Kind::kDeliver && ek.has_message &&
+                ev.action.kind == Kind::kThreadStep &&
+                (ev.op == mcapi::OpKind::kRecv ||
+                 ev.op == mcapi::OpKind::kWait) &&
+                ev.message_thread == ek.message_thread &&
+                ev.message_op == ek.message_op));
+          if (feeds) {
+            ++causal_pairs;
+          } else {
+            expected.push_back(k);
+          }
         }
       }
       seen.clear();
       prefix.scan_races(st, record, schedule_none);
       ASSERT_EQ(seen, expected) << "seed " << seed << " depth " << n;
       races += seen.size();
-      if (countable) countable_races += seen.size();
       if (mode == mcapi::DeliveryMode::kGlobalFifo) fifo_races += seen.size();
     }
   }
-  EXPECT_GT(races, countable_races);
-  EXPECT_GT(countable_races, 0u);
+  EXPECT_GT(races, 0u);
+  EXPECT_GT(causal_pairs, 0u);
   EXPECT_GT(fifo_races, 0u);
   EXPECT_GT(backtracks, 0u);
   EXPECT_GT(observers, 0u);

@@ -13,6 +13,10 @@ missing from NEW are a hard failure (the series silently disappeared).
 Default benchmark: BM_Dpor_MessageRace/4, the headline instance of the
 checkpoint/undo execution core.
 
+A file holding repetitions (--benchmark_repetitions) is read as the
+median of each benchmark's repetitions, times and counters alike; the
+mean/median/stddev aggregate rows are ignored.
+
 Times are cpu_time, except for benchmarks registered with UseRealTime
 (their JSON names end in "/real_time"): those gate on real_time, the only
 meaningful metric for a multi-threaded run whose cpu_time sums the whole
@@ -43,6 +47,7 @@ of a write-only archive.
 import argparse
 import json
 import os
+import statistics
 import sys
 
 
@@ -59,18 +64,30 @@ def annotate(level, message):
 
 
 def load_entries(path):
-    """benchmark name -> raw JSON entry, aggregates excluded.
+    """benchmark name -> JSON entry, aggregates excluded.
 
-    User counters appear as top-level numeric keys of the entry, next to
-    real_time/cpu_time — the counter gate reads them straight off it.
+    A run with --benchmark_repetitions holds one iteration entry per
+    repetition under the same name; they merge into one entry whose
+    numeric fields are the medians over the repetitions, so no single
+    repetition decides a gate. User counters appear as top-level numeric
+    keys of the entry, next to real_time/cpu_time — the counter gate reads
+    them straight off it.
     """
     with open(path) as f:
         data = json.load(f)
-    return {
-        bench["name"]: bench
-        for bench in data.get("benchmarks", [])
-        if bench.get("run_type") != "aggregate"
-    }
+    repetitions = {}
+    for bench in data.get("benchmarks", []):
+        if bench.get("run_type") != "aggregate":
+            repetitions.setdefault(bench["name"], []).append(bench)
+    entries = {}
+    for name, runs in repetitions.items():
+        entry = dict(runs[0])
+        for key, value in entry.items():
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                entry[key] = statistics.median(
+                    run[key] for run in runs if key in run)
+        entries[name] = entry
+    return entries
 
 
 def load_times(path):

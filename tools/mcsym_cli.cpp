@@ -86,7 +86,8 @@ key=value, and --KEY=VALUE works too; numbers are non-negative decimals):
                        (default dpor)
   --json               print the machine-readable report (mcsym.verify/1)
   --max-seconds S      joint wall-clock budget across all engines (default off)
-  --max-states N       explicit-state budget (states expanded; 0 = default)
+  --max-states N       explicit-state budget (states expanded; 0 = default;
+                       also bounds enumerate --explicit / --mcc)
   --max-transitions N  DPOR budget (transitions executed; 0 = default)
   --conflicts N        CDCL conflict budget per solver query (default off)
   --timeout S          wall-clock limit through the progress callback
@@ -132,7 +133,8 @@ other options:
 
 exit codes: 0 ok / verified safe; 1 violation or deadlock reachable
             (check: SAT); 2 usage or input error; 3 budget exhausted /
-            no verdict (verify; check: UNKNOWN under --conflicts);
+            no verdict (verify; check: UNKNOWN under --conflicts;
+            enumerate: a pairing set was truncated, nothing compared);
             4 non-termination (verify --stateful)
 )";
 
@@ -519,6 +521,7 @@ int cmd_enumerate(const Options& o) {
   er.symbolic = o.spec.request.symbolic;
   er.with_explicit = o.with_explicit;
   er.with_mcc = o.with_mcc;
+  er.explicit_max_states = o.spec.request.budget.max_states;
 
   mcsym::trace::Trace recorded(lp->unit.program);
   if (const int rc = record_checkable(o, lp->unit.program, recorded)) return rc;
@@ -544,26 +547,34 @@ int cmd_enumerate(const Options& o) {
     }
   }
 
+  // A truncated set is a lower bound: compare nothing against it.
+  const bool truncated = en.truncated_any();
   if (en.explicit_truth.has_value()) {
     const auto& truth = *en.explicit_truth;
     report << "explicit-state ground truth: " << truth.matchings.size()
-           << " pairing(s)" << (truth.truncated ? " (truncated)" : "")
-           << (truth.matchings == enumeration.matchings ? " — agrees"
-                                                        : " — MISMATCH")
-           << "\n";
+           << " pairing(s)" << (truth.truncated ? " (truncated)" : "");
+    if (!truncated) {
+      report << (truth.matchings == enumeration.matchings ? " — agrees"
+                                                          : " — MISMATCH");
+    }
+    report << "\n";
   }
   if (en.mcc.has_value()) {
     const auto& restricted = *en.mcc;
     report << "MCC-style baseline (no delay nondeterminism): "
-           << restricted.matchings.size() << " pairing(s)";
-    if (restricted.matchings.size() < enumeration.matchings.size()) {
+           << restricted.matchings.size() << " pairing(s)"
+           << (restricted.truncated ? " (truncated)" : "");
+    if (!truncated &&
+        restricted.matchings.size() < enumeration.matchings.size()) {
       report << " — misses "
              << enumeration.matchings.size() - restricted.matchings.size()
              << " behavior(s) (the Figure-4b gap)";
     }
     report << "\n";
   }
-  return write_output(o, report.str());
+  const int rc = write_output(o, report.str());
+  if (rc != 0) return rc;
+  return truncated ? 3 : 0;
 }
 
 /// Parses "tS:send#K -> tR:recv#J" (or the reversed "tR:recv#J <- tS:send#K")
@@ -695,12 +706,9 @@ int cmd_smt(const Options& o) {
 
   // Build the encoding exactly as `check` would, then print the assertions.
   const SymbolicOptions& so = o.spec.request.symbolic;
-  const mcsym::match::MatchSet matches =
-      so.match_gen == mcsym::check::MatchGen::kPrecise
-          ? mcsym::match::enumerate_feasible(trace).precise
-          : mcsym::match::generate_overapprox(trace);
+  const mcsym::check::SymbolicChecker checker(trace, so);
   mcsym::smt::Solver solver;
-  mcsym::encode::Encoder encoder(solver, trace, matches, so.encode);
+  mcsym::encode::Encoder encoder(solver, trace, checker.match_set(), so.encode);
   (void)encoder.encode(lp->properties);
   return write_output(o, mcsym::smt::to_smtlib(solver.terms(), solver.assertions()));
 }
