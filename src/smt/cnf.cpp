@@ -13,10 +13,9 @@ CnfBuilder::CnfBuilder(TermTable& terms, SatSolver& sat, IdlTheory& idl)
 
 IntVarId CnfBuilder::int_var_of(TermId t) {
   MCSYM_ASSERT(terms_.node(t).op == Op::kIntVar);
-  if (auto it = int_ids_.find(t); it != int_ids_.end()) return it->second;
-  const IntVarId id = idl_.new_int_var();
-  int_ids_.emplace(t, id);
-  return id;
+  if (t >= int_ids_.size()) int_ids_.resize(terms_.size(), kNoIntVar);
+  if (int_ids_[t] == kNoIntVar) int_ids_[t] = idl_.new_int_var();
+  return int_ids_[t];
 }
 
 std::optional<Lit> CnfBuilder::find_literal(TermId t) const {
@@ -25,15 +24,13 @@ std::optional<Lit> CnfBuilder::find_literal(TermId t) const {
     if (auto inner = find_literal(n.child0)) return ~*inner;
     return std::nullopt;
   }
-  auto it = cache_.find(t);
-  if (it == cache_.end()) return std::nullopt;
-  return it->second;
+  if (t >= cache_.size() || !cache_[t].valid()) return std::nullopt;
+  return cache_[t];
 }
 
 std::optional<IntVarId> CnfBuilder::find_int_var(TermId t) const {
-  auto it = int_ids_.find(t);
-  if (it == int_ids_.end()) return std::nullopt;
-  return it->second;
+  if (t >= int_ids_.size() || int_ids_[t] == kNoIntVar) return std::nullopt;
+  return int_ids_[t];
 }
 
 Lit CnfBuilder::atom_literal(const TermNode& n) {
@@ -45,7 +42,8 @@ Lit CnfBuilder::atom_literal(const TermNode& n) {
 }
 
 Lit CnfBuilder::convert(TermId t) {
-  if (auto it = cache_.find(t); it != cache_.end()) return it->second;
+  if (t >= cache_.size()) cache_.resize(terms_.size(), kNoLit);
+  if (cache_[t].valid()) return cache_[t];
   const TermNode& n = terms_.node(t);
   Lit result;
   switch (n.op) {
@@ -54,37 +52,27 @@ Lit CnfBuilder::convert(TermId t) {
     case Op::kBoolVar: result = Lit::make(sat_.new_var(), false); break;
     case Op::kNot: return ~convert(n.child0);  // no cache entry of its own
     case Op::kLeAtom: result = atom_literal(n); break;
-    case Op::kAnd: {
-      const auto kids = terms_.children(t);
-      std::vector<Lit> kid_lits;
-      kid_lits.reserve(kids.size());
-      for (const TermId c : kids) kid_lits.push_back(convert(c));
-      const Lit x = Lit::make(sat_.new_var(), false);
-      std::vector<Lit> big;
-      big.reserve(kid_lits.size() + 1);
-      big.push_back(x);
-      for (const Lit k : kid_lits) {
-        sat_.add_clause({~x, k});  // x -> k
-        big.push_back(~k);
-      }
-      sat_.add_clause(big);  // (and k_i) -> x
-      result = x;
-      break;
-    }
+    case Op::kAnd:
     case Op::kOr: {
+      // x <-> (and k_i): clauses x -> k_i, then (and k_i) -> x.
+      // x <-> (or k_i):  clauses k_i -> x, then x -> (or k_i).
+      // The children convert first, into slots 1.., so their variables
+      // precede x; slot 0 then takes x's literal in the long clause.
+      const bool is_and = n.op == Op::kAnd;
       const auto kids = terms_.children(t);
-      std::vector<Lit> kid_lits;
-      kid_lits.reserve(kids.size());
-      for (const TermId c : kids) kid_lits.push_back(convert(c));
+      std::vector<Lit> lits(kids.size() + 1);
+      for (std::size_t i = 0; i < kids.size(); ++i) lits[i + 1] = convert(kids[i]);
       const Lit x = Lit::make(sat_.new_var(), false);
-      std::vector<Lit> big;
-      big.reserve(kid_lits.size() + 1);
-      big.push_back(~x);
-      for (const Lit k : kid_lits) {
-        sat_.add_clause({x, ~k});  // k -> x
-        big.push_back(k);
+      for (std::size_t i = 1; i < lits.size(); ++i) {
+        if (is_and) {
+          sat_.add_clause({~x, lits[i]});
+          lits[i] = ~lits[i];
+        } else {
+          sat_.add_clause({x, ~lits[i]});
+        }
       }
-      sat_.add_clause(big);  // x -> (or k_i)
+      lits[0] = is_and ? x : ~x;
+      sat_.add_clause(lits);
       result = x;
       break;
     }
@@ -93,7 +81,7 @@ Lit CnfBuilder::convert(TermId t) {
     case Op::kAddConst:
       MCSYM_UNREACHABLE("int-sorted term used in boolean position");
   }
-  cache_.emplace(t, result);
+  cache_[t] = result;
   return result;
 }
 

@@ -3,11 +3,12 @@
 // Boolean structure becomes fresh SAT variables with defining clauses;
 // kLeAtom leaves become theory-relevant SAT variables registered with the
 // IdlTheory; integer variables get dense theory indices. Conversion is
-// memoized on TermId, so shared subformulas are encoded once.
+// memoized on TermId, so shared subformulas are encoded once. Both memo
+// tables are vectors indexed by TermId (TermIds are dense).
 #pragma once
 
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "smt/idl.hpp"
 #include "smt/sat_solver.hpp"
@@ -34,21 +35,22 @@ class CnfBuilder {
   [[nodiscard]] std::optional<Lit> find_literal(TermId t) const;
   [[nodiscard]] std::optional<IntVarId> find_int_var(TermId t) const;
 
-  /// Every term converted so far with its literal (kNot terms have no entry
-  /// of their own: they are the negation of their child's literal).
-  [[nodiscard]] const std::unordered_map<TermId, Lit>& converted() const {
-    return cache_;
-  }
+  /// Literal of every term converted so far, indexed by TermId; kNoLit for
+  /// terms never converted and for kNot terms, which have no entry of their
+  /// own (they are the negation of their child's literal).
+  [[nodiscard]] const std::vector<Lit>& converted() const { return cache_; }
 
  private:
+  static constexpr IntVarId kNoIntVar = 0xffffffffu;
+
   Lit convert(TermId t);
   Lit atom_literal(const TermNode& n);
 
   TermTable& terms_;
   SatSolver& sat_;
   IdlTheory& idl_;
-  std::unordered_map<TermId, Lit> cache_;
-  std::unordered_map<TermId, IntVarId> int_ids_;
+  std::vector<Lit> cache_;
+  std::vector<IntVarId> int_ids_;
   Lit true_lit_;
 };
 

@@ -22,20 +22,17 @@ IntVarId IdlTheory::new_int_var() {
 
 Lit IdlTheory::atom(IntVarId x, IntVarId y, std::int64_t k) {
   MCSYM_ASSERT(x < pi_.size() && y < pi_.size());
-  const AtomKey key{x, y, k};
-  if (auto it = atom_vars_.find(key); it != atom_vars_.end()) {
-    return Lit::make(it->second, false);
-  }
   const Var v = sat_.new_var(/*theory_relevant=*/true);
-  atom_vars_.emplace(key, v);
-  var_atoms_.emplace(v, key);
+  if (v >= var_atoms_.size()) var_atoms_.resize(v + 1, kNoAtom);
+  var_atoms_[v] = Atom{x, y, k};
+  ++num_atoms_;
   return Lit::make(v, false);
 }
 
 bool IdlTheory::theory_assign(Lit lit) {
-  const auto it = var_atoms_.find(lit.var());
-  MCSYM_ASSERT_MSG(it != var_atoms_.end(), "unknown theory atom");
-  const AtomKey& a = it->second;
+  MCSYM_ASSERT_MSG(lit.var() < var_atoms_.size() && var_atoms_[lit.var()] != kNoAtom,
+                   "unknown theory atom");
+  const Atom& a = var_atoms_[lit.var()];
   // Atom: x - y <= k, i.e. edge (y -> x, k).
   // Negation: y - x <= -k-1, i.e. edge (x -> y, -k-1).
   if (!lit.negated()) {

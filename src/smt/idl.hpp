@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "smt/sat_solver.hpp"
@@ -48,9 +47,10 @@ class IdlTheory final : public TheoryClient {
     return static_cast<std::uint32_t>(pi_.size());
   }
 
-  /// Returns the positive literal of the (deduplicated) SAT variable that
-  /// stands for the atom `x - y <= k`. The variable is registered as
-  /// theory-relevant with the SAT solver.
+  /// Returns the positive literal of a fresh SAT variable that stands for
+  /// the atom `x - y <= k`, registered as theory-relevant with the SAT
+  /// solver. Callers deduplicate: CnfBuilder converts each hash-consed
+  /// kLeAtom term once, and distinct terms give distinct (x, y, k).
   Lit atom(IntVarId x, IntVarId y, std::int64_t k);
 
   // TheoryClient interface -----------------------------------------------
@@ -64,6 +64,7 @@ class IdlTheory final : public TheoryClient {
   [[nodiscard]] std::int64_t model_value(IntVarId v) const;
 
   [[nodiscard]] const IdlStats& stats() const { return stats_; }
+  [[nodiscard]] std::size_t num_atoms() const { return num_atoms_; }
 
  private:
   struct Edge {
@@ -79,23 +80,17 @@ class IdlTheory final : public TheoryClient {
 
   SatSolver& sat_;
 
-  // Atom registry: (x, y, k) -> SAT var, plus the inverse map.
-  struct AtomKey {
+  // Atom of every SAT variable, indexed by Var (read on every theory
+  // assignment); variables that stand for no atom hold kNoAtom.
+  struct Atom {
     IntVarId x;
     IntVarId y;
     std::int64_t k;
-    bool operator==(const AtomKey&) const = default;
+    bool operator==(const Atom&) const = default;
   };
-  struct AtomKeyHash {
-    std::size_t operator()(const AtomKey& a) const noexcept {
-      std::uint64_t h = a.x * 0x9e3779b1u;
-      h = (h ^ a.y) * 0x85ebca77c2b2ae63ULL;
-      h ^= static_cast<std::uint64_t>(a.k) + (h >> 29);
-      return static_cast<std::size_t>(h * 0xc2b2ae3d27d4eb4fULL);
-    }
-  };
-  std::unordered_map<AtomKey, Var, AtomKeyHash> atom_vars_;
-  std::unordered_map<Var, AtomKey> var_atoms_;
+  static constexpr Atom kNoAtom{0xffffffffu, 0xffffffffu, 0};
+  std::vector<Atom> var_atoms_;
+  std::size_t num_atoms_ = 0;
 
   // Constraint graph. adjacency_[node] holds indices into edges_; edges are
   // pushed/popped in assignment order, so adjacency tails pop in lockstep.

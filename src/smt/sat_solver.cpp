@@ -51,19 +51,21 @@ bool SatSolver::add_clause(std::span<const Lit> lits) {
   if (!ok_) return false;
 
   // Normalize: sort, deduplicate, drop level-0-false literals, detect
-  // tautologies and already-satisfied clauses.
-  std::vector<Lit> c(lits.begin(), lits.end());
+  // tautologies and already-satisfied clauses. Kept literals are compacted
+  // to the front of the scratch buffer in place.
+  std::vector<Lit>& c = add_scratch_;
+  c.assign(lits.begin(), lits.end());
   std::sort(c.begin(), c.end());
   c.erase(std::unique(c.begin(), c.end()), c.end());
-  std::vector<Lit> kept;
-  kept.reserve(c.size());
+  std::size_t n_kept = 0;
   for (std::size_t i = 0; i < c.size(); ++i) {
     if (i + 1 < c.size() && c[i].var() == c[i + 1].var()) return true;  // l ∨ ¬l
     const LBool val = value(c[i]);
     if (val == LBool::kTrue) return true;  // satisfied at level 0
     if (val == LBool::kFalse) continue;    // falsified at level 0: drop
-    kept.push_back(c[i]);
+    c[n_kept++] = c[i];
   }
+  const std::span<const Lit> kept(c.data(), n_kept);
 
   if (kept.empty()) {
     ok_ = false;

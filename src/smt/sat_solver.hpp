@@ -70,6 +70,11 @@ class SatSolver {
   [[nodiscard]] std::uint32_t num_vars() const {
     return static_cast<std::uint32_t>(assigns_.size());
   }
+  /// Stored problem clauses: level-0 units, satisfied clauses and
+  /// tautologies never reach the database.
+  [[nodiscard]] std::size_t num_problem_clauses() const {
+    return problem_clauses_.size();
+  }
 
   /// Adds a problem clause. Returns false if the formula is now trivially
   /// unsatisfiable (empty clause after level-0 simplification).
@@ -181,6 +186,9 @@ class SatSolver {
 
   // Clause activity.
   double cla_inc_ = 1.0;
+
+  // add_clause scratch: the normalized literals.
+  std::vector<Lit> add_scratch_;
 
   // Analyze scratch.
   std::vector<std::uint8_t> seen_;

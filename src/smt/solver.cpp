@@ -4,18 +4,6 @@
 
 namespace mcsym::smt {
 
-std::int64_t Model::int_value(TermId t) const {
-  auto it = ints_.find(t);
-  MCSYM_ASSERT_MSG(it != ints_.end(), "term not captured in model snapshot");
-  return it->second;
-}
-
-bool Model::bool_value(TermId t) const {
-  auto it = bools_.find(t);
-  MCSYM_ASSERT_MSG(it != bools_.end(), "term not captured in model snapshot");
-  return it->second;
-}
-
 Solver::Solver() : idl_(sat_), cnf_(terms_, sat_, idl_) {}
 
 void Solver::assert_term(TermId t) {
@@ -71,8 +59,9 @@ void Solver::hint_phases(std::span<const VarValue> values) {
         break;
     }
   }
-  for (const auto& [t, lit] : cnf_.converted()) {
-    sat_.set_phase(holds(t) ? lit : ~lit);
+  const std::vector<Lit>& lits = cnf_.converted();
+  for (TermId t = 0; t < lits.size(); ++t) {
+    if (lits[t].valid()) sat_.set_phase(holds(t) ? lits[t] : ~lits[t]);
   }
 }
 
@@ -120,12 +109,6 @@ bool Solver::model_bool(TermId t) const {
       MCSYM_UNREACHABLE("int term evaluated as bool");
   }
   return false;
-}
-
-Model Solver::snapshot_ints(std::span<const TermId> int_terms) const {
-  Model m;
-  for (const TermId t : int_terms) m.put_int(t, model_int(t));
-  return m;
 }
 
 void Solver::block_current_ints(std::span<const TermId> int_terms) {

@@ -10,8 +10,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "smt/cnf.hpp"
@@ -20,23 +18,6 @@
 #include "smt/term.hpp"
 
 namespace mcsym::smt {
-
-/// Immutable snapshot of the values a caller asked for; survives later
-/// check() calls (which overwrite the live model inside the solver).
-class Model {
- public:
-  void put_int(TermId t, std::int64_t v) { ints_[t] = v; }
-  void put_bool(TermId t, bool v) { bools_[t] = v; }
-
-  [[nodiscard]] std::int64_t int_value(TermId t) const;
-  [[nodiscard]] bool bool_value(TermId t) const;
-  [[nodiscard]] bool has_int(TermId t) const { return ints_.contains(t); }
-  [[nodiscard]] std::size_t size() const { return ints_.size() + bools_.size(); }
-
- private:
-  std::unordered_map<TermId, std::int64_t> ints_;
-  std::unordered_map<TermId, bool> bools_;
-};
 
 /// One variable's value in a known assignment: an int var's value, or a
 /// bool var's as 0 / 1.
@@ -89,9 +70,6 @@ class Solver {
   [[nodiscard]] std::int64_t model_int(TermId t) const;
   [[nodiscard]] bool model_bool(TermId t) const;
 
-  /// Snapshots the given int terms (and nothing else) into a Model.
-  [[nodiscard]] Model snapshot_ints(std::span<const TermId> int_terms) const;
-
   /// Adds a clause excluding the current model's values of `int_terms`,
   /// so the next check() yields a different projection (all-SAT step).
   void block_current_ints(std::span<const TermId> int_terms);
@@ -110,6 +88,10 @@ class Solver {
   [[nodiscard]] const SatStats& sat_stats() const { return sat_.stats(); }
   [[nodiscard]] const IdlStats& idl_stats() const { return idl_.stats(); }
   [[nodiscard]] std::uint32_t num_sat_vars() const { return sat_.num_vars(); }
+  [[nodiscard]] std::size_t num_problem_clauses() const {
+    return sat_.num_problem_clauses();
+  }
+  [[nodiscard]] std::size_t num_idl_atoms() const { return idl_.num_atoms(); }
 
  private:
   TermTable terms_;

@@ -1,17 +1,38 @@
 #include "smt/term.hpp"
 
 #include <algorithm>
+#include <functional>
 
 namespace mcsym::smt {
 
 namespace {
+
 std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   return h;
 }
+
+// Folds to 32 bits through a multiply so the low bits, which pick the slot,
+// depend on every input bit.
+std::uint32_t fold_hash(std::uint64_t h) {
+  return static_cast<std::uint32_t>(((h ^ (h >> 32)) * 0x9e3779b97f4a7c15ULL) >> 32);
+}
+
+std::uint32_t node_hash(const TermNode& n, std::span<const TermId> pool_children) {
+  std::uint64_t h = static_cast<std::uint64_t>(n.op);
+  h = hash_mix(h, static_cast<std::uint64_t>(n.value));
+  h = hash_mix(h, n.child0);
+  h = hash_mix(h, n.child1);
+  for (const TermId c : pool_children) h = hash_mix(h, c);
+  h = hash_mix(h, pool_children.size());
+  return fold_hash(h);
+}
+
+constexpr std::size_t kInitialSlots = 1024;
+
 }  // namespace
 
-TermTable::TermTable() {
+TermTable::TermTable() : slots_(kInitialSlots) {
   TermNode t{};
   t.op = Op::kTrue;
   t.sort = Sort::kBool;
@@ -22,22 +43,10 @@ TermTable::TermTable() {
   false_id_ = intern_node(std::move(f));
 }
 
-std::uint64_t TermTable::node_hash(const TermNode& n,
-                                   std::span<const TermId> pool_children) const {
-  std::uint64_t h = static_cast<std::uint64_t>(n.op);
-  h = hash_mix(h, static_cast<std::uint64_t>(n.value));
-  h = hash_mix(h, n.name.raw());
-  h = hash_mix(h, n.child0);
-  h = hash_mix(h, n.child1);
-  for (const TermId c : pool_children) h = hash_mix(h, c);
-  h = hash_mix(h, pool_children.size());
-  return h;
-}
-
 bool TermTable::node_equal(const TermNode& n, std::span<const TermId> pool_children,
                            TermId existing) const {
   const TermNode& e = nodes_[existing];
-  if (e.op != n.op || e.value != n.value || e.name != n.name ||
+  if (e.op != n.op || e.value != n.value ||
       e.child0 != n.child0 || e.child1 != n.child1 ||
       e.children_cnt != pool_children.size()) {
     return false;
@@ -49,11 +58,37 @@ bool TermTable::node_equal(const TermNode& n, std::span<const TermId> pool_child
 }
 
 TermId TermTable::intern_node(TermNode&& n, std::span<const TermId> pool_children) {
-  const std::uint64_t h = node_hash(n, pool_children);
-  auto [lo, hi] = dedup_.equal_range(h);
-  for (auto it = lo; it != hi; ++it) {
-    if (node_equal(n, pool_children, it->second)) return it->second;
+  const std::uint32_t h = node_hash(n, pool_children);
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = h & mask;
+  for (; slots_[i].id != kNoTerm; i = (i + 1) & mask) {
+    if (slots_[i].hash == h && node_equal(n, pool_children, slots_[i].id)) {
+      return slots_[i].id;
+    }
   }
+  return add_node(i, h, std::move(n), pool_children);
+}
+
+TermId TermTable::intern_var(Op op, std::string_view name) {
+  const std::uint32_t h =
+      fold_hash(hash_mix(std::hash<std::string_view>{}(name), static_cast<std::uint64_t>(op)));
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = h & mask;
+  for (; slots_[i].id != kNoTerm; i = (i + 1) & mask) {
+    const TermNode& e = nodes_[slots_[i].id];
+    if (slots_[i].hash == h && e.op == op && names_[e.name] == name) return slots_[i].id;
+  }
+  TermNode n{};
+  n.op = op;
+  n.sort = op == Op::kBoolVar ? Sort::kBool : Sort::kInt;
+  n.name = static_cast<std::uint32_t>(names_.size());
+  names_.emplace_back(name);
+  return add_node(i, h, std::move(n), {});
+}
+
+// Appends `n` and files it in the empty `slot` its probe ended on.
+TermId TermTable::add_node(std::size_t slot, std::uint32_t hash, TermNode&& n,
+                           std::span<const TermId> pool_children) {
   if (!pool_children.empty()) {
     n.children_off = static_cast<std::uint32_t>(child_pool_.size());
     n.children_cnt = static_cast<std::uint32_t>(pool_children.size());
@@ -61,33 +96,26 @@ TermId TermTable::intern_node(TermNode&& n, std::span<const TermId> pool_childre
   }
   const TermId id = static_cast<TermId>(nodes_.size());
   nodes_.push_back(n);
-  dedup_.emplace(h, id);
+  slots_[slot] = Slot{id, hash};
+  if (2 * nodes_.size() > slots_.size()) grow_slots();
   return id;
 }
 
-TermId TermTable::bool_var(std::string_view name) {
-  const support::Symbol sym = names_.intern(name);
-  if (auto it = bool_vars_.find(sym); it != bool_vars_.end()) return it->second;
-  TermNode n{};
-  n.op = Op::kBoolVar;
-  n.sort = Sort::kBool;
-  n.name = sym;
-  const TermId id = intern_node(std::move(n));
-  bool_vars_.emplace(sym, id);
-  return id;
+void TermTable::grow_slots() {
+  std::vector<Slot> old(slots_.size() * 2);
+  old.swap(slots_);
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.id == kNoTerm) continue;
+    std::size_t i = s.hash & mask;
+    while (slots_[i].id != kNoTerm) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
 }
 
-TermId TermTable::int_var(std::string_view name) {
-  const support::Symbol sym = names_.intern(name);
-  if (auto it = int_vars_.find(sym); it != int_vars_.end()) return it->second;
-  TermNode n{};
-  n.op = Op::kIntVar;
-  n.sort = Sort::kInt;
-  n.name = sym;
-  const TermId id = intern_node(std::move(n));
-  int_vars_.emplace(sym, id);
-  return id;
-}
+TermId TermTable::bool_var(std::string_view name) { return intern_var(Op::kBoolVar, name); }
+
+TermId TermTable::int_var(std::string_view name) { return intern_var(Op::kIntVar, name); }
 
 TermId TermTable::int_const(std::int64_t value) {
   TermNode n{};
@@ -125,75 +153,60 @@ TermId TermTable::not_(TermId t) {
   return intern_node(std::move(m));
 }
 
-TermId TermTable::and_(std::span<const TermId> children) {
-  // Flatten nested conjunctions, fold constants, deduplicate, and detect
-  // complementary pairs. Children are sorted so hash-consing catches
-  // permutations.
-  std::vector<TermId> flat;
-  flat.reserve(children.size());
-  auto push = [&](auto&& self, TermId c) -> bool {  // returns false on kFalse
+bool TermTable::collect_junction(Op op, std::span<const TermId> children) {
+  const Op identity = op == Op::kAnd ? Op::kTrue : Op::kFalse;
+  const Op absorbing = op == Op::kAnd ? Op::kFalse : Op::kTrue;
+  junction_.clear();
+  auto push = [&](auto&& self, TermId c) -> bool {  // false on `absorbing`
     const TermNode& n = node(c);
     MCSYM_ASSERT(n.sort == Sort::kBool);
-    if (n.op == Op::kFalse) return false;
-    if (n.op == Op::kTrue) return true;
-    if (n.op == Op::kAnd) {
+    if (n.op == absorbing) return false;
+    if (n.op == identity) return true;
+    if (n.op == op) {
       for (const TermId g : this->children(c)) {
         if (!self(self, g)) return false;
       }
       return true;
     }
-    flat.push_back(c);
+    junction_.push_back(c);
     return true;
   };
   for (const TermId c : children) {
-    if (!push(push, c)) return false_id_;
+    if (!push(push, c)) return false;
   }
-  std::sort(flat.begin(), flat.end());
-  flat.erase(std::unique(flat.begin(), flat.end()), flat.end());
-  for (const TermId c : flat) {
-    const TermId neg = not_(c);
-    if (std::binary_search(flat.begin(), flat.end(), neg)) return false_id_;
+  // Sorted, so hash-consing catches permutations.
+  std::sort(junction_.begin(), junction_.end());
+  junction_.erase(std::unique(junction_.begin(), junction_.end()), junction_.end());
+  // not_ never wraps a kNot, so every complementary pair is a kNot child
+  // next to its operand: look the operands up, minting no negations.
+  for (const TermId c : junction_) {
+    const TermNode& n = node(c);
+    if (n.op == Op::kNot &&
+        std::binary_search(junction_.begin(), junction_.end(), n.child0)) {
+      return false;
+    }
   }
-  if (flat.empty()) return true_id_;
-  if (flat.size() == 1) return flat[0];
+  return true;
+}
+
+TermId TermTable::and_(std::span<const TermId> children) {
+  if (!collect_junction(Op::kAnd, children)) return false_id_;
+  if (junction_.empty()) return true_id_;
+  if (junction_.size() == 1) return junction_[0];
   TermNode n{};
   n.op = Op::kAnd;
   n.sort = Sort::kBool;
-  return intern_node(std::move(n), flat);
+  return intern_node(std::move(n), junction_);
 }
 
 TermId TermTable::or_(std::span<const TermId> children) {
-  std::vector<TermId> flat;
-  flat.reserve(children.size());
-  auto push = [&](auto&& self, TermId c) -> bool {  // returns false on kTrue
-    const TermNode& n = node(c);
-    MCSYM_ASSERT(n.sort == Sort::kBool);
-    if (n.op == Op::kTrue) return false;
-    if (n.op == Op::kFalse) return true;
-    if (n.op == Op::kOr) {
-      for (const TermId g : this->children(c)) {
-        if (!self(self, g)) return false;
-      }
-      return true;
-    }
-    flat.push_back(c);
-    return true;
-  };
-  for (const TermId c : children) {
-    if (!push(push, c)) return true_id_;
-  }
-  std::sort(flat.begin(), flat.end());
-  flat.erase(std::unique(flat.begin(), flat.end()), flat.end());
-  for (const TermId c : flat) {
-    const TermId neg = not_(c);
-    if (std::binary_search(flat.begin(), flat.end(), neg)) return true_id_;
-  }
-  if (flat.empty()) return false_id_;
-  if (flat.size() == 1) return flat[0];
+  if (!collect_junction(Op::kOr, children)) return true_id_;
+  if (junction_.empty()) return false_id_;
+  if (junction_.size() == 1) return junction_[0];
   TermNode n{};
   n.op = Op::kOr;
   n.sort = Sort::kBool;
-  return intern_node(std::move(n), flat);
+  return intern_node(std::move(n), junction_);
 }
 
 TermId TermTable::iff(TermId a, TermId b) {
@@ -257,7 +270,7 @@ std::span<const TermId> TermTable::children(TermId t) const {
 const std::string& TermTable::var_name(TermId t) const {
   const TermNode& n = node(t);
   MCSYM_ASSERT(n.op == Op::kBoolVar || n.op == Op::kIntVar);
-  return names_.spelling(n.name);
+  return names_[n.name];
 }
 
 void TermTable::render(TermId t, std::string& out) const {
@@ -266,7 +279,7 @@ void TermTable::render(TermId t, std::string& out) const {
     case Op::kTrue: out += "true"; return;
     case Op::kFalse: out += "false"; return;
     case Op::kBoolVar:
-    case Op::kIntVar: out += names_.spelling(n.name); return;
+    case Op::kIntVar: out += names_[n.name]; return;
     case Op::kIntConst: out += std::to_string(n.value); return;
     case Op::kAddConst:
       out += "(+ ";

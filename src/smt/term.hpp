@@ -11,14 +11,13 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "support/assert.hpp"
-#include "support/intern.hpp"
 
 namespace mcsym::smt {
 
@@ -43,7 +42,7 @@ enum class Sort : std::uint8_t { kBool, kInt };
 struct TermNode {
   Op op;
   Sort sort;
-  support::Symbol name;         // kBoolVar / kIntVar
+  std::uint32_t name = 0;       // kBoolVar / kIntVar: index of its spelling
   std::int64_t value = 0;       // kIntConst / kAddConst offset / kLeAtom bound
   TermId child0 = kNoTerm;
   TermId child1 = kNoTerm;
@@ -52,7 +51,8 @@ struct TermNode {
 };
 
 /// Owns all terms; every construction is hash-consed, so TermId equality is
-/// structural equality and the DAG never duplicates a subformula.
+/// structural equality and the DAG never duplicates a subformula. Terms are
+/// numbered in creation order and a term's operands always precede it.
 class TermTable {
  public:
   TermTable();
@@ -115,19 +115,36 @@ class TermTable {
 
  private:
   TermId intern_node(TermNode&& n, std::span<const TermId> pool_children = {});
+  TermId intern_var(Op op, std::string_view name);
+  TermId add_node(std::size_t slot, std::uint32_t hash, TermNode&& n,
+                  std::span<const TermId> pool_children);
   TermId mk_le_atom(TermId x, TermId y, std::int64_t k);
-  [[nodiscard]] std::uint64_t node_hash(const TermNode& n,
-                                        std::span<const TermId> pool_children) const;
+  /// Shared tail of and_/or_: flattens nested `op` children, drops the
+  /// identity, sorts and deduplicates. Returns false when a child is the
+  /// absorbing constant or two children are complementary.
+  bool collect_junction(Op op, std::span<const TermId> children);
   [[nodiscard]] bool node_equal(const TermNode& n, std::span<const TermId> pool_children,
                                 TermId existing) const;
+  void grow_slots();
   void render(TermId t, std::string& out) const;
+
+  // Hash-consing index: open addressing with linear probing over a
+  // power-of-two slot array, kept at most half full. A slot holds a TermId
+  // (kNoTerm when empty) and that node's 32-bit hash, so probes compare
+  // hashes before touching the node. Variables hash on their spelling, so
+  // the index also finds a variable by name.
+  struct Slot {
+    TermId id = kNoTerm;
+    std::uint32_t hash = 0;
+  };
 
   std::vector<TermNode> nodes_;
   std::vector<TermId> child_pool_;
-  std::unordered_multimap<std::uint64_t, TermId> dedup_;
-  support::Interner names_;
-  std::unordered_map<support::Symbol, TermId> bool_vars_;
-  std::unordered_map<support::Symbol, TermId> int_vars_;
+  std::vector<Slot> slots_;
+  std::vector<TermId> junction_;  // and_/or_ scratch: the flattened children
+  // Variable spellings, by TermNode::name. A deque, so the references
+  // var_name hands out stay valid as variables are added.
+  std::deque<std::string> names_;
   TermId true_id_ = kNoTerm;
   TermId false_id_ = kNoTerm;
 };

@@ -543,6 +543,42 @@ TEST(WarmStartTest, FeasibilityQueriesAreConflictFree) {
   }
 }
 
+// The formula of a session is pinned on the seed-1 traces of the
+// symbolic_traces hot inputs: a faster term, CNF or theory layer must build
+// the same SAT variables, problem clauses and IDL atoms, and the warm start
+// must run the same conflict-free search. The session is built the way
+// SymbolicChecker builds it: base groups only, phases from the recorded run.
+TEST(WarmStartTest, SessionFormulaIsPinned) {
+  struct Pin {
+    std::string name;
+    mcapi::Program program;
+    std::uint32_t sat_vars;
+    std::size_t clauses;
+    std::size_t atoms;
+    std::uint64_t decisions;
+  };
+  const std::vector<Pin> pins = {
+      {"relay_race(2)", wl::relay_race(2), 150, 204, 97, 80},
+      {"message_race(3,2)", wl::message_race(3, 2), 327, 441, 233, 218},
+  };
+  for (const Pin& pin : pins) {
+    const trace::Trace tr = record(pin.program, 1);
+    const match::MatchSet set = match::generate_overapprox(tr);
+    smt::Solver solver;
+    EncodeOptions opts;
+    opts.property_mode = PropertyMode::kIgnore;
+    Encoder encoder(solver, tr, set, opts);
+    const Encoding enc = encoder.encode();
+    solver.hint_phases(enc.recorded_run);
+    ASSERT_EQ(solver.check(), smt::SolveResult::kSat) << pin.name;
+    EXPECT_EQ(solver.num_sat_vars(), pin.sat_vars) << pin.name;
+    EXPECT_EQ(solver.num_problem_clauses(), pin.clauses) << pin.name;
+    EXPECT_EQ(solver.num_idl_atoms(), pin.atoms) << pin.name;
+    EXPECT_EQ(solver.sat_stats().conflicts, 0u) << pin.name;
+    EXPECT_EQ(solver.sat_stats().decisions, pin.decisions) << pin.name;
+  }
+}
+
 TEST(WitnessTest, ToStringMentionsScheduleAndMatching) {
   const auto [program, properties] = wl::figure1_with_property();
   const trace::Trace tr = record(program, 42, false);

@@ -120,15 +120,14 @@ TEST(IdlTest, ManyVariableOrderingChain) {
   EXPECT_EQ(s.check(), SolveResult::kUnsat);
 }
 
-TEST(IdlTest, ModelSurvivesViaSnapshot) {
+TEST(IdlTest, ModelValueOfPinnedVariable) {
   Solver s;
   auto& tt = s.terms();
   const TermId x = tt.int_var("x");
   s.assert_term(tt.eq(x, tt.int_const(9)));
   ASSERT_EQ(s.check(), SolveResult::kSat);
-  const std::vector<TermId> proj{x};
-  const Model m = s.snapshot_ints(proj);
-  EXPECT_EQ(m.int_value(x), 9);
+  EXPECT_EQ(s.model_int(x), 9);
+  EXPECT_EQ(s.model_int(tt.add_const(x, 3)), 12);
 }
 
 TEST(IdlTest, TheoryStatsCount) {

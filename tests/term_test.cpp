@@ -1,6 +1,9 @@
 // Unit tests for the hash-consed term DAG and its simplifications.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "smt/term.hpp"
 
 namespace mcsym::smt {
@@ -168,6 +171,61 @@ TEST_F(TermTest, StructuralSharingKeepsTableSmall) {
   }
   // Only a handful of distinct nodes should have been created.
   EXPECT_LT(tt.size() - before, 10u);
+}
+
+// Hash-consing must hold across many growths of the slot table: every node
+// built before a growth is found again after it, and finding adds nothing.
+TEST_F(TermTest, HashConsingSurvivesTableGrowth) {
+  constexpr int kVars = 25000;
+  std::vector<TermId> built;
+  const auto build_all = [&](std::vector<TermId>& out) {
+    for (int i = 0; i < kVars; ++i) {
+      const TermId v = tt.int_var("v" + std::to_string(i));
+      const TermId w = tt.int_var("v" + std::to_string((i + 1) % kVars));
+      const TermId c = tt.int_const(i);
+      const TermId atom = tt.le(tt.add_const(v, i % 7), w);
+      out.insert(out.end(), {v, c, atom, tt.or2(atom, tt.bool_var("p" + std::to_string(i)))});
+    }
+  };
+  build_all(built);
+  const std::size_t size = tt.size();
+  // int_var, int_const, add_const (except offset 0), le atom, bool_var, or.
+  ASSERT_GE(size, 100000u);
+  std::vector<TermId> again;
+  build_all(again);
+  EXPECT_EQ(again, built);
+  EXPECT_EQ(tt.size(), size);
+}
+
+TEST_F(TermTest, ComplementsFoldInEitherOrder) {
+  const TermId a = tt.bool_var("a");
+  const TermId b = tt.bool_var("b");
+  const TermId na = tt.not_(a);
+  EXPECT_EQ(tt.and_({a, na}), tt.false_());
+  EXPECT_EQ(tt.and_({na, a}), tt.false_());
+  EXPECT_EQ(tt.or_({na, a}), tt.true_());
+  EXPECT_EQ(tt.or_({a, na}), tt.true_());
+  // The pair is found among other children and through flattening.
+  EXPECT_EQ(tt.and_({b, na, tt.and2(b, a)}), tt.false_());
+  EXPECT_EQ(tt.or_({tt.or2(b, na), a}), tt.true_());
+  // A negated compound against the compound itself.
+  const TermId x = tt.int_var("x");
+  const TermId atom = tt.le(x, tt.int_const(3));
+  EXPECT_EQ(tt.and_({tt.not_(atom), atom}), tt.false_());
+}
+
+TEST_F(TermTest, JunctionOfFreshLeavesAddsOneNode) {
+  const TermId a = tt.bool_var("a");
+  const TermId b = tt.bool_var("b");
+  const std::size_t before = tt.size();
+  const TermId conj = tt.and_({a, b});
+  EXPECT_EQ(tt.size(), before + 1);
+  EXPECT_EQ(tt.node(conj).op, Op::kAnd);
+  (void)tt.or_({a, b});
+  EXPECT_EQ(tt.size(), before + 2);
+  for (TermId t = 0; t < tt.size(); ++t) {
+    EXPECT_NE(tt.node(t).op, Op::kNot) << "stray negation " << tt.to_string(t);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@ Usage:
     bench_gate.py OLD.json NEW.json [--benchmark NAME ...] [--max-ratio R]
                   [--speedup FAST:BASE:MIN ...]
                   [--min-counter BENCH:COUNTER:MIN ...]
+                  [--max-counter BENCH:COUNTER:MAX ...]
 
 Fails (exit 1) when any named benchmark's time in NEW exceeds max-ratio x
 its time in OLD. Benchmarks named but missing from OLD are reported and
@@ -38,6 +39,12 @@ unfiltered night still catches a renamed series because the counter gate
 then guards nothing and the compared-nothing warning fires). A benchmark that IS present but lacks
 the named counter is a hard failure — the series ran and silently lost
 its telemetry.
+
+--max-counter BENCH:COUNTER:MAX (repeatable) is the mirror ceiling: fail
+unless counters[COUNTER] <= MAX, with the same skip and missing-counter
+rules. The nightly holds BM_Symbolic_Request/{0,1} at conflicts 0: their
+traces are feasibility queries the recorded run answers, so a conflict
+means the warm start was lost.
 
 The nightly workflow feeds this with the previous run's bench-json
 artifact, turning the accumulating perf trajectory into an alarm instead
@@ -135,13 +142,23 @@ def main():
         help="counter floor gate on NEW.json: fail unless the named "
         "benchmark's user counter is >= MIN (repeatable)",
     )
+    parser.add_argument(
+        "--max-counter",
+        action="append",
+        default=[],
+        metavar="BENCH:COUNTER:MAX",
+        help="counter ceiling gate on NEW.json: fail unless the named "
+        "benchmark's user counter is <= MAX (repeatable)",
+    )
     args = parser.parse_args()
     # Ratio/counter-only invocations (intra-NEW gates) skip the default
-    # old-vs-new benchmark; naming none with neither gate keeps the
-    # historical default.
+    # old-vs-new benchmark; naming none with no gate keeps the historical
+    # default.
+    counter_gates = [(spec, "min") for spec in args.min_counter] + \
+        [(spec, "max") for spec in args.max_counter]
     if args.benchmark is not None:
         benchmarks = args.benchmark
-    elif args.speedup or args.min_counter:
+    elif args.speedup or counter_gates:
         benchmarks = []
     else:
         benchmarks = ["BM_Dpor_MessageRace/4"]
@@ -199,14 +216,15 @@ def main():
         )
         failed |= speedup < min_s
 
-    new_entries = load_entries(args.new_json) if args.min_counter else {}
-    for spec in args.min_counter:
+    new_entries = load_entries(args.new_json) if counter_gates else {}
+    for spec, kind in counter_gates:
         parts = spec.rsplit(":", 2)
         if len(parts) != 3:
-            print(f"FAIL --min-counter '{spec}': expected BENCH:COUNTER:MIN")
+            print(f"FAIL --{kind}-counter '{spec}': expected "
+                  f"BENCH:COUNTER:{kind.upper()}")
             failed = True
             continue
-        bench, counter, floor = parts[0], parts[1], float(parts[2])
+        bench, counter, limit = parts[0], parts[1], float(parts[2])
         entry = new_entries.get(bench)
         if entry is None:
             # The whole series is absent from the run — a BENCH_FILTERed
@@ -225,17 +243,19 @@ def main():
             print(f"FAIL counter {bench}: no counter '{counter}'")
             failed = True
             continue
-        verdict = "FAIL" if value < floor else "ok"
+        bad = value < limit if kind == "min" else value > limit
+        verdict = "FAIL" if bad else "ok"
+        word = "floor" if kind == "min" else "ceiling"
         print(
             f"{verdict} counter {bench} {counter}={value:.0f} "
-            f"(floor {floor:.0f})"
+            f"({word} {limit:.0f})"
         )
-        failed |= value < floor
+        failed |= bad
 
     print(
         f"summary: {compared} compared, {len(skipped)} skipped, "
         f"{len(args.speedup)} speedup gate(s), "
-        f"{len(args.min_counter)} counter gate(s)"
+        f"{len(counter_gates)} counter gate(s)"
     )
     if benchmarks and compared == 0 and not failed:
         # Every named series was skipped: the gate ran but guarded nothing.
