@@ -34,7 +34,8 @@ using dpor_detail::weak_initial_pos;
 /// subtrees were already explored (asleep until woken by a dependent
 /// step). The state itself lives in the single journaling System the
 /// search walks up and down; a frame's checkpoint is its depth, since
-/// apply() journals exactly one undo record per action.
+/// apply() journals exactly one undo record per action. Frames are reused
+/// in place: a push clears `wut` and `sleep` and keeps their capacity.
 struct Frame {
   WakeupTree wut;
   std::vector<ActionFootprint> sleep;
@@ -65,10 +66,12 @@ void DporChecker::run_optimal(DporResult& result,
   dpor_detail::Prefix prefix(program_, mode);
   System& sys = prefix.sys;
 
-  std::vector<Frame> stack;
-  stack.emplace_back();
+  // stack[0, depth) are the live frames. The frames above stay allocated
+  // for reuse, so a pop only lowers `depth`.
+  std::vector<Frame> stack(1);
+  std::size_t depth = 1;
   // Stateful mode: each frame's registered on-path fingerprint (nullopt for
-  // frames cut before registration), parallel to `stack`.
+  // frames cut before registration), parallel to the live frames.
   std::vector<std::optional<std::uint64_t>> frame_fp;
   if (options_.stateful) frame_fp.emplace_back();
   std::vector<Action> enabled;
@@ -86,9 +89,8 @@ void DporChecker::run_optimal(DporResult& result,
       if (frame_fp.back()) cycle_stack_.pop(*frame_fp.back());
       frame_fp.pop_back();
     }
-    stack.pop_back();
-    if (stack.empty()) return;
-    Frame& parent = stack.back();
+    if (--depth == 0) return;
+    Frame& parent = stack[depth - 1];
     prefix.pop();
     if (!parent.chosen_internal) parent.sleep.push_back(parent.chosen);
   };
@@ -102,19 +104,49 @@ void DporChecker::run_optimal(DporResult& result,
     }
     return false;
   };
-  auto schedule = [&](std::size_t k, std::vector<ActionFootprint>&& v) {
-    return stack[k].wut.insert(std::move(v), mode);
+  auto schedule = [&](std::size_t k, std::vector<ActionFootprint>& v) {
+    return stack[k].wut.insert(v, mode);
   };
 
-  while (!stack.empty()) {
+  // Executes `a` at the top frame and makes the child frame live. The
+  // child's wakeup tree already holds what is scheduled below `a`.
+  auto take = [&](Frame& frame, Frame& child, const Action& a) {
+    // Recompute the footprint at the actual state so happens-before and
+    // race bookkeeping always see exact message identities.
+    frame.chosen = sys.footprint(a);
+    frame.chosen_internal = frame.chosen.internal;
+    prefix.push(frame.chosen);
+    ++applied;
+    prefix.scan_races(st, covered, schedule);
+    if (frame.chosen_internal) {
+      child.sleep = frame.sleep;  // nothing asleep depends on it
+    } else {
+      child.sleep.clear();
+      for (const ActionFootprint& q : frame.sleep) {
+        if (!mcapi::dependent(frame.chosen, q, mode)) child.sleep.push_back(q);
+      }
+    }
+    child.started = false;
+    ++depth;
+    if (options_.stateful) frame_fp.emplace_back();
+  };
+
+  while (depth > 0) {
     if (applied >= options_.max_transitions ||
         support::over_budget(options_, timer, budget_probe_)) {
       result.truncated = true;
       break;
     }
-    const std::size_t top = stack.size() - 1;
+    // The child slot exists before any reference into `stack` is taken:
+    // growing the stack moves every frame.
+    if (stack.size() == depth) stack.emplace_back();
+    Frame& frame = stack[depth - 1];
+    Frame& child = stack[depth];
 
-    if (!stack[top].started) {
+    const bool fresh = !frame.started;
+    if (fresh) {
+      // Arrival checks, once per visit of a node.
+      frame.started = true;
       if (sys.has_violation()) {
         result.violation_found = true;
         result.violation = sys.violation();
@@ -156,11 +188,11 @@ void DporChecker::run_optimal(DporResult& result,
           pop_frame();
           continue;
         }
-        if (stack[top].sleep.empty()) {
+        if (frame.sleep.empty()) {
           // Only sleep-free nodes are roots of complete subtrees, so only
           // they are stored; a hit prunes only when no wakeup subtree is
           // scheduled here (reversal sequences must never be discarded).
-          if (stack[top].wut.empty()) {
+          if (frame.wut.empty()) {
             if (store_.visit(fp)) {
               pop_frame();
               continue;
@@ -174,71 +206,45 @@ void DporChecker::run_optimal(DporResult& result,
       }
     }
 
-    if (!stack[top].wut.empty()) {
-      // Follow the next scheduled branch: a wakeup sequence, or the
-      // initial pick. Descendants keep consuming the detached subtree.
-      auto [ev, subtree] = stack[top].wut.pop_first();
-      stack[top].started = true;
+    if (!frame.wut.empty()) {
+      // Follow the next scheduled branch; its subtree becomes the child's
+      // wakeup tree, which descendants keep consuming.
+      const Action a = frame.wut.pop_first(child.wut);
       bool asleep = false;
-      for (const ActionFootprint& q : stack[top].sleep) {
-        if (q.action == ev.action) {
+      for (const ActionFootprint& q : frame.sleep) {
+        if (q.action == a) {
           asleep = true;
           break;
         }
       }
-      const bool runnable = sys.action_enabled(ev.action);
-      if (asleep || !runnable) {
+      if (asleep || !sys.action_enabled(a)) {
         // Impossible for a faithful optimal construction; counted instead
         // of asserted so tests pin the invariant (redundant == 0).
         ++st.redundant_explorations;
         ++st.executions;
         continue;
       }
-      // Recompute the footprint at the actual state so happens-before and
-      // race bookkeeping always see exact message identities.
-      const ActionFootprint fresh = sys.footprint(ev.action);
-      prefix.push(fresh);
-      ++applied;
-      prefix.scan_races(st, covered, schedule);
-      stack[top].chosen = fresh;
-      stack[top].chosen_internal = fresh.internal;
-      Frame child;
-      child.wut = std::move(subtree);
-      if (fresh.internal) {
-        child.sleep = stack[top].sleep;  // nothing asleep depends on it
-      } else {
-        for (const ActionFootprint& q : stack[top].sleep) {
-          if (!mcapi::dependent(fresh, q, mode)) child.sleep.push_back(q);
-        }
-      }
-      stack.push_back(std::move(child));
-      if (options_.stateful) frame_fp.emplace_back();
+      take(frame, child, a);
       continue;
     }
 
-    if (stack[top].started) {
+    if (!fresh) {
       pop_frame();  // every scheduled branch explored
       continue;
     }
 
-    // Fresh node, nothing scheduled: seed the wakeup tree with the initial
-    // pick.
-    sys.enabled(enabled);
-    const Action* pick =
-        dpor_detail::initial_pick(sys, enabled, stack[top].sleep);
+    // Fresh node, nothing scheduled: take the initial pick, out of the
+    // actions the arrival check just enabled, with nothing below it.
+    const Action* pick = dpor_detail::initial_pick(sys, enabled, frame.sleep);
     if (pick == nullptr) {
       // Every enabled action is asleep: a sleep-set-blocked maximal path.
       ++st.redundant_explorations;
       ++st.executions;
-      stack[top].started = true;
       pop_frame();
       continue;
     }
-    stack[top].wut.insert({sys.footprint(*pick)}, mode);
-    // The arrival checks (violation/terminal) ran this visit; marking the
-    // node started keeps the next iteration from redoing them before the
-    // branch executes.
-    stack[top].started = true;
+    child.wut.clear();
+    take(frame, child, *pick);
   }
 }
 

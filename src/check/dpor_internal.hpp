@@ -79,78 +79,107 @@ inline std::size_t weak_initial_pos(const mcapi::Action& p,
 /// existing branches consuming weak initials of the new sequence, returns
 /// unchanged when an existing branch is already a weak prefix of it, and
 /// otherwise grafts the remainder as a fresh rightmost branch.
+///
+/// All nodes live in one arena, linked by index as first child and next
+/// sibling, so no node owns a container. clear() keeps the arena's
+/// capacity: a frame reused at the same depth rebuilds its tree without
+/// allocating once the arena has grown. A popped branch's nodes stay in
+/// the arena, unreachable, until the next clear().
 class WakeupTree {
  public:
-  [[nodiscard]] bool empty() const { return root_kids_.empty(); }
+  [[nodiscard]] bool empty() const { return root_first_ == kNone; }
 
-  /// Inserts `w`; returns the number of nodes actually added.
-  std::size_t insert(std::vector<mcapi::ActionFootprint> w,
+  /// Drops every node, keeping the arena's capacity.
+  void clear() {
+    nodes_.clear();
+    root_first_ = kNone;
+  }
+
+  /// Inserts `w`, consuming it: the walk erases the weak initials it
+  /// descends on, and a graft moves the remaining footprints into the
+  /// arena, so `w` holds unspecified footprints on return. Returns the
+  /// number of nodes added.
+  std::size_t insert(std::vector<mcapi::ActionFootprint>& w,
                      mcapi::DeliveryMode mode) {
     std::uint32_t at = kRoot;
     while (true) {
       if (w.empty()) return 0;  // the walked path already covers w
-      if (at != kRoot && kids(at).empty()) return 0;  // existing leaf ⊑ w
-      bool descended = false;
-      for (const std::uint32_t c : kids(at)) {
-        const std::size_t j = weak_initial_pos(nodes_[c].ev.action, w, mode);
-        if (j == kNpos) continue;
+      std::uint32_t c = first_child(at);
+      if (at != kRoot && c == kNone) return 0;  // existing leaf ⊑ w
+      std::uint32_t last = kNone;
+      std::size_t j = kNpos;
+      for (; c != kNone; last = c, c = nodes_[c].next) {
+        j = weak_initial_pos(nodes_[c].ev.action, w, mode);
+        if (j != kNpos) break;
+      }
+      if (c != kNone) {
         w.erase(w.begin() + static_cast<std::ptrdiff_t>(j));
         at = c;
-        descended = true;
-        break;
+        continue;
       }
-      if (descended) continue;
-      std::size_t added = 0;
+      // Graft the rest of w as a chain after the last child of `at`.
       for (mcapi::ActionFootprint& e : w) {
-        nodes_.push_back(Node{std::move(e), {}});
-        const auto idx = static_cast<std::uint32_t>(nodes_.size() - 1);
-        kids(at).push_back(idx);
+        const auto idx = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.push_back(Node{std::move(e), kNone, kNone});
+        if (last == kNone) {
+          first_child(at) = idx;
+        } else {
+          nodes_[last].next = idx;
+        }
         at = idx;
-        ++added;
+        last = kNone;
       }
-      return added;
+      return w.size();
     }
   }
 
-  /// Detaches the leftmost branch: its first event plus the subtree below
-  /// it, which becomes the scheduled tree of the child exploration. Nodes
-  /// are moved out (their slots in this arena become unreachable garbage,
-  /// reclaimed when the frame's tree dies).
-  std::pair<mcapi::ActionFootprint, WakeupTree> pop_first() {
-    MCSYM_ASSERT(!root_kids_.empty());
-    const std::uint32_t first = root_kids_.front();
-    root_kids_.erase(root_kids_.begin());
-    WakeupTree sub;
-    for (const std::uint32_t c : nodes_[first].kids) {
-      const std::uint32_t moved = sub.take_from(*this, c);
-      sub.root_kids_.push_back(moved);
-    }
-    return {std::move(nodes_[first].ev), std::move(sub)};
+  /// Detaches the leftmost branch and returns its first action. The subtree
+  /// below it, the tree scheduled for the child exploration, is copied into
+  /// `into` (cleared first, then filled in the same child order).
+  mcapi::Action pop_first(WakeupTree& into) {
+    MCSYM_ASSERT(!empty() && &into != this);
+    const std::uint32_t first = root_first_;
+    root_first_ = nodes_[first].next;
+    into.clear();
+    into.copy_children(*this, nodes_[first].first, kRoot);
+    return nodes_[first].ev.action;
   }
 
  private:
+  static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+  static constexpr std::uint32_t kRoot = kNone - 1;
+
   struct Node {
     mcapi::ActionFootprint ev;
-    std::vector<std::uint32_t> kids;
+    std::uint32_t first;  // first child, kNone for a leaf
+    std::uint32_t next;   // next sibling, kNone for the last child
   };
-  static constexpr std::uint32_t kRoot = static_cast<std::uint32_t>(-1);
 
-  std::vector<std::uint32_t>& kids(std::uint32_t at) {
-    return at == kRoot ? root_kids_ : nodes_[at].kids;
+  std::uint32_t& first_child(std::uint32_t at) {
+    return at == kRoot ? root_first_ : nodes_[at].first;
   }
 
-  std::uint32_t take_from(WakeupTree& other, std::uint32_t idx) {
-    nodes_.push_back(Node{std::move(other.nodes_[idx].ev), {}});
-    const auto mine = static_cast<std::uint32_t>(nodes_.size() - 1);
-    for (const std::uint32_t c : other.nodes_[idx].kids) {
-      const std::uint32_t moved = take_from(other, c);
-      nodes_[mine].kids.push_back(moved);
+  /// Appends copies of `from`'s sibling chain starting at `src`, with their
+  /// subtrees, as the children of `dst`. Links are indices and are taken
+  /// after each push_back, since the arena may grow during the copy.
+  void copy_children(const WakeupTree& from, std::uint32_t src,
+                     std::uint32_t dst) {
+    std::uint32_t prev = kNone;
+    for (; src != kNone; src = from.nodes_[src].next) {
+      const auto idx = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.push_back(Node{from.nodes_[src].ev, kNone, kNone});
+      if (prev == kNone) {
+        first_child(dst) = idx;
+      } else {
+        nodes_[prev].next = idx;
+      }
+      prev = idx;
+      copy_children(from, from.nodes_[src].first, idx);
     }
-    return mine;
   }
 
   std::vector<Node> nodes_;
-  std::vector<std::uint32_t> root_kids_;
+  std::uint32_t root_first_ = kNone;
 };
 
 /// Whether `f` consumes what `e` produced on one message's chain: `e` is
@@ -185,7 +214,8 @@ inline std::vector<mcapi::Action> actions_of(
 /// Initial pick for a frame with nothing scheduled: an internal step as a
 /// singleton ample set, else the first enabled action not asleep — every
 /// other sibling arrives via race reversals. nullptr when every enabled
-/// action is asleep (or none is enabled).
+/// action is asleep (or none is enabled). The loop takes the pick directly,
+/// with an empty subtree below it; it never enters the wakeup tree.
 inline const mcapi::Action* initial_pick(
     const mcapi::System& sys, const std::vector<mcapi::Action>& enabled,
     const std::vector<mcapi::ActionFootprint>& sleep) {
@@ -213,7 +243,8 @@ inline const mcapi::Action* initial_pick(
 /// and a checkpoint is simply a depth (one undo record per event). Clock
 /// rows live in one flat arena of P entries per event, so a push allocates
 /// nothing once the arena has grown; the push also records the race
-/// candidates of the event it appended (see the file comment).
+/// candidates of the event it appended (see the file comment). The race
+/// scan builds every candidate reversal in one reused buffer.
 class Prefix {
  public:
   Prefix(const mcapi::Program& program, mcapi::DeliveryMode mode)
@@ -285,8 +316,9 @@ class Prefix {
   /// notdep(e,E)·proc(ev) at the frame before the raced event e = events[k]:
   ///   covered(k, v) -> bool: an explored sibling still asleep at frame k
   ///     already covers v's class, so the race is skipped;
-  ///   schedule(k, v&&) -> std::size_t: inserts v below frame k, returning
-  ///     the wakeup nodes added.
+  ///   schedule(k, v&) -> std::size_t: inserts v below frame k, returning
+  ///     the wakeup nodes added; it may consume v, a buffer the Prefix
+  ///     reuses for every candidate.
   /// Counts races_detected and wakeup_nodes into `st`.
   template <class Covered, class Schedule>
   void scan_races(DporStats& st, Covered&& covered, Schedule&& schedule) {
@@ -297,7 +329,7 @@ class Prefix {
     // points in decreasing depth, so the rewind is monotone and the
     // executed prefix is replayed once at the end instead of per race.
     std::size_t rewound = events.size();
-    std::vector<mcapi::ActionFootprint> v;
+    std::vector<mcapi::ActionFootprint>& v = candidate_;
     for (const std::size_t k : races_) {  // decreasing depth
       const mcapi::ActionFootprint& ek = events[k];
       if (ek.internal) continue;
@@ -307,7 +339,6 @@ class Prefix {
       // Candidate reversal: everything after ek not causally behind it,
       // then the racing process itself.
       v.clear();
-      v.reserve(n - k);
       for (std::size_t j = k + 1; j < n; ++j) {
         if (!hb(k, j)) v.push_back(events[j]);
       }
@@ -330,7 +361,7 @@ class Prefix {
         if (!simulate_feasible(k, v)) continue;
       }
       ++st.races_detected;
-      st.wakeup_nodes += schedule(k, std::move(v));
+      st.wakeup_nodes += schedule(k, v);
     }
     replay_from(rewound);
   }
@@ -392,6 +423,8 @@ class Prefix {
   // Race candidates of the last pushed event (dependent, nothing between),
   // in decreasing depth.
   std::vector<std::size_t> races_;
+  // The reversal scan_races is building; its capacity is kept across scans.
+  std::vector<mcapi::ActionFootprint> candidate_;
 };
 
 }  // namespace mcsym::check::dpor_detail

@@ -880,6 +880,7 @@ EnumerateReport Verifier::enumerate(const mcapi::Program& program,
   auto explore = [&](mcapi::DeliveryMode mode) {
     ExplicitOptions eopts;
     eopts.max_states = request.explicit_max_states;
+    eopts.max_seconds = request.explicit_max_seconds;
     eopts.mode = mode;
     return ExplicitChecker(program, eopts).enumerate_against(out.trace);
   };

@@ -251,6 +251,7 @@ struct EnumerateRequest {
   bool with_mcc = false;       // delay-free global-FIFO baseline
   bool with_precise = false;   // precise abstract-execution DFS
   std::uint64_t explicit_max_states = 10'000'000;
+  double explicit_max_seconds = 0;  // per explicit enumeration; 0 = unlimited
   std::uint64_t feasible_max_paths = 1u << 20;
 };
 

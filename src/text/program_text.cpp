@@ -70,8 +70,11 @@ bool lex_line(std::string_view line, std::vector<Token>& out, std::string& error
       std::int64_t v = 0;
       bool overflow = false;
       while (j < n && std::isdigit(static_cast<unsigned char>(line[j]))) {
-        if (v > (INT64_MAX - (line[j] - '0')) / 10) overflow = true;
-        v = v * 10 + (line[j] - '0');
+        // Accumulation stops at the first digit that would overflow; the
+        // rest of the literal is still consumed.
+        const int digit = line[j] - '0';
+        if (v > (INT64_MAX - digit) / 10) overflow = true;
+        if (!overflow) v = v * 10 + digit;
         ++j;
       }
       if (overflow) {

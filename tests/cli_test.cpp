@@ -164,6 +164,38 @@ TEST(CliTest, EnumerateHonoursTheStateBudget) {
   EXPECT_EQ(r.output.find("misses"), std::string::npos) << r.output;
 }
 
+TEST(CliTest, EnumerateHonoursTheWallClock) {
+  // Two senders race two messages each into one endpoint. Each explicit
+  // enumeration expands more states than the 64 between its wall-clock
+  // probes, so a 1 ns budget truncates both at the first probe, however
+  // fast the host: nothing is compared, and the exit is 3.
+  const std::string race = testing::TempDir() + "/mcsym_race.mcp";
+  {
+    std::ofstream out(race);
+    out << "program race\n"
+           "thread r\n  endpoint er\n"
+           "  recv er -> a\n  recv er -> b\n  recv er -> c\n  recv er -> d\n"
+           "thread s1\n  endpoint e1\n"
+           "  send e1 -> er : 1\n  send e1 -> er : 2\n"
+           "thread s2\n  endpoint e2\n"
+           "  send e2 -> er : 3\n  send e2 -> er : 4\n";
+  }
+  const CliResult full = run_cli("enumerate " + race + " --explicit --mcc");
+  EXPECT_EQ(full.exit_code, 0) << full.output;
+  EXPECT_NE(full.output.find("agrees"), std::string::npos) << full.output;
+
+  const CliResult r =
+      run_cli("enumerate " + race + " --explicit --mcc --max-seconds 1e-9");
+  EXPECT_EQ(r.exit_code, 3) << r.output;
+  const std::regex truth(R"(ground truth: \d+ pairing\(s\) \(truncated\)\n)");
+  const std::regex mcc(R"(nondeterminism\): \d+ pairing\(s\) \(truncated\)\n)");
+  EXPECT_TRUE(std::regex_search(r.output, truth)) << r.output;
+  EXPECT_TRUE(std::regex_search(r.output, mcc)) << r.output;
+  EXPECT_EQ(r.output.find("agrees"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("MISMATCH"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("misses"), std::string::npos) << r.output;
+}
+
 TEST(CliTest, SmtDumpIsWellFormed) {
   const CliResult r = run_cli("smt " + figure1());
   EXPECT_EQ(r.exit_code, 0) << r.output;

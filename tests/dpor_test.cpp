@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <string>
 
 #include "check/dpor.hpp"
 #include "check/dpor_internal.hpp"
@@ -15,6 +19,27 @@
 #include "support/env.hpp"
 #include "support/rng.hpp"
 #include "mcapi/executor.hpp"
+
+// Every global operator new in this binary is counted while
+// g_count_allocs is set (ExplorationAllocatesPerDepthNotPerExecution).
+namespace {
+std::atomic<bool> g_count_allocs{false};
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+// Out of line, like the deletes below, so the compiler does not pair an
+// inlined malloc() or free() with a new or delete expression.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace mcsym::check {
 namespace {
@@ -225,6 +250,147 @@ TEST(DporTest, MessageRaceOptimalBeatsSleepSetsFiveFold) {
   EXPECT_GE(sleep.stats.executions, 5 * opt.stats.executions)
       << "optimal=" << opt.stats.executions
       << " sleepset=" << sleep.stats.executions;
+}
+
+// The optimal loop reuses its frames, wakeup-tree arenas, sleep sets and
+// candidate buffer, so a run allocates per depth reached, not per
+// execution: a few hundred allocations for thousands of executions.
+TEST(DporTest, ExplorationAllocatesPerDepthNotPerExecution) {
+  struct Case {
+    std::uint32_t senders;
+    std::uint32_t sends;
+    std::uint64_t executions;
+  };
+  for (const Case c : {Case{4, 2, 2520}, Case{3, 3, 1680}}) {
+    const mcapi::Program p = wl::message_race(c.senders, c.sends);
+    DporChecker checker(p, DporOptions{});
+    g_allocs = 0;
+    g_count_allocs = true;
+    const DporResult r = checker.run();
+    g_count_allocs = false;
+    EXPECT_EQ(r.stats.executions, c.executions) << c.senders << "," << c.sends;
+    EXPECT_EQ(r.stats.redundant_explorations, 0u);
+    EXPECT_LT(g_allocs.load(), 300u) << c.senders << "," << c.sends;
+  }
+}
+
+// The wakeup-tree arena, driven directly. Thread steps of distinct threads
+// commute under arbitrary delay; sends of distinct threads are dependent
+// under global FIFO.
+mcapi::ActionFootprint step_fp(std::uint32_t t,
+                               mcapi::OpKind op = mcapi::OpKind::kNop) {
+  mcapi::ActionFootprint f;
+  f.action = mcapi::Action{mcapi::Action::Kind::kThreadStep, t, {}};
+  f.op = op;
+  return f;
+}
+
+std::size_t insert_steps(dpor_detail::WakeupTree& tree,
+                         std::initializer_list<std::uint32_t> threads,
+                         mcapi::DeliveryMode mode =
+                             mcapi::DeliveryMode::kArbitraryDelay,
+                         mcapi::OpKind op = mcapi::OpKind::kNop) {
+  std::vector<mcapi::ActionFootprint> w;
+  for (const std::uint32_t t : threads) w.push_back(step_fp(t, op));
+  return tree.insert(w, mode);
+}
+
+// The tree's branches in order, each as its thread followed by its
+// subtree in parentheses, e.g. "0(1(2 3) 4) 5"; popping consumes a copy.
+std::string dump(dpor_detail::WakeupTree tree) {
+  std::string out;
+  while (!tree.empty()) {
+    dpor_detail::WakeupTree sub;
+    const mcapi::Action a = tree.pop_first(sub);
+    if (!out.empty()) out += ' ';
+    out += std::to_string(a.thread);
+    if (!sub.empty()) {
+      out += '(';
+      out += dump(sub);
+      out += ')';
+    }
+  }
+  return out;
+}
+
+TEST(DporTest, WakeupTreeSkipsCoveredSequences) {
+  dpor_detail::WakeupTree tree;
+  EXPECT_TRUE(tree.empty());
+  EXPECT_EQ(insert_steps(tree, {0, 1}), 2u);
+  // [0, 1] is a weak prefix of [1, 0, 2]: both steps commute to the front.
+  EXPECT_EQ(insert_steps(tree, {1, 0, 2}), 0u);
+  // [0, 1, 2, 3] extends the leaf 1 of branch [0, 1].
+  EXPECT_EQ(insert_steps(tree, {0, 1, 2, 3}), 0u);
+  EXPECT_EQ(dump(tree), "0(1)");
+  // Under global FIFO, send 1 does not commute with send 0, so [1, 0] is
+  // no extension of [0]: it is grafted whole.
+  dpor_detail::WakeupTree fifo;
+  const auto send = mcapi::OpKind::kSend;
+  const auto mode = mcapi::DeliveryMode::kGlobalFifo;
+  EXPECT_EQ(insert_steps(fifo, {0}, mode, send), 1u);
+  EXPECT_EQ(insert_steps(fifo, {1, 0}, mode, send), 2u);
+  EXPECT_EQ(dump(fifo), "0 1(0)");
+}
+
+TEST(DporTest, WakeupTreeGraftsRightmostAndPopsInOrder) {
+  dpor_detail::WakeupTree tree;
+  EXPECT_EQ(insert_steps(tree, {0, 1, 2}), 3u);
+  EXPECT_EQ(insert_steps(tree, {0, 1, 3}), 1u);  // right of 2 below 0·1
+  EXPECT_EQ(insert_steps(tree, {0, 4}), 1u);     // right of 1 below 0
+  EXPECT_EQ(insert_steps(tree, {5}), 1u);        // right of 0 at the root
+  EXPECT_EQ(dump(tree), "0(1(2 3) 4) 5");
+
+  dpor_detail::WakeupTree child;
+  EXPECT_EQ(insert_steps(child, {9, 9}), 2u);  // overwritten by the pop
+  EXPECT_EQ(tree.pop_first(child).thread, 0u);
+  EXPECT_EQ(dump(child), "1(2 3) 4");
+  EXPECT_EQ(dump(tree), "5");
+  EXPECT_EQ(tree.pop_first(child).thread, 5u);
+  EXPECT_TRUE(child.empty());
+  EXPECT_TRUE(tree.empty());
+}
+
+TEST(DporTest, WakeupTreeCopiesLargeSubtreesIntact) {
+  // 60 branches of depth 4 below one root event: the copy grows the
+  // destination arena many times while it links the nodes it copies.
+  dpor_detail::WakeupTree tree;
+  dpor_detail::WakeupTree direct;
+  for (std::uint32_t i = 1; i <= 60; ++i) {
+    const std::size_t added = i == 1 ? 5 : 4;  // the first adds the root 0
+    EXPECT_EQ(insert_steps(tree, {0, i, 100 + i, 200 + i, 300 + i}), added);
+    EXPECT_EQ(insert_steps(direct, {i, 100 + i, 200 + i, 300 + i}), 4u);
+  }
+  EXPECT_EQ(insert_steps(tree, {7}), 1u);
+  const std::string want = dump(direct);
+  EXPECT_EQ(dump(tree), std::string("0(").append(want).append(") 7"));
+  dpor_detail::WakeupTree fresh;
+  EXPECT_EQ(tree.pop_first(fresh).thread, 0u);
+  EXPECT_EQ(dump(fresh), want);
+}
+
+TEST(DporTest, WakeupTreeClearedAnswersLikeFresh) {
+  const std::vector<std::vector<std::uint32_t>> script = {
+      {0, 1, 2}, {1, 0, 2}, {0, 3}, {4, 0}, {0, 1, 5}, {6}};
+  auto replay = [&](dpor_detail::WakeupTree& tree) {
+    std::vector<std::size_t> added;
+    for (const auto& threads : script) {
+      std::vector<mcapi::ActionFootprint> w;
+      for (const std::uint32_t t : threads) w.push_back(step_fp(t));
+      added.push_back(tree.insert(w, mcapi::DeliveryMode::kArbitraryDelay));
+    }
+    return added;
+  };
+  dpor_detail::WakeupTree fresh;
+  const std::vector<std::size_t> want = replay(fresh);
+
+  dpor_detail::WakeupTree reused;
+  for (std::uint32_t i = 0; i < 20; ++i) insert_steps(reused, {10 + i, i});
+  dpor_detail::WakeupTree sink;
+  reused.pop_first(sink);
+  reused.clear();
+  EXPECT_TRUE(reused.empty());
+  EXPECT_EQ(replay(reused), want);
+  EXPECT_EQ(dump(reused), dump(fresh));
 }
 
 TEST(DporTest, WakeupTreeStatsPopulated) {
@@ -459,7 +625,7 @@ TEST(DporTest, VectorClocksMatchClosure) {
           << "seed " << seed << " depth " << n << " race point " << k;
       return true;
     };
-    auto schedule_none = [](std::size_t, std::vector<ActionFootprint>&&) {
+    auto schedule_none = [](std::size_t, std::vector<ActionFootprint>&) {
       return std::size_t{0};
     };
     DporStats st;

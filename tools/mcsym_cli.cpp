@@ -85,7 +85,8 @@ key=value, and --KEY=VALUE works too; numbers are non-negative decimals):
   --engine NAME        symbolic | explicit | dpor | dpor-sleepset | portfolio
                        (default dpor)
   --json               print the machine-readable report (mcsym.verify/1)
-  --max-seconds S      joint wall-clock budget across all engines (default off)
+  --max-seconds S      joint wall-clock budget across all engines (default off;
+                       bounds each of enumerate --explicit / --mcc)
   --max-states N       explicit-state budget (states expanded; 0 = default;
                        also bounds enumerate --explicit / --mcc)
   --max-transitions N  DPOR budget (transitions executed; 0 = default)
@@ -522,6 +523,7 @@ int cmd_enumerate(const Options& o) {
   er.with_explicit = o.with_explicit;
   er.with_mcc = o.with_mcc;
   er.explicit_max_states = o.spec.request.budget.max_states;
+  er.explicit_max_seconds = o.spec.request.budget.max_seconds;
 
   mcsym::trace::Trace recorded(lp->unit.program);
   if (const int rc = record_checkable(o, lp->unit.program, recorded)) return rc;
