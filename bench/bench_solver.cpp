@@ -1,7 +1,6 @@
 // E5 — SMT solving cost on the paper's encodings, both polarities, plus a
 // cross-solver comparison (our CDCL+IDL engine vs Z3 when built in; the
-// paper used Yices, so the comparison shows the encoding is solver-agnostic)
-// and the match-id representation ablation from DESIGN.md 7.
+// paper used Yices, so the comparison shows the encoding is solver-agnostic).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -116,25 +115,6 @@ void BM_Solve_Z3(benchmark::State& state) {
   state.SetLabel(prob.name);
 }
 BENCHMARK(BM_Solve_Z3)->DenseRange(0, 3);
-
-void BM_Solve_UniqueAblation(benchmark::State& state) {
-  // DESIGN.md 7: paper-literal all-pairs uniqueness vs overlap-aware.
-  const bool all_pairs = state.range(0) != 0;
-  const mcapi::Program p = wl::message_race(4, 3);
-  const trace::Trace tr = record_complete(p);
-  const match::MatchSet set = match::generate_overapprox(tr);
-  for (auto _ : state) {
-    smt::Solver solver;
-    encode::EncodeOptions opts;
-    opts.unique_all_pairs = all_pairs;
-    opts.property_mode = encode::PropertyMode::kIgnore;
-    encode::Encoder encoder(solver, tr, set, opts);
-    (void)encoder.encode();
-    benchmark::DoNotOptimize(solver.check());
-  }
-  state.SetLabel(all_pairs ? "fig3-literal" : "overlap-aware");
-}
-BENCHMARK(BM_Solve_UniqueAblation)->Arg(0)->Arg(1);
 
 void BM_Solve_EnumerationThroughput(benchmark::State& state) {
   // Models per second during all-SAT enumeration.

@@ -69,8 +69,8 @@ int main() {
 
   // Hypothesis 4: under the delay-ignorant baseline (Elwakil-Yang / MCC
   // world), the Figure-4b pairing is refused — the gap the paper exposes.
-  check::DiagnoseOptions baseline;
-  baseline.encode.delay_ignorant = true;
+  encode::EncodeOptions baseline;
+  baseline.delay_ignorant = true;
   report("\nFigure 4b under the delay-ignorant baseline",
          check::diagnose_pairing(tr, {{{recv_a, send_x}, {recv_b, send_y}}},
                                  baseline),

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "encode/witness.hpp"
+#include "match/generators.hpp"
 #include "smt/solver.hpp"
 #include "support/assert.hpp"
 
@@ -12,15 +13,13 @@ using smt::TermId;
 
 Diagnosis diagnose_pairing(const trace::Trace& trace,
                            std::span<const PairProposal> pairs,
-                           DiagnoseOptions options) {
-  const match::MatchSet matches =
-      match::generate_overapprox(trace, options.overapprox);
+                           encode::EncodeOptions options) {
+  const match::MatchSet matches = match::generate_overapprox(trace);
 
   smt::Solver solver;
-  encode::EncodeOptions eopts = options.encode;
-  eopts.property_mode = encode::PropertyMode::kIgnore;
-  eopts.defer_assertions = true;
-  encode::Encoder encoder(solver, trace, matches, eopts);
+  options.property_mode = encode::PropertyMode::kIgnore;
+  options.defer_assertions = true;
+  encode::Encoder encoder(solver, trace, matches, options);
   const encode::Encoding enc = encoder.encode();
   smt::TermTable& tt = solver.terms();
 

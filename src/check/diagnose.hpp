@@ -19,7 +19,6 @@
 
 #include "encode/encoder.hpp"
 #include "encode/witness.hpp"
-#include "match/generators.hpp"
 #include "trace/trace.hpp"
 
 namespace mcsym::check {
@@ -29,11 +28,6 @@ struct PairProposal {
   trace::EventIndex send = trace::kNoEvent;  // send event in the trace
 
   friend bool operator==(const PairProposal&, const PairProposal&) = default;
-};
-
-struct DiagnoseOptions {
-  encode::EncodeOptions encode;  // property_mode is forced to kIgnore
-  match::OverapproxOptions overapprox;
 };
 
 struct Diagnosis {
@@ -54,9 +48,10 @@ struct Diagnosis {
 
 /// Diagnoses the proposal against all executions consistent with `trace`.
 /// Pairs must reference receive anchors and send events of the trace;
-/// receives not mentioned are left free.
+/// receives not mentioned are left free. Matches come from the
+/// over-approximation; `options.property_mode` is forced to kIgnore.
 [[nodiscard]] Diagnosis diagnose_pairing(const trace::Trace& trace,
                                          std::span<const PairProposal> pairs,
-                                         DiagnoseOptions options = {});
+                                         encode::EncodeOptions options = {});
 
 }  // namespace mcsym::check

@@ -66,8 +66,6 @@ void differential_iteration(std::uint64_t seed, const DifferentialOptions& optio
   // splitmix-style stream: trace t of this iteration schedules with
   // trace_seed + t, reproducing the historical per-trace seeds.
   req.trace_seed = seed * 0x9e3779b97f4a7c15ULL;
-  req.check_dpor_modes = options.check_dpor_modes;
-  req.replay_witnesses = options.check_witness_replay;
   req.workers = options.workers;
 
   Verifier verifier;
@@ -112,7 +110,7 @@ void differential_iteration(std::uint64_t seed, const DifferentialOptions& optio
   // Matching-set enumeration: only meaningful when no assertion can end
   // executions early (crossval_test precedent) — and only for complete
   // recorded runs. Reuses the traces the portfolio recorded.
-  if (options.check_enumeration && !popts.add_asserts) {
+  if (!popts.add_asserts) {
     for (const TraceCheck& tc : vr.trace_checks) {
       if (!tc.checked || tc.recorded != mcapi::RunResult::Outcome::kHalted) {
         continue;

@@ -2,8 +2,8 @@
 //
 // For each seeded random program the harness runs the symbolic checker
 // (trace -> match generation -> SMT encoding -> CDCL+IDL), the exhaustive
-// explicit-state checker, and the sleep-set DPOR checker, then asserts that
-// they tell one consistent story:
+// explicit-state checker, and the DPOR checker in both its optimal and its
+// sleep-set mode, then asserts that they tell one consistent story:
 //
 //  * explicit and DPOR (optimal source-set/wakeup-tree mode and the
 //    sleep-set baseline alike) explore the same whole-program transition
@@ -48,8 +48,6 @@ namespace mcsym::check {
 struct DifferentialOptions {
   std::uint64_t iterations = 200;     // programs per run (CI default)
   std::uint32_t traces_per_program = 2;
-  bool check_enumeration = true;      // 3-way matching-set comparison
-  bool check_witness_replay = true;   // replay every SAT witness
   /// Let the generator emit deadlock-capable shapes (cyclic channel waits,
   /// missing sends, conditional handshakes): the battery then cross-checks
   /// deadlocked() verdicts across the engines — explicit and both DPOR
@@ -57,10 +55,6 @@ struct DifferentialOptions {
   /// whole-program verdict, and the explicit deadlock schedule must replay
   /// to a real deadlock.
   bool allow_deadlocks = false;
-  /// Cross-check the optimal DPOR against the sleep-set baseline too (A/B
-  /// of the two reductions, plus the redundant_explorations == 0 invariant
-  /// of optimal mode).
-  bool check_dpor_modes = true;
   /// Forwarded to VerifyRequest::workers: >1 runs the portfolio's
   /// producers (explicit, both DPOR modes, sharded symbolic) concurrently.
   std::uint32_t workers = 1;
@@ -90,11 +84,12 @@ struct DifferentialReport {
   std::uint64_t deadlock_programs = 0;  // programs with a reachable deadlock
   std::uint64_t deadlock_schedules_replayed = 0;
   std::uint64_t deadlocked_runs = 0;    // concrete runs that deadlocked
-  /// Sleep-blocked paths optimal DPOR started on programs with request
-  /// observations (recv_i / test / wait_any). Observation outcomes are
-  /// observer-style dependence: a scheduled revisit can legitimately meet a
-  /// flipped observation and block, so a small count here is expected —
-  /// on observation-free programs any redundancy is a hard mismatch.
+  /// Sleep-blocked paths optimal DPOR started on programs with observer
+  /// ops (test polls / wait_any scans, which see a request still pending).
+  /// Observation outcomes are observer-style dependence: a scheduled
+  /// revisit can legitimately meet a flipped observation and block, so a
+  /// small count here is expected — on programs without observer ops any
+  /// redundancy is a hard mismatch.
   std::uint64_t optimal_redundant_paths = 0;
   std::vector<DifferentialMismatch> mismatches;
 

@@ -78,7 +78,6 @@ void mix_request(support::StateHasher& h, const VerifyRequest& req) {
   h.mix(req.trace_seed);
   h.mix(req.traces);
   h.mix(static_cast<std::uint64_t>(req.round_robin));
-  h.mix(static_cast<std::uint64_t>(req.check_dpor_modes));
   h.mix(static_cast<std::uint64_t>(req.replay_witnesses));
   // Stateful exploration changes the reachable verdict set (kNonTermination)
   // and the report's counters; the store capacity changes which searches
@@ -95,16 +94,11 @@ void mix_request(support::StateHasher& h, const VerifyRequest& req) {
   h.mix(static_cast<std::uint64_t>(so.match_gen));
   h.mix(so.conflict_budget);
   h.mix(so.max_matchings);
-  h.mix(static_cast<std::uint64_t>(so.overapprox.prune_program_order));
   const encode::EncodeOptions& eo = so.encode;
   h.mix(static_cast<std::uint64_t>(eo.fifo_non_overtaking));
   h.mix(static_cast<std::uint64_t>(eo.delay_ignorant));
-  h.mix(static_cast<std::uint64_t>(eo.unique_all_pairs));
-  h.mix(static_cast<std::uint64_t>(eo.unique_ladder));
-  h.mix(static_cast<std::uint64_t>(eo.fifo_chain));
   h.mix(static_cast<std::uint64_t>(eo.anchor_nb_at_wait));
   h.mix(static_cast<std::uint64_t>(eo.order_endpoint_completions));
-  h.mix(static_cast<std::uint64_t>(eo.initial_locals_zero));
   h.mix(static_cast<std::uint64_t>(eo.property_mode));
   h.mix(static_cast<std::uint64_t>(eo.defer_assertions));
 }

@@ -11,7 +11,7 @@ SymbolicChecker::SymbolicChecker(const trace::Trace& trace, SymbolicOptions opti
     : trace_(trace), options_(options) {
   const support::Stopwatch timer;
   if (options_.match_gen == MatchGen::kOverapprox) {
-    matches_ = match::generate_overapprox(trace_, options_.overapprox);
+    matches_ = match::generate_overapprox(trace_);
   } else {
     // The paper's precise method: candidates witnessed by the depth-first
     // abstract execution. Expensive by design (bench E4).

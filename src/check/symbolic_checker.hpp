@@ -33,7 +33,6 @@ enum class MatchGen : std::uint8_t { kOverapprox, kPrecise };
 
 struct SymbolicOptions {
   encode::EncodeOptions encode;
-  match::OverapproxOptions overapprox;
   MatchGen match_gen = MatchGen::kOverapprox;
   std::uint64_t conflict_budget = 0;   // 0 = unbounded
   std::uint64_t max_matchings = 1u << 20;

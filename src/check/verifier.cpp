@@ -668,22 +668,18 @@ void run_portfolio(Ctx& ctx) {
   VerifyReport& report = ctx.report;
   report.portfolio = PortfolioStats{};
   PortfolioStats& ps = *report.portfolio;
-  const bool with_sleepset = ctx.request.check_dpor_modes;
 
   ExplicitResult truth;
   DporResult optimal;
   DporResult sleepset;
   SymbolicProduction symbolic;
-  std::vector<EngineRun> rows(with_sleepset ? 3 : 2);
-  std::vector<std::function<void()>> producers;
-  producers.emplace_back([&] { truth = run_explicit(ctx, rows[0]); });
-  producers.emplace_back(
-      [&] { optimal = run_dpor(ctx, DporMode::kOptimal, rows[1]); });
-  if (with_sleepset) {
-    producers.emplace_back(
-        [&] { sleepset = run_dpor(ctx, DporMode::kSleepSet, rows[2]); });
-  }
-  producers.emplace_back([&] { symbolic = produce_symbolic(ctx); });
+  std::vector<EngineRun> rows(3);
+  const std::vector<std::function<void()>> producers = {
+      [&] { truth = run_explicit(ctx, rows[0]); },
+      [&] { optimal = run_dpor(ctx, DporMode::kOptimal, rows[1]); },
+      [&] { sleepset = run_dpor(ctx, DporMode::kSleepSet, rows[2]); },
+      [&] { symbolic = produce_symbolic(ctx); },
+  };
 
   std::size_t produced = 0;
   if (ctx.request.workers > 1) {
@@ -718,10 +714,8 @@ void run_portfolio(Ctx& ctx) {
   const bool observers = has_observer_ops(ctx.program);
   check_dpor_result(ctx, DporMode::kOptimal, optimal, truth, observers,
                     workspace, ps);
-  if (with_sleepset) {
-    check_dpor_result(ctx, DporMode::kSleepSet, sleepset, truth, observers,
-                      workspace, ps);
-  }
+  check_dpor_result(ctx, DporMode::kSleepSet, sleepset, truth, observers,
+                    workspace, ps);
   judge_symbolic(ctx, std::move(symbolic), &truth, ps);
   // The symbolic engine is the only one that sees extra end-of-run
   // properties, so its violation verdict feeds the portfolio's answer.

@@ -116,8 +116,6 @@ struct VerifyRequest {
   /// Visited-store capacity in states for stateful mode; 0 = unbounded.
   std::size_t state_capacity = VisitedStateStore::kDefaultCapacity;
 
-  /// Portfolio: also run the sleep-set DPOR baseline (A/B cross-check).
-  bool check_dpor_modes = true;
   /// Replay every SAT witness concretely (continue-past-violation mode, so
   /// multi-violation executions are reported in full).
   bool replay_witnesses = true;

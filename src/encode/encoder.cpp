@@ -52,16 +52,10 @@ std::int64_t Encoder::recorded_uid(EventIndex recv) const {
 TermId Encoder::local_term(mcapi::ThreadRef t, support::Symbol var) {
   const auto key = std::make_pair(static_cast<std::uint32_t>(t), var.raw());
   if (auto it = ssa_.find(key); it != ssa_.end()) return it->second;
-  const TermId init = initial_term(t, trace_.program().interner().spelling(var));
+  // First read before any write: the runtime zero-initializes locals.
+  const TermId init = tt_.int_const(0);
   ssa_.emplace(key, init);
   return init;
-}
-
-TermId Encoder::initial_term(mcapi::ThreadRef t, const std::string& var) {
-  // First read before any write: the runtime zero-initializes locals. The
-  // havoc alternative introduces a fresh unconstrained variable instead.
-  if (options_.initial_locals_zero) return tt_.int_const(0);
-  return int_var("init_" + trace_.program().thread(t).name + "_" + var, 0);
 }
 
 TermId Encoder::expr_term(mcapi::ThreadRef t, const ValueExpr& e) {
@@ -353,48 +347,16 @@ void Encoder::build_matches(Encoding& enc) {
 
 void Encoder::build_unique(Encoding& enc) {
   // Fig. 3: PUnique := AND over receive pairs of isDiffSend(r_i, r_j).
-  // Three emission shapes, weakest code path last:
-  //  * ladder (default): uniqueness is really a per-send property — two
-  //    receives collide only by agreeing on one send's uid, and both must be
-  //    candidates of that send — so one at-most-one ladder per send over its
-  //    selector literals covers everything the pairwise walk covered, in
-  //    linear size (build_unique_ladders);
-  //  * overlap-aware pairwise (unique_ladder = false): ne() per receive pair
-  //    whose candidate sets intersect, quadratic on hot endpoints;
-  //  * all pairs (unique_all_pairs): the paper's Fig. 3 verbatim.
+  // Uniqueness is really a per-send property: two receives collide only by
+  // agreeing on one send's uid, and both must be candidates of that send. So
+  // one at-most-one ladder per send over its selector literals covers every
+  // pair the paper's walk covers, in linear size.
   std::vector<TermId> uniq;
-  if (options_.unique_ladder && !options_.unique_all_pairs) {
-    build_unique_ladders(enc, uniq);
-    enc.p_unique = tt_.and_(uniq);
-    return;
-  }
-  const auto& recvs = enc.recv_order;
-  for (std::size_t i = 0; i < recvs.size(); ++i) {
-    for (std::size_t j = i + 1; j < recvs.size(); ++j) {
-      if (!options_.unique_all_pairs) {
-        const auto& si = matches_.get_sends(recvs[i]);
-        bool overlap = false;
-        for (const EventIndex s : matches_.get_sends(recvs[j])) {
-          if (std::find(si.begin(), si.end(), s) != si.end()) {
-            overlap = true;
-            break;
-          }
-        }
-        if (!overlap) continue;
-      }
-      uniq.push_back(tt_.ne(enc.match_id.at(recvs[i]), enc.match_id.at(recvs[j])));
-      ++enc.stats.unique_constraints;
-    }
-  }
-  enc.p_unique = tt_.and_(uniq);
-}
-
-void Encoder::build_unique_ladders(Encoding& enc, std::vector<TermId>& uniq) {
   // Which channels get a FIFO high-water chain? Those sends need no ladder:
   // the chain forces strictly increasing ids among the channel's matched
   // receives, so two receives can never agree on one uid (see build_fifo).
   std::unordered_map<mcapi::ChannelId, std::size_t> channel_sends;
-  if (options_.fifo_non_overtaking && options_.fifo_chain) {
+  if (options_.fifo_non_overtaking) {
     for (const EventIndex s : trace_.sends()) {
       const ExecEvent& se = trace_.event(s).ev;
       ++channel_sends[{se.src, se.dst}];
@@ -446,15 +408,16 @@ void Encoder::build_unique_ladders(Encoding& enc, std::vector<TermId>& uniq) {
     uniq.push_back(tt_.not_(tt_.and2(sel(rs.size() - 1), prev_b)));
     ++enc.stats.unique_constraints;
   }
+  enc.p_unique = tt_.and_(uniq);
 }
 
 void Encoder::build_fifo(Encoding& enc) {
   // MCAPI non-overtaking: two sends on one channel must not be received in
   // swapped order by the (single) receiver of the destination endpoint.
   // For s1 <po s2 (same channel) and receive anchors r1 <po r2 (same
-  // endpoint): ¬(id_r1 = uid_s2 ∧ id_r2 = uid_s1). Emitted either as the
-  // literal swap negations (fifo_chain = false) or as an equisatisfiable
-  // per-channel high-water chain that is linear in sends + receives.
+  // endpoint): ¬(id_r1 = uid_s2 ∧ id_r2 = uid_s1). Emitted as an
+  // equisatisfiable per-channel high-water chain that is linear in sends +
+  // receives instead of one swap negation per (send pair × receive pair).
   std::vector<TermId> fifo;
   // Group receive anchors by endpoint, already in receiver program order
   // because receives() is in observed order and each endpoint has one owner
@@ -508,82 +471,57 @@ void Encoder::build_fifo(Encoding& enc) {
       ++enc.stats.fifo_constraints;
     }
 
-    if (options_.fifo_chain) {
-      // High-water chain. Message uids come from a global counter bumped at
-      // send execution, and a channel's sends all come from one thread in
-      // program order, so uids strictly increase along ss. Non-overtaking
-      // then reads: walking the endpoint's receives in completion order, the
-      // ids drawn from this channel must strictly increase. One integer mark
-      // per receive position carries the largest channel id consumed so far;
-      // a matched receive must land strictly above the previous mark and
-      // raise its own mark at least to its id. 3 constraints per position
-      // instead of a swap negation per (send pair × receive pair) — and two
-      // receives agreeing on one send become infeasible too, which is why
-      // build_unique_ladders skips chained channels wholesale.
-      for (std::size_t k = 1; k < ss.size(); ++k) {
-        MCSYM_ASSERT_MSG(
-            trace_.event(ss[k - 1]).ev.uid < trace_.event(ss[k]).ev.uid,
-            "channel sends must carry program-order-increasing uids");
-      }
-      struct Link {
-        EventIndex recv;
-        TermId drawn;   // the receive consumes a send of this channel
-        bool drawn_at;  // ... and did so in the recorded run
-      };
-      std::vector<Link> chain;
-      for (const EventIndex r : rs) {
-        std::vector<TermId> arms;
-        bool drawn_at = false;
-        for (const EventIndex s : ss) {
-          if (matches_.contains(r, s)) {
-            const auto uid = static_cast<std::int64_t>(trace_.event(s).ev.uid);
-            arms.push_back(tt_.eq(enc.match_id.at(r), tt_.int_const(uid)));
-            drawn_at = drawn_at || recorded_uid(r) == uid;
-          }
-        }
-        if (!arms.empty()) chain.push_back({r, tt_.or_(arms), drawn_at});
-      }
-      if (chain.size() < 2) continue;  // nothing to order
-      const std::string ctag = "hw_c" + std::to_string(channel.src) + "_" +
-                               std::to_string(channel.dst) + "_";
-      // Recorded: each mark is the running maximum of the drawn ids.
-      std::int64_t hi_at = static_cast<std::int64_t>(trace_.event(ss[0]).ev.uid) - 1;
-      TermId hi = tt_.int_const(hi_at);
-      for (std::size_t i = 0; i < chain.size(); ++i) {
-        const auto& [r, drawn, drawn_at] = chain[i];
-        const TermId id = enc.match_id.at(r);
-        fifo.push_back(tt_.implies(drawn, tt_.lt(hi, id)));
-        ++enc.stats.fifo_constraints;
-        if (i + 1 == chain.size()) break;  // last mark is never read
-        if (drawn_at) hi_at = std::max(hi_at, recorded_uid(r));
-        const TermId next = int_var(ctag + std::to_string(i), hi_at);
-        fifo.push_back(tt_.le(hi, next));
-        fifo.push_back(tt_.implies(drawn, tt_.le(id, next)));
-        enc.stats.fifo_constraints += 2;
-        hi = next;
-      }
-      continue;
+    // High-water chain. Message uids come from a global counter bumped at
+    // send execution, and a channel's sends all come from one thread in
+    // program order, so uids strictly increase along ss. Non-overtaking
+    // then reads: walking the endpoint's receives in completion order, the
+    // ids drawn from this channel must strictly increase. One integer mark
+    // per receive position carries the largest channel id consumed so far;
+    // a matched receive must land strictly above the previous mark and
+    // raise its own mark at least to its id: 3 constraints per position.
+    // Two receives agreeing on one send become infeasible too, which is why
+    // build_unique skips chained channels wholesale.
+    for (std::size_t k = 1; k < ss.size(); ++k) {
+      MCSYM_ASSERT_MSG(
+          trace_.event(ss[k - 1]).ev.uid < trace_.event(ss[k]).ev.uid,
+          "channel sends must carry program-order-increasing uids");
     }
-
-    for (std::size_t a = 0; a < ss.size(); ++a) {
-      for (std::size_t b = a + 1; b < ss.size(); ++b) {
-        for (std::size_t i = 0; i < rs.size(); ++i) {
-          for (std::size_t j = i + 1; j < rs.size(); ++j) {
-            // Vacuous unless both crossed pairs are candidates.
-            if (!matches_.contains(rs[i], ss[b]) || !matches_.contains(rs[j], ss[a])) {
-              continue;
-            }
-            const std::int64_t uid_a =
-                static_cast<std::int64_t>(trace_.event(ss[a]).ev.uid);
-            const std::int64_t uid_b =
-                static_cast<std::int64_t>(trace_.event(ss[b]).ev.uid);
-            fifo.push_back(tt_.not_(
-                tt_.and2(tt_.eq(enc.match_id.at(rs[i]), tt_.int_const(uid_b)),
-                         tt_.eq(enc.match_id.at(rs[j]), tt_.int_const(uid_a)))));
-            ++enc.stats.fifo_constraints;
-          }
+    struct Link {
+      EventIndex recv;
+      TermId drawn;   // the receive consumes a send of this channel
+      bool drawn_at;  // ... and did so in the recorded run
+    };
+    std::vector<Link> chain;
+    for (const EventIndex r : rs) {
+      std::vector<TermId> arms;
+      bool drawn_at = false;
+      for (const EventIndex s : ss) {
+        if (matches_.contains(r, s)) {
+          const auto uid = static_cast<std::int64_t>(trace_.event(s).ev.uid);
+          arms.push_back(tt_.eq(enc.match_id.at(r), tt_.int_const(uid)));
+          drawn_at = drawn_at || recorded_uid(r) == uid;
         }
       }
+      if (!arms.empty()) chain.push_back({r, tt_.or_(arms), drawn_at});
+    }
+    if (chain.size() < 2) continue;  // nothing to order
+    const std::string ctag = "hw_c" + std::to_string(channel.src) + "_" +
+                             std::to_string(channel.dst) + "_";
+    // Recorded: each mark is the running maximum of the drawn ids.
+    std::int64_t hi_at = static_cast<std::int64_t>(trace_.event(ss[0]).ev.uid) - 1;
+    TermId hi = tt_.int_const(hi_at);
+    for (std::size_t i = 0; i < chain.size(); ++i) {
+      const auto& [r, drawn, drawn_at] = chain[i];
+      const TermId id = enc.match_id.at(r);
+      fifo.push_back(tt_.implies(drawn, tt_.lt(hi, id)));
+      ++enc.stats.fifo_constraints;
+      if (i + 1 == chain.size()) break;  // last mark is never read
+      if (drawn_at) hi_at = std::max(hi_at, recorded_uid(r));
+      const TermId next = int_var(ctag + std::to_string(i), hi_at);
+      fifo.push_back(tt_.le(hi, next));
+      fifo.push_back(tt_.implies(drawn, tt_.le(id, next)));
+      enc.stats.fifo_constraints += 2;
+      hi = next;
     }
   }
   enc.p_fifo = tt_.and_(fifo);
@@ -634,8 +572,7 @@ TermId Encoder::property_term(const Property& p) {
     // the program never interned is a local nothing wrote, so its final
     // value is its initial one.
     const support::Symbol sym = trace_.program().interner().find(o.var);
-    const TermId base =
-        sym.valid() ? local_term(o.thread, sym) : initial_term(o.thread, o.var);
+    const TermId base = sym.valid() ? local_term(o.thread, sym) : tt_.int_const(0);
     return tt_.add_const(base, o.k);
   };
   const TermId a = operand(p.lhs);

@@ -25,11 +25,15 @@
 // their latest lower bound, FIFO marks and ladder bits as running max / OR.
 // smt::Solver::hint_phases turns these into the solver's first guess.
 //
+// PUnique and the FIFO side each have one emission, linear in the candidate
+// count: an at-most-one ladder per send, and a high-water chain per channel
+// (which also subsumes the ladders of the channel's sends).
+//
 // Options toggle the semantics knobs the reproduction studies: MCAPI
 // per-channel FIFO (non-overtaking), the delay-ignorant baseline encoding
 // (Elwakil–Yang-style: network delivery order = send issue order, the
-// behavior gap of Figure 4b), the literal all-pairs version of Fig. 3, and
-// where non-blocking receives anchor their match window.
+// behavior gap of Figure 4b), and where non-blocking receives anchor their
+// match window.
 #pragma once
 
 #include <cstdint>
@@ -57,22 +61,6 @@ enum class PropertyMode : std::uint8_t {
 struct EncodeOptions {
   bool fifo_non_overtaking = true;  // MCAPI per-channel message ordering
   bool delay_ignorant = false;      // baseline [2]: arrival order = issue order
-  bool unique_all_pairs = false;    // paper Fig. 3 verbatim (all receive pairs)
-  /// Emit PUnique as one at-most-one ladder per send over its match selector
-  /// literals (id_r = uid_s), linear in the candidate count, instead of the
-  /// legacy pairwise ne() over overlapping receive pairs (quadratic in the
-  /// receives of a hot endpoint). Sends on a channel that gets a FIFO
-  /// high-water chain are skipped entirely: the chain's strict id increase
-  /// already forbids matching one send twice. Equisatisfiable with the
-  /// legacy shape; false = legacy emission. unique_all_pairs wins over this
-  /// flag (the paper-literal ablation stays pairwise).
-  bool unique_ladder = true;
-  /// Emit the FIFO non-overtaking side as one monotone high-water chain per
-  /// channel — an integer mark per receive position carrying the largest
-  /// channel id consumed so far — linear in sends + receives, instead of the
-  /// legacy swap negation per (send pair × receive pair). Equisatisfiable
-  /// with the legacy shape; false = legacy emission.
-  bool fifo_chain = true;
   bool anchor_nb_at_wait = true;    // paper semantics; false = ablation
   /// Model MCAPI's "receives on an endpoint complete in issue order" with
   /// explicit bind-time variables (issue < bind <= completion, binds ordered
@@ -80,7 +68,6 @@ struct EncodeOptions {
   /// waits are issued out of order; this restores exactness. Off = the
   /// 2-page paper's literal encoding.
   bool order_endpoint_completions = true;
-  bool initial_locals_zero = true;  // locals start at 0 (runtime-faithful)
   PropertyMode property_mode = PropertyMode::kNegate;
   /// Build all constraint groups but do not assert them into the solver; the
   /// caller asserts (or guards) each group itself. Used by the pairing
@@ -158,7 +145,6 @@ class Encoder {
   smt::TermId expr_term(mcapi::ThreadRef t, const mcapi::ValueExpr& e);
   smt::TermId cond_term(mcapi::ThreadRef t, const mcapi::Cond& c);
   smt::TermId local_term(mcapi::ThreadRef t, support::Symbol var);
-  smt::TermId initial_term(mcapi::ThreadRef t, const std::string& var);
   // Fresh variables, each recorded with its value in the traced run.
   smt::TermId int_var(const std::string& name, std::int64_t recorded);
   smt::TermId bool_var(const std::string& name, bool recorded);
@@ -173,7 +159,6 @@ class Encoder {
   void build_order(Encoding& enc);
   void build_matches(Encoding& enc);
   void build_unique(Encoding& enc);
-  void build_unique_ladders(Encoding& enc, std::vector<smt::TermId>& uniq);
   void build_fifo(Encoding& enc);
   void build_delay_ignorant(Encoding& enc);
   void build_properties(Encoding& enc, std::span<const Property> properties);

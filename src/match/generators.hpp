@@ -29,14 +29,7 @@
 
 namespace mcsym::match {
 
-struct OverapproxOptions {
-  /// Drop same-thread sends that program order places at-or-after the
-  /// receive's completion anchor (they can never satisfy c_send < c_compl).
-  bool prune_program_order = true;
-};
-
-[[nodiscard]] MatchSet generate_overapprox(const trace::Trace& trace,
-                                           OverapproxOptions options = {});
+[[nodiscard]] MatchSet generate_overapprox(const trace::Trace& trace);
 
 enum class DeliverySemantics : std::uint8_t {
   kArbitraryDelay,  // paper semantics

@@ -4,7 +4,7 @@ namespace mcsym::match {
 
 using mcapi::ExecEvent;
 
-MatchSet generate_overapprox(const trace::Trace& trace, OverapproxOptions options) {
+MatchSet generate_overapprox(const trace::Trace& trace) {
   MatchSet set;
   for (const EventIndex r : trace.receives()) {
     const auto& recv_ev = trace.event(r).ev;
@@ -14,7 +14,7 @@ MatchSet generate_overapprox(const trace::Trace& trace, OverapproxOptions option
     for (const EventIndex s : trace.sends()) {
       const auto& send_ev = trace.event(s).ev;
       if (send_ev.dst != recv_ev.dst) continue;  // different endpoint
-      if (options.prune_program_order && send_ev.thread == compl_ev.thread &&
+      if (send_ev.thread == compl_ev.thread &&
           send_ev.op_index >= compl_ev.op_index) {
         // Same thread, at-or-after the completion: program order forbids
         // c_send < c_completion, so the pair can never be chosen.

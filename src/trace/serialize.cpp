@@ -1,13 +1,11 @@
-// Text (de)serialization of traces.
+// Text form of traces (`mcsym trace`, diagnostics, test comparisons).
 //
 // One event per line, space-separated key=value tokens, first token is the
-// event kind. Variable names are serialized by spelling and re-interned on
-// load (names therefore must not contain spaces or '='). Example:
+// event kind. Variable names are written by spelling. Example:
 //
 //   send t=2 op=0 src=3 dst=0 expr=const:7 uid=1 value=7
 //   recv t=0 op=0 ep=0 var=a slot=0 uid=1 value=7
-//   branch t=1 op=2 lhs=var:x rel=== rhs=const:0 outcome=1
-#include <map>
+//   branch t=1 op=2 lhs=var:x rel=eq rhs=const:0 outcome=1
 #include <sstream>
 
 #include "support/assert.hpp"
@@ -17,7 +15,6 @@ namespace mcsym::trace {
 
 namespace {
 
-using mcapi::Cond;
 using mcapi::ExecEvent;
 using mcapi::Rel;
 using mcapi::ValueExpr;
@@ -32,20 +29,6 @@ std::string expr_to_text(const ValueExpr& e, const support::Interner& names) {
   MCSYM_UNREACHABLE("bad expr kind");
 }
 
-ValueExpr expr_from_text(const std::string& text, support::Interner& names) {
-  const auto first = text.find(':');
-  MCSYM_ASSERT_MSG(first != std::string::npos, "malformed expr token");
-  const std::string tag = text.substr(0, first);
-  const std::string rest = text.substr(first + 1);
-  if (tag == "const") return ValueExpr::constant(std::stoll(rest));
-  if (tag == "var") return ValueExpr::variable(names.intern(rest));
-  MCSYM_ASSERT_MSG(tag == "varplus", "unknown expr tag");
-  const auto second = rest.rfind(':');
-  MCSYM_ASSERT_MSG(second != std::string::npos, "malformed varplus token");
-  return ValueExpr::var_plus(names.intern(rest.substr(0, second)),
-                             std::stoll(rest.substr(second + 1)));
-}
-
 const char* rel_token(Rel r) {
   switch (r) {
     case Rel::kLt: return "lt";
@@ -56,16 +39,6 @@ const char* rel_token(Rel r) {
     case Rel::kGt: return "gt";
   }
   return "?";
-}
-
-Rel rel_from_token(const std::string& s) {
-  if (s == "lt") return Rel::kLt;
-  if (s == "le") return Rel::kLe;
-  if (s == "eq") return Rel::kEq;
-  if (s == "ne") return Rel::kNe;
-  if (s == "ge") return Rel::kGe;
-  MCSYM_ASSERT_MSG(s == "gt", "unknown relation token");
-  return Rel::kGt;
 }
 
 const char* kind_token(ExecEvent::Kind k) {
@@ -141,108 +114,6 @@ std::string Trace::to_text() const {
     os << "\n";
   }
   return os.str();
-}
-
-Trace Trace::from_text(const mcapi::Program& program, const std::string& text) {
-  Trace trace(program);
-  // The interner is logically part of the program's identity; deserializing
-  // re-interns spellings so symbols resolve against the same table.
-  support::Interner& names = const_cast<mcapi::Program&>(program).interner();
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string kind;
-    ls >> kind;
-    std::map<std::string, std::string> kv;
-    std::string token;
-    while (ls >> token) {
-      const auto pos = token.find('=');
-      MCSYM_ASSERT_MSG(pos != std::string::npos, "malformed trace token");
-      kv[token.substr(0, pos)] = token.substr(pos + 1);
-    }
-    auto geti = [&kv](const char* key) {
-      const auto it = kv.find(key);
-      MCSYM_ASSERT_MSG(it != kv.end(), "missing trace field");
-      return std::stoll(it->second);
-    };
-    ExecEvent e;
-    e.thread = static_cast<mcapi::ThreadRef>(geti("t"));
-    e.op_index = static_cast<std::uint32_t>(geti("op"));
-    if (kind == "send") {
-      e.kind = ExecEvent::Kind::kSend;
-      e.src = static_cast<mcapi::EndpointRef>(geti("src"));
-      e.dst = static_cast<mcapi::EndpointRef>(geti("dst"));
-      e.expr = expr_from_text(kv.at("expr"), names);
-      e.uid = static_cast<mcapi::SendUid>(geti("uid"));
-      e.value = geti("value");
-    } else if (kind == "recv") {
-      e.kind = ExecEvent::Kind::kRecv;
-      e.dst = static_cast<mcapi::EndpointRef>(geti("ep"));
-      e.var = names.intern(kv.at("var"));
-      e.var_slot = static_cast<mcapi::LocalSlot>(geti("slot"));
-      e.uid = static_cast<mcapi::SendUid>(geti("uid"));
-      e.value = geti("value");
-    } else if (kind == "recv_i") {
-      e.kind = ExecEvent::Kind::kRecvIssue;
-      e.dst = static_cast<mcapi::EndpointRef>(geti("ep"));
-      e.var = names.intern(kv.at("var"));
-      e.var_slot = static_cast<mcapi::LocalSlot>(geti("slot"));
-      e.req = static_cast<std::uint32_t>(geti("req"));
-    } else if (kind == "wait") {
-      e.kind = ExecEvent::Kind::kWait;
-      e.req = static_cast<std::uint32_t>(geti("req"));
-      e.issue_op_index = static_cast<std::uint32_t>(geti("issue"));
-      e.uid = static_cast<mcapi::SendUid>(geti("uid"));
-      e.value = geti("value");
-    } else if (kind == "wait_any") {
-      e.kind = ExecEvent::Kind::kWaitAny;
-      e.req = static_cast<std::uint32_t>(geti("req"));
-      e.issue_op_index = static_cast<std::uint32_t>(geti("issue"));
-      e.var = names.intern(kv.at("var"));
-      e.var_slot = static_cast<mcapi::LocalSlot>(geti("slot"));
-      e.uid = static_cast<mcapi::SendUid>(geti("uid"));
-      e.value = geti("value");
-      e.winner_index = static_cast<std::uint32_t>(geti("winner"));
-      const std::string losers = kv.at("losers");
-      if (losers != "-") {
-        std::size_t start = 0;
-        while (start <= losers.size()) {
-          std::size_t comma = losers.find(',', start);
-          if (comma == std::string::npos) comma = losers.size();
-          e.loser_issue_ops.push_back(
-              static_cast<std::uint32_t>(std::stoul(losers.substr(start, comma - start))));
-          start = comma + 1;
-        }
-      }
-    } else if (kind == "test") {
-      e.kind = ExecEvent::Kind::kTest;
-      e.req = static_cast<std::uint32_t>(geti("req"));
-      e.issue_op_index = static_cast<std::uint32_t>(geti("issue"));
-      e.var = names.intern(kv.at("var"));
-      e.var_slot = static_cast<mcapi::LocalSlot>(geti("slot"));
-      e.dst = static_cast<mcapi::EndpointRef>(geti("ep"));
-      e.outcome = geti("outcome") != 0;
-      e.value = e.outcome ? 1 : 0;
-    } else if (kind == "assign") {
-      e.kind = ExecEvent::Kind::kAssign;
-      e.var = names.intern(kv.at("var"));
-      e.var_slot = static_cast<mcapi::LocalSlot>(geti("slot"));
-      e.expr = expr_from_text(kv.at("expr"), names);
-      e.value = geti("value");
-    } else if (kind == "branch" || kind == "assert") {
-      e.kind = kind == "branch" ? ExecEvent::Kind::kBranch : ExecEvent::Kind::kAssert;
-      e.cond.lhs = expr_from_text(kv.at("lhs"), names);
-      e.cond.rel = rel_from_token(kv.at("rel"));
-      e.cond.rhs = expr_from_text(kv.at("rhs"), names);
-      e.outcome = geti("outcome") != 0;
-    } else {
-      MCSYM_UNREACHABLE("unknown trace event kind");
-    }
-    trace.append(e);
-  }
-  return trace;
 }
 
 }  // namespace mcsym::trace

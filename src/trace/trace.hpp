@@ -65,9 +65,8 @@ class Trace {
   /// error description or nullopt when valid.
   [[nodiscard]] std::optional<std::string> validate() const;
 
-  /// Text round-trip (one event per line; see serialize.cpp for the format).
+  /// Text form, one event per line (see serialize.cpp for the format).
   [[nodiscard]] std::string to_text() const;
-  static Trace from_text(const mcapi::Program& program, const std::string& text);
 
  private:
   const mcapi::Program* program_;

@@ -106,8 +106,8 @@ TEST(DiagnoseTest, ChannelOvertakingBlamesFifo) {
 
   // Dropping the FIFO constraints makes the same proposal feasible — the
   // ablation the encoder exposes.
-  DiagnoseOptions no_fifo;
-  no_fifo.encode.fifo_non_overtaking = false;
+  encode::EncodeOptions no_fifo;
+  no_fifo.fifo_non_overtaking = false;
   const Diagnosis relaxed = diagnose_pairing(tr, swapped, no_fifo);
   EXPECT_TRUE(relaxed.feasible);
 }
@@ -130,8 +130,8 @@ TEST(DiagnoseTest, DelayIgnorantBaselineRefusesFigure4b) {
   const trace::EventIndex recv_b = tr.find(0, 1);
   const std::vector<PairProposal> fig4b = {{recv_a, x}, {recv_b, y}};
 
-  DiagnoseOptions baseline;
-  baseline.encode.delay_ignorant = true;
+  encode::EncodeOptions baseline;
+  baseline.delay_ignorant = true;
   const Diagnosis d = diagnose_pairing(tr, fig4b, baseline);
   ASSERT_FALSE(d.feasible);
   EXPECT_TRUE(blames(d, "delay-ignorant"))

