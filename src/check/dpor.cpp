@@ -42,16 +42,7 @@ struct Frame {
   ActionFootprint chosen;
   bool chosen_internal = false;
   bool started = false;
-};
-
-/// Unregisters a CycleStack entry on scope exit (the sleep-set DFS has
-/// several early returns between registration and unwind).
-struct PopOnExit {
-  CycleStack* cs = nullptr;
-  std::uint64_t fp = 0;
-  ~PopOnExit() {
-    if (cs != nullptr) cs->pop(fp);
-  }
+  bool on_path = false;  // stateful mode: entered the StatefulSearch path
 };
 
 }  // namespace
@@ -70,10 +61,6 @@ void DporChecker::run_optimal(DporResult& result,
   // for reuse, so a pop only lowers `depth`.
   std::vector<Frame> stack(1);
   std::size_t depth = 1;
-  // Stateful mode: each frame's registered on-path fingerprint (nullopt for
-  // frames cut before registration), parallel to the live frames.
-  std::vector<std::optional<std::uint64_t>> frame_fp;
-  if (options_.stateful) frame_fp.emplace_back();
   std::vector<Action> enabled;
   // Raw apply count for the budget check only. The reported
   // stats.transitions is charged arrival-edge-exact — each execution's full
@@ -85,9 +72,8 @@ void DporChecker::run_optimal(DporResult& result,
   // System is back at the parent's state; the parent's chosen action falls
   // asleep for the parent's remaining branches.
   auto pop_frame = [&] {
-    if (options_.stateful) {
-      if (frame_fp.back()) cycle_stack_.pop(*frame_fp.back());
-      frame_fp.pop_back();
+    if (options_.stateful && std::exchange(stack[depth - 1].on_path, false)) {
+      search_.leave();
     }
     if (--depth == 0) return;
     Frame& parent = stack[depth - 1];
@@ -128,7 +114,6 @@ void DporChecker::run_optimal(DporResult& result,
     }
     child.started = false;
     ++depth;
-    if (options_.stateful) frame_fp.emplace_back();
   };
 
   while (depth > 0) {
@@ -171,38 +156,19 @@ void DporChecker::run_optimal(DporResult& result,
         continue;
       }
       if (options_.stateful) {
-        const std::uint64_t fp = sys.fingerprint();
-        if (const auto prev = cycle_stack_.find(fp)) {
-          // On-path revisit: cut regardless of progress (this is what
-          // bounds path length on cyclic programs), and classify — no
-          // match recorded between the visits means a realized livelock.
-          ++st.state_space.cycles_found;
-          if (sys.matches().size() <= prev->progress) {
-            ++st.state_space.nonprogressive_cycles;
-            if (!result.non_termination_found) {
-              result.non_termination_found = true;
-              split_lasso(dpor_detail::actions_of(prefix.events), prev->depth,
-                          result.lasso_stem, result.lasso_cycle);
-            }
-          }
+        // Only sleep-free nodes are stored; a hit prunes only when no
+        // wakeup subtree is scheduled here.
+        using Store = StatefulSearch::Store;
+        const Store store = !frame.sleep.empty() ? Store::kSkip
+                            : frame.wut.empty()  ? Store::kPrune
+                                                 : Store::kRecord;
+        if (!search_.enter(sys, prefix.events.size(), store, result, [&] {
+              return dpor_detail::actions_of(prefix.events);
+            })) {
           pop_frame();
           continue;
         }
-        if (frame.sleep.empty()) {
-          // Only sleep-free nodes are roots of complete subtrees, so only
-          // they are stored; a hit prunes only when no wakeup subtree is
-          // scheduled here (reversal sequences must never be discarded).
-          if (frame.wut.empty()) {
-            if (store_.visit(fp)) {
-              pop_frame();
-              continue;
-            }
-          } else if (!store_.contains(fp)) {
-            store_.insert(fp);
-          }
-        }
-        frame_fp.back() = fp;
-        cycle_stack_.push(fp, prefix.events.size(), sys.matches().size());
+        frame.on_path = true;
       }
     }
 
@@ -282,92 +248,74 @@ void DporChecker::explore_sleepset(System& sys, std::vector<Action>& sleep,
     return;
   }
 
-  PopOnExit pop_guard;
-  if (options_.stateful) {
-    const std::uint64_t fp = sys.fingerprint();
-    if (const auto prev = cycle_stack_.find(fp)) {
-      ++result.stats.state_space.cycles_found;
-      if (sys.matches().size() <= prev->progress) {
-        ++result.stats.state_space.nonprogressive_cycles;
-        if (!result.non_termination_found) {
-          result.non_termination_found = true;
-          split_lasso(script, prev->depth, result.lasso_stem,
-                      result.lasso_cycle);
-        }
-      }
-      return;  // cut at any on-path revisit: bounds depth on cyclic programs
-    }
-    // Same conservative rule as optimal mode: only sleep-free nodes are
-    // stored, and only they prune on a hit — a node with a non-empty sleep
-    // set deliberately skips behaviors covered elsewhere, so its subtree
-    // is not a complete representative of this state's futures.
-    if (sleep.empty() && store_.visit(fp)) return;
-    cycle_stack_.push(fp, script.size(), sys.matches().size());
-    pop_guard.cs = &cycle_stack_;
-    pop_guard.fp = fp;
+  if (options_.stateful &&
+      !search_.enter(sys,
+                     sleep.empty() ? StatefulSearch::Store::kPrune
+                                   : StatefulSearch::Store::kSkip,
+                     result, script)) {
+    return;
   }
 
   // Local-first ample set: an internal step is independent of everything
   // and never disabled, so exploring it alone is sound — and the sleep set
   // is unchanged (no sleeping action depends on it).
-  for (const Action& a : enabled) {
-    if (!is_internal_step(sys, a)) continue;
+  const auto internal =
+      std::find_if(enabled.begin(), enabled.end(),
+                   [&](const Action& a) { return is_internal_step(sys, a); });
+  if (internal != enabled.end()) {
     const System::Checkpoint here = sys.checkpoint();
-    sys.apply(a);
+    sys.apply(*internal);
     ++sleepset_applied_;
-    script.push_back(a);
+    script.push_back(*internal);
     explore_sleepset(sys, sleep, script, result, timer);
     script.pop_back();
     sys.rollback(here);
-    return;
-  }
+  } else {
+    // Sleep-set exploration of the visible actions.
+    std::vector<Action> done;
+    bool advanced = false;
+    for (const Action& a : enabled) {
+      if (std::find(sleep.begin(), sleep.end(), a) != sleep.end()) {
+        ++result.stats.sleep_prunes;
+        continue;
+      }
+      advanced = true;
 
-  // Sleep-set exploration of the visible actions.
-  std::vector<Action> done;
-  bool advanced = false;
-  for (const Action& a : enabled) {
-    if (std::find(sleep.begin(), sleep.end(), a) != sleep.end()) {
-      ++result.stats.sleep_prunes;
-      continue;
-    }
-    advanced = true;
+      // Child's sleep set: previously slept or already-explored actions
+      // that are independent of `a` stay asleep. Computed against the
+      // pre-step state, so it precedes the apply.
+      std::vector<Action> child_sleep;
+      for (const Action& b : sleep) {
+        if (independent(sys, a, b)) child_sleep.push_back(b);
+      }
+      for (const Action& b : done) {
+        if (independent(sys, a, b)) child_sleep.push_back(b);
+      }
 
-    // Child's sleep set: previously slept or already-explored actions that
-    // are independent of `a` stay asleep. Computed against the pre-step
-    // state, so it precedes the apply.
-    std::vector<Action> child_sleep;
-    for (const Action& b : sleep) {
-      if (independent(sys, a, b)) child_sleep.push_back(b);
+      const System::Checkpoint here = sys.checkpoint();
+      sys.apply(a);
+      ++sleepset_applied_;
+      script.push_back(a);
+      explore_sleepset(sys, child_sleep, script, result, timer);
+      script.pop_back();
+      sys.rollback(here);
+      if (result.truncated || result.violation_found) break;
+      done.push_back(a);
     }
-    for (const Action& b : done) {
-      if (independent(sys, a, b)) child_sleep.push_back(b);
+    if (!advanced) {
+      // Every enabled action was asleep: a sleep-set-blocked maximal path,
+      // the redundancy optimal mode eliminates.
+      ++result.stats.redundant_explorations;
+      ++result.stats.executions;
     }
-
-    const System::Checkpoint here = sys.checkpoint();
-    sys.apply(a);
-    ++sleepset_applied_;
-    script.push_back(a);
-    explore_sleepset(sys, child_sleep, script, result, timer);
-    script.pop_back();
-    sys.rollback(here);
-    if (result.truncated || result.violation_found) return;
-    done.push_back(a);
   }
-  if (!advanced) {
-    // Every enabled action was asleep: a sleep-set-blocked maximal path,
-    // the redundancy optimal mode eliminates.
-    ++result.stats.redundant_explorations;
-    ++result.stats.executions;
-  }
+  if (options_.stateful) search_.leave();
 }
 
 DporResult DporChecker::run() {
   const support::Stopwatch timer;
   DporResult result;
-  if (options_.stateful) {
-    store_ = VisitedStateStore(options_.state_capacity);
-    cycle_stack_.clear();
-  }
+  if (options_.stateful) search_ = StatefulSearch(options_.state_capacity);
   if (options_.algorithm == DporMode::kSleepSet) {
     System sys(program_, options_.mode);
     sys.enable_undo_log();
@@ -378,11 +326,7 @@ DporResult DporChecker::run() {
   } else {
     run_optimal(result, timer);
   }
-  if (options_.stateful) {
-    result.stats.state_space.visited_states = store_.inserts();
-    result.stats.state_space.state_hits = store_.hits();
-    result.stats.state_space.states_dropped = store_.dropped();
-  }
+  if (options_.stateful) result.stats.state_space = search_.stats();
   result.seconds = timer.seconds();
   return result;
 }

@@ -1,5 +1,5 @@
-// Stateless dynamic partial-order reduction over the MCAPI transition
-// system, in two strengths selected by DporMode:
+// Dynamic partial-order reduction over the MCAPI transition system, in
+// two strengths selected by DporMode:
 //
 //  * kSleepSet — the Inspect-style baseline of the paper's motivation
 //    (Flanagan & Godefroid, POPL'05; Yang et al.'s Inspect): local-first
@@ -31,28 +31,15 @@
 // deliveries racing for one endpoint, is validated by simulating it
 // against the real semantics.
 //
-// State management is checkpoint/undo, not copy-the-world: both modes keep
-// ONE live journaling System (System::enable_undo_log) walked up and down
-// the exploration stack — descending applies the chosen action, popping a
-// frame undoes it, and a frame's checkpoint is simply its depth (exactly
-// one undo record per applied action). Race-reversal simulation is
-// apply -> inspect -> undo on that same live state: rewind to the pre-race
-// frame, run the candidate sequence, roll it back, and replay the executed
-// suffix. Frames therefore store only reduction bookkeeping (wakeup tree,
-// sleep set, chosen footprint) plus the event's vector clock; no System is
-// ever copied on the exploration path.
-//
+// Both modes walk ONE live journaling System (System::enable_undo_log)
+// up and down the exploration stack: descending applies an action,
+// backtracking undoes it, so no System is copied on the exploration path.
 // Optimal mode is one serial loop (dpor.cpp) over the race core
-// dpor_detail::Prefix (dpor_internal.hpp): the live System, the executed
-// footprints and their per-process vector clocks, and the race scan with
-// its causal-pair rule and simulated feasibility check. The loop hands
-// the scan two callbacks: whether a sleeping sibling already covers a
-// race, and where its reversal is scheduled.
+// dpor_detail::Prefix (dpor_internal.hpp). Stateful mode, budgets and the
+// verdict fields come from the shared search layer (check/state_space.hpp).
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <vector>
 
 #include "check/state_space.hpp"
@@ -66,39 +53,11 @@ enum class DporMode : std::uint8_t {
   kSleepSet,  // historical baseline, kept for differential A/B
 };
 
-struct DporOptions {
-  mcapi::DeliveryMode mode = mcapi::DeliveryMode::kArbitraryDelay;
+/// Shared settings (delivery mode, wall clock, cancellation, stateful
+/// mode and its store rule) live in SearchOptions.
+struct DporOptions : SearchOptions {
   DporMode algorithm = DporMode::kOptimal;
   std::uint64_t max_transitions = 50'000'000;
-  /// Wall-clock budget in seconds; 0 = unlimited. Exceeding it abandons the
-  /// search with result.truncated set, exactly like max_transitions — the
-  /// guard the benches use to race the sleep-set baseline on instances
-  /// where it blows up combinatorially.
-  double max_seconds = 0;
-  /// Optional cooperative cancellation probe, polled on the same amortized
-  /// schedule as the wall clock: returning true abandons the search with
-  /// result.truncated set. The Verifier facade routes its
-  /// progress/cancellation callback through this hook.
-  std::function<bool()> interrupted;
-  /// Stateful exploration (check/state_space.hpp): cut descent at on-stack
-  /// fingerprint revisits (classifying non-progressive cycles into a
-  /// non-termination lasso) and prune subtrees whose root state was already
-  /// fully explored. The prefix-pruning rule is deliberately conservative
-  /// so trace counters stay honest: a state is stored, and a store hit
-  /// prunes, only at nodes whose sleep set is empty (nothing suppressed
-  /// here was covered on some other path) — and pruning additionally
-  /// requires an empty incoming wakeup subtree (scheduled race reversals
-  /// are never discarded by a hit). Cut paths are counted in the
-  /// state-space counters, never in executions/transitions.
-  /// CAVEAT — cycle cutting interacts with wakeup-tree scheduling: a
-  /// reversal whose target lies beyond a cut revisit is dropped with the
-  /// cut, so on cyclic programs stateful DPOR is a terminating
-  /// semi-decision procedure for reachability, cross-checked against the
-  /// stateful explicit engine by the differential loop battery; on
-  /// loop-free programs verdicts and witnesses are unchanged.
-  bool stateful = false;
-  /// Visited-store capacity in states for stateful mode; 0 = unbounded.
-  std::size_t state_capacity = VisitedStateStore::kDefaultCapacity;
 };
 
 /// Exploration counters. `executions` counts every maximal explored path:
@@ -129,23 +88,8 @@ struct DporStats {
   StateSpaceStats state_space;
 };
 
-struct DporResult {
-  bool violation_found = false;
-  std::optional<mcapi::Violation> violation;
-  std::vector<mcapi::Action> counterexample;
-  bool deadlock_found = false;
-  /// Action schedule reaching the first deadlock found (replayable).
-  std::vector<mcapi::Action> deadlock_schedule;
-
-  /// Stateful mode: a non-progressive cycle was realized; stem + cycle
-  /// form the replayable lasso witness (see ExplicitResult).
-  bool non_termination_found = false;
-  std::vector<mcapi::Action> lasso_stem;
-  std::vector<mcapi::Action> lasso_cycle;
-
+struct DporResult : SearchResult {
   DporStats stats;
-  bool truncated = false;
-  double seconds = 0;
 };
 
 class DporChecker {
@@ -170,10 +114,7 @@ class DporChecker {
 
   const mcapi::Program& program_;
   DporOptions options_;
-  // Stateful mode: the bounded visited store and on-path fingerprints,
-  // reset per run(). Shared by the optimal loop and the sleep-set DFS.
-  VisitedStateStore store_{0};
-  CycleStack cycle_stack_;
+  StatefulSearch search_;  // stateful mode only, reset per run()
   // Clock-read amortization for the budget probe.
   std::uint64_t budget_probe_ = 0;
   // Raw apply count driving max_transitions in the sleep-set DFS; the

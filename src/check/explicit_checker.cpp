@@ -70,6 +70,7 @@ void ExplicitChecker::dfs(System& sys, std::vector<Action>& script,
   // Enumeration (a reference trace) explores past violations and prunes on
   // history fingerprints; a verdict search stops at the first violation.
   const bool collect = reference != nullptr;
+  const bool stateful = options_.stateful && !collect;
   if (result.truncated) return;
   if (result.violation_found && !collect) return;
   if (result.states_expanded >= options_.max_states ||
@@ -109,36 +110,11 @@ void ExplicitChecker::dfs(System& sys, std::vector<Action>& script,
     const System::Checkpoint here = sys.checkpoint();
     sys.apply(a);
     ++result.transitions;
+    script.push_back(a);
     bool pruned = false;
-    bool registered = false;
-    std::uint64_t fp = 0;
-    if (options_.stateful && !collect) {
-      fp = sys.fingerprint();
-      if (const auto prev = cycle_stack_.find(fp)) {
-        // An on-stack revisit closes a cycle. Descent stops here no matter
-        // what (cutting on ANY on-stack repeat is what bounds path length
-        // even when the store evicts); classification is what's new: a
-        // cycle with no message matched between the visits is a realized
-        // livelock and its lasso becomes the non-termination witness.
-        ++result.state_space.cycles_found;
-        if (sys.matches().size() <= prev->progress) {
-          ++result.state_space.nonprogressive_cycles;
-          if (!result.non_termination_found) {
-            result.non_termination_found = true;
-            script.push_back(a);
-            split_lasso(script, prev->depth, result.lasso_stem,
-                        result.lasso_cycle);
-            script.pop_back();
-          }
-        }
-        pruned = true;
-      } else if (store_.visit(fp)) {
-        ++result.state_space.state_hits;
-        pruned = true;
-      } else {
-        cycle_stack_.push(fp, script.size() + 1, sys.matches().size());
-        registered = true;
-      }
+    if (stateful) {
+      pruned =
+          !search_.enter(sys, StatefulSearch::Store::kPrune, result, script);
     } else if (!collect) {
       pruned = !visited_.insert(sys.fingerprint()).second;
     } else if (options_.dedup_histories) {
@@ -147,11 +123,10 @@ void ExplicitChecker::dfs(System& sys, std::vector<Action>& script,
       pruned = !visited_histories_.insert(sys.history_fingerprint()).second;
     }
     if (!pruned) {
-      script.push_back(a);
       dfs(sys, script, result, reference);
-      script.pop_back();
+      if (stateful) search_.leave();
     }
-    if (registered) cycle_stack_.pop(fp);
+    script.pop_back();
     sys.rollback(here);
     if (result.truncated) return;
     if (result.violation_found && !collect) return;
@@ -172,24 +147,18 @@ ExplicitResult ExplicitChecker::explore(const trace::Trace* reference) {
   visited_histories_.clear();
   System sys(program_, options_.mode);
   sys.enable_undo_log();
+  std::vector<Action> script;
   const bool stateful = options_.stateful && reference == nullptr;
   if (reference != nullptr) {
     if (options_.dedup_histories) visited_histories_.insert(sys.history_fingerprint());
   } else if (stateful) {
-    store_ = VisitedStateStore(options_.state_capacity);
-    cycle_stack_.clear();
-    const std::uint64_t root = sys.fingerprint();
-    store_.insert(root);
-    cycle_stack_.push(root, 0, 0);
+    search_ = StatefulSearch(options_.state_capacity);
+    search_.enter(sys, StatefulSearch::Store::kPrune, result, script);
   } else {
     visited_.insert(sys.fingerprint());
   }
-  std::vector<Action> script;
   dfs(sys, script, result, reference);
-  if (stateful) {
-    result.state_space.visited_states = store_.inserts();
-    result.state_space.states_dropped = store_.dropped();
-  }
+  if (stateful) result.state_space = search_.stats();
   result.seconds = timer.seconds();
   timer_ = nullptr;
   return result;

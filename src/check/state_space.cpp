@@ -38,4 +38,12 @@ void VisitedStateStore::clear() {
   dropped_ = 0;
 }
 
+StateSpaceStats StatefulSearch::stats() const {
+  StateSpaceStats out = stats_;
+  out.visited_states = store_.inserts();
+  out.state_hits = store_.hits();
+  out.states_dropped = store_.dropped();
+  return out;
+}
+
 }  // namespace mcsym::check

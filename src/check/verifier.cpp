@@ -24,12 +24,12 @@ namespace {
 /// eager, and neutral network behavior (the differential harness's cycle).
 constexpr double kBiases[] = {1.0, 0.5, 2.0};
 
-[[nodiscard]] Verdict verdict_from(bool violation, bool deadlock,
-                                   bool non_termination, bool truncated) {
-  if (violation) return Verdict::kViolation;
-  if (deadlock) return Verdict::kDeadlock;
-  if (non_termination) return Verdict::kNonTermination;
-  if (truncated) return Verdict::kBudgetExhausted;
+/// An exhaustive search's verdict: the worst class it found.
+[[nodiscard]] Verdict verdict_of(const SearchResult& r) {
+  if (r.violation_found) return Verdict::kViolation;
+  if (r.deadlock_found) return Verdict::kDeadlock;
+  if (r.non_termination_found) return Verdict::kNonTermination;
+  if (r.truncated) return Verdict::kBudgetExhausted;
   return Verdict::kSafe;
 }
 
@@ -97,10 +97,9 @@ struct Ctx {
   }
 };
 
-/// Copies a DPOR or explicit search's witnesses into the report: the
-/// violation and its schedule, the deadlock schedule, the lasso.
-template <class Result>
-void adopt_witnesses(VerifyReport& report, const Result& r) {
+/// Copies an exhaustive search's witnesses into the report: the violation
+/// and its schedule, the deadlock schedule, the lasso.
+void adopt_witnesses(VerifyReport& report, const SearchResult& r) {
   if (r.violation_found) {
     report.violation = r.violation;
     if (r.violation.has_value()) report.violations = {*r.violation};
@@ -113,39 +112,46 @@ void adopt_witnesses(VerifyReport& report, const Result& r) {
   }
 }
 
+/// Fills the settings every exhaustive engine shares from the request.
+void fill_search_options(Ctx& ctx, Engine engine, SearchOptions& o) {
+  o.mode = ctx.request.mode;
+  o.max_seconds = ctx.engine_seconds();
+  o.stateful = ctx.request.stateful;
+  o.state_capacity = ctx.request.state_capacity;
+  if (ctx.request.progress) {
+    o.interrupted = [&ctx, engine] { return !ctx.fire(engine, "explore"); };
+  }
+}
+
+/// Completes an exhaustive engine's row after its own counters: verdict,
+/// truncation, time, and the state-space counters. Those are surfaced only
+/// for stateful requests: the stateless JSON report is golden-pinned and
+/// carries no state-space telemetry.
+void finish_search_row(const Ctx& ctx, Engine engine, const SearchResult& r,
+                       const StateSpaceStats& ss, EngineRun& run) {
+  run.engine = engine;
+  run.truncated = r.truncated;
+  run.verdict = verdict_of(r);
+  run.seconds = r.seconds;
+  if (ctx.request.stateful) {
+    run.counters.emplace_back("visited_states", ss.visited_states);
+    run.counters.emplace_back("state_hits", ss.state_hits);
+    run.counters.emplace_back("states_dropped", ss.states_dropped);
+    run.counters.emplace_back("cycles_found", ss.cycles_found);
+  }
+}
+
 /// Runs the explicit engine and fills `run` without touching ctx.report —
 /// safe to call from a portfolio engine thread; the caller pushes the row.
 ExplicitResult run_explicit(Ctx& ctx, EngineRun& run) {
   ExplicitOptions eo;
-  eo.mode = ctx.request.mode;
+  fill_search_options(ctx, Engine::kExplicit, eo);
   eo.max_states = ctx.request.budget.max_states;
-  eo.max_seconds = ctx.engine_seconds();
-  eo.stateful = ctx.request.stateful;
-  eo.state_capacity = ctx.request.state_capacity;
-  if (ctx.request.progress) {
-    eo.interrupted = [&ctx] { return !ctx.fire(Engine::kExplicit, "explore"); };
-  }
-  ExplicitChecker checker(ctx.program, eo);
-  ExplicitResult result = checker.run();
-
-  run.engine = Engine::kExplicit;
-  run.truncated = result.truncated;
-  run.verdict = verdict_from(result.violation_found, result.deadlock_found,
-                             result.non_termination_found, result.truncated);
-  run.seconds = result.seconds;
+  ExplicitResult result = ExplicitChecker(ctx.program, eo).run();
   run.counters = {{"states_expanded", result.states_expanded},
                   {"transitions", result.transitions},
                   {"terminal_states", result.terminal_states}};
-  // Surfaced only for stateful requests: the stateless JSON report is
-  // golden-pinned and carries no state-space telemetry.
-  if (ctx.request.stateful) {
-    run.counters.emplace_back("visited_states",
-                              result.state_space.visited_states);
-    run.counters.emplace_back("state_hits", result.state_space.state_hits);
-    run.counters.emplace_back("states_dropped",
-                              result.state_space.states_dropped);
-    run.counters.emplace_back("cycles_found", result.state_space.cycles_found);
-  }
+  finish_search_row(ctx, Engine::kExplicit, result, result.state_space, run);
   return result;
 }
 
@@ -155,23 +161,10 @@ DporResult run_dpor(Ctx& ctx, DporMode mode, EngineRun& run) {
   const Engine engine = mode == DporMode::kOptimal ? Engine::kDporOptimal
                                                    : Engine::kDporSleepSet;
   DporOptions dopts;
-  dopts.mode = ctx.request.mode;
+  fill_search_options(ctx, engine, dopts);
   dopts.algorithm = mode;
   dopts.max_transitions = ctx.request.budget.max_transitions;
-  dopts.max_seconds = ctx.engine_seconds();
-  dopts.stateful = ctx.request.stateful;
-  dopts.state_capacity = ctx.request.state_capacity;
-  if (ctx.request.progress) {
-    dopts.interrupted = [&ctx, engine] { return !ctx.fire(engine, "explore"); };
-  }
-  DporChecker checker(ctx.program, dopts);
-  DporResult result = checker.run();
-
-  run.engine = engine;
-  run.truncated = result.truncated;
-  run.verdict = verdict_from(result.violation_found, result.deadlock_found,
-                             result.non_termination_found, result.truncated);
-  run.seconds = result.seconds;
+  DporResult result = DporChecker(ctx.program, dopts).run();
   run.counters = {{"transitions", result.stats.transitions},
                   {"executions", result.stats.executions},
                   {"terminal_states", result.stats.terminal_states},
@@ -179,17 +172,7 @@ DporResult run_dpor(Ctx& ctx, DporMode mode, EngineRun& run) {
                   {"wakeup_nodes", result.stats.wakeup_nodes},
                   {"sleep_prunes", result.stats.sleep_prunes},
                   {"redundant_explorations", result.stats.redundant_explorations}};
-  // Stateful telemetry mirrors the explicit engine's rows (see above).
-  if (ctx.request.stateful) {
-    run.counters.emplace_back("visited_states",
-                              result.stats.state_space.visited_states);
-    run.counters.emplace_back("state_hits",
-                              result.stats.state_space.state_hits);
-    run.counters.emplace_back("states_dropped",
-                              result.stats.state_space.states_dropped);
-    run.counters.emplace_back("cycles_found",
-                              result.stats.state_space.cycles_found);
-  }
+  finish_search_row(ctx, engine, result, result.stats.state_space, run);
   return result;
 }
 
@@ -623,11 +606,12 @@ void judge_symbolic(Ctx& ctx, SymbolicProduction prod,
   EngineRun run;
   run.engine = Engine::kSymbolic;
   run.truncated = truncated;
-  run.verdict =
-      assert_props
-          ? Verdict::kUnknown
-          : verdict_from(violation, deadlock, false,
-                         truncated || exhausted || skipped > 0 || checked == 0);
+  run.verdict = assert_props ? Verdict::kUnknown
+                : violation  ? Verdict::kViolation
+                : deadlock   ? Verdict::kDeadlock
+                : truncated || exhausted || skipped > 0 || checked == 0
+                    ? Verdict::kBudgetExhausted
+                    : Verdict::kSafe;
   run.seconds = prod.seconds + judge_timer.seconds();
   run.counters = {{"traces_recorded", recorded},
                   {"traces_checked", checked},
@@ -727,9 +711,9 @@ void run_portfolio(Ctx& ctx) {
   } else if (ctx.cancel_requested.load(std::memory_order_relaxed)) {
     report.verdict = Verdict::kBudgetExhausted;
   } else {
-    report.verdict = verdict_from(truth.violation_found || symbolic_violation,
-                                  truth.deadlock_found,
-                                  truth.non_termination_found, false);
+    // The truth is not truncated here (that returned above).
+    report.verdict =
+        symbolic_violation ? Verdict::kViolation : verdict_of(truth);
   }
 }
 

@@ -105,15 +105,10 @@ struct VerifyRequest {
   /// Extra end-of-run properties, conjoined with in-program assertions.
   std::vector<encode::Property> properties;
 
-  /// Stateful exploration for the explicit and DPOR engines (see
-  /// check/state_space.hpp): visited-state matching through an LRU-bounded
-  /// store, on-stack cycle detection, and kNonTermination verdicts with a
-  /// replayable lasso witness when a non-progressive cycle is realized. On
-  /// loop-free programs reports are byte-identical to stateless runs apart
-  /// from the extra state-space counters; on cyclic programs this is what
-  /// makes the search terminate with a classification.
+  /// SearchOptions::stateful/state_capacity for the explicit and DPOR
+  /// engines. On loop-free programs reports are byte-identical to
+  /// stateless runs apart from the four state-space counters.
   bool stateful = false;
-  /// Visited-store capacity in states for stateful mode; 0 = unbounded.
   std::size_t state_capacity = VisitedStateStore::kDefaultCapacity;
 
   /// Replay every SAT witness concretely (continue-past-violation mode, so

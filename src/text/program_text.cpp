@@ -268,6 +268,85 @@ struct Skeleton {
 
 // --- Parser ---------------------------------------------------------------------
 
+/// OPERAND := INT | - INT | THREAD '.' VAR ((+|-) INT)?, with THREAD and
+/// VAR resolved against `program`. A name error goes to `error`; a syntax
+/// error is left in `cur`.
+std::optional<encode::Operand> parse_operand(Cursor& cur, const Program& program,
+                                             std::string& error) {
+  const Token* t = cur.peek();
+  if (t == nullptr) {
+    cur.fail("operand");
+    return std::nullopt;
+  }
+  if (t->kind == Tok::kMinus || t->kind == Tok::kInt) {
+    const bool neg = t->kind == Tok::kMinus;
+    if (neg) ++cur.pos;
+    const Token* k = cur.take(Tok::kInt, "integer after '-'");
+    if (k == nullptr) return std::nullopt;
+    return encode::Operand::constant(neg ? -k->value : k->value);
+  }
+  const Token* thread = cur.take(Tok::kIdent, "thread name");
+  if (thread == nullptr) return std::nullopt;
+  ThreadRef tref = 0;
+  while (tref < program.num_threads() && program.thread(tref).name != thread->text) {
+    ++tref;
+  }
+  if (tref == program.num_threads()) {
+    error = "unknown thread '" + thread->text + "' in property";
+    return std::nullopt;
+  }
+  if (cur.take(Tok::kDot, "'.'") == nullptr) return std::nullopt;
+  const Token* var = cur.take(Tok::kIdent, "local name");
+  if (var == nullptr) return std::nullopt;
+  const auto& names = program.thread(tref).slot_names;
+  if (std::find(names.begin(), names.end(), var->text) == names.end()) {
+    error = "thread '" + thread->text + "' has no local named '" + var->text + "'";
+    return std::nullopt;
+  }
+  std::int64_t off = 0;
+  const Token* opt = cur.peek();
+  if (opt != nullptr && (opt->kind == Tok::kPlus || opt->kind == Tok::kMinus)) {
+    ++cur.pos;
+    const Token* k = cur.take(Tok::kInt, "integer offset");
+    if (k == nullptr) return std::nullopt;
+    off = opt->kind == Tok::kPlus ? k->value : -k->value;
+  }
+  return encode::Operand::final_var(tref, var->text, off);
+}
+
+/// PROPERTY := STRING? OPERAND REL OPERAND, the body of a `property` line
+/// and of a --property argument. On failure returns nullopt with the first
+/// problem in `error`. The label is the STRING, or empty: each caller has
+/// its own rule for unlabeled properties.
+std::optional<encode::Property> parse_property_body(const std::vector<Token>& toks,
+                                                    const Program& program,
+                                                    std::string& error) {
+  Cursor cur{&toks, 0, {}};
+  std::string label;
+  if (const Token* t = cur.peek(); t != nullptr && t->kind == Tok::kString) {
+    label = t->text;
+    ++cur.pos;
+  }
+  auto lhs = parse_operand(cur, program, error);
+  const Token* rel = lhs ? cur.take(Tok::kRel, "comparison operator") : nullptr;
+  auto rhs = rel != nullptr ? parse_operand(cur, program, error) : std::nullopt;
+  // Every failed read leaves a name error or a syntax error behind, so
+  // with neither both operands and the operator were read.
+  if (error.empty()) error = cur.error;
+  if (error.empty() && !cur.done()) error = "trailing tokens after property";
+  if (!error.empty()) return std::nullopt;
+  return encode::make_property(std::move(label), std::move(*lhs), rel->rel,
+                               std::move(*rhs));
+}
+
+std::string render_operand(const Program& program, const encode::Operand& o) {
+  if (!o.is_var) return std::to_string(o.k);
+  std::string s = program.thread(o.thread).name + "." + o.var;
+  if (o.k > 0) s += " + " + std::to_string(o.k);
+  if (o.k < 0) s += " - " + std::to_string(-o.k);
+  return s;
+}
+
 class Parser {
  public:
   explicit Parser(std::string_view source) : source_(source) {}
@@ -598,79 +677,23 @@ class Parser {
     }
   }
 
-  /// OPERAND := INT | - INT | THREAD '.' VAR ((+|-) INT)?
-  std::optional<encode::Operand> operand(Cursor& cur, std::uint32_t line) {
-    const Token* t = cur.peek();
-    if (t == nullptr) {
-      cur.fail("operand");
-      return std::nullopt;
-    }
-    if (t->kind == Tok::kMinus || t->kind == Tok::kInt) {
-      auto e = cur.expr(program_);
-      if (!e) return std::nullopt;
-      return encode::Operand::constant(e->k);
-    }
-    const Token* thread = cur.take(Tok::kIdent, "thread name");
-    if (thread == nullptr) return std::nullopt;
-    const auto it = thread_of_.find(thread->text);
-    if (it == thread_of_.end()) {
-      diag(line, "unknown thread '" + thread->text + "' in property");
-      return std::nullopt;
-    }
-    if (cur.take(Tok::kDot, "'.'") == nullptr) return std::nullopt;
-    const Token* var = cur.take(Tok::kIdent, "local name");
-    if (var == nullptr) return std::nullopt;
-    const auto& names = program_.thread(it->second).slot_names;
-    if (std::find(names.begin(), names.end(), var->text) == names.end()) {
-      diag(line, "thread '" + thread->text + "' has no local named '" + var->text + "'");
-      return std::nullopt;
-    }
-    std::int64_t off = 0;
-    const Token* opt = cur.peek();
-    if (opt != nullptr && (opt->kind == Tok::kPlus || opt->kind == Tok::kMinus)) {
-      ++cur.pos;
-      const Token* k = cur.take(Tok::kInt, "integer offset");
-      if (k == nullptr) return std::nullopt;
-      off = opt->kind == Tok::kPlus ? k->value : -k->value;
-    }
-    return encode::Operand::final_var(it->second, var->text, off);
-  }
-
+  /// `property` lines: an unlabeled one is labeled with its rendered
+  /// operands.
   void parse_properties() {
     for (const RawLine& raw : skeleton_.properties) {
-      Cursor cur{&raw.toks, 0, {}};
-      std::string label;
-      if (const Token* t = cur.peek(); t != nullptr && t->kind == Tok::kString) {
-        label = t->text;
-        ++cur.pos;
-      }
-      auto lhs = operand(cur, raw.line);
-      const Token* rel = lhs ? cur.take(Tok::kRel, "comparison operator") : nullptr;
-      auto rhs = rel != nullptr ? operand(cur, raw.line) : std::nullopt;
-      if (!lhs || rel == nullptr || !rhs || !cur.error.empty()) {
-        diag(raw.line, cur.error.empty() ? "malformed property" : cur.error);
+      std::string error;
+      auto prop = parse_property_body(raw.toks, program_, error);
+      if (!prop) {
+        diag(raw.line, std::move(error));
         continue;
       }
-      if (!cur.done()) {
-        diag(raw.line, "trailing tokens after property");
-        continue;
+      if (prop->label.empty()) {
+        prop->label = render_operand(program_, prop->lhs) + " " +
+                      mcapi::rel_name(prop->rel) + " " +
+                      render_operand(program_, prop->rhs);
       }
-      if (label.empty()) {
-        label = render_operand(*lhs) + " " + mcapi::rel_name(rel->rel) + " " +
-                render_operand(*rhs);
-      }
-      properties_.push_back(
-          encode::make_property(std::move(label), std::move(*lhs), rel->rel,
-                                std::move(*rhs)));
+      properties_.push_back(std::move(*prop));
     }
-  }
-
-  std::string render_operand(const encode::Operand& o) {
-    if (!o.is_var) return std::to_string(o.k);
-    std::string s = program_.thread(o.thread).name + "." + o.var;
-    if (o.k > 0) s += " + " + std::to_string(o.k);
-    if (o.k < 0) s += " - " + std::to_string(-o.k);
-    return s;
   }
 
   std::string_view source_;
@@ -752,10 +775,6 @@ ParseOutcome parse_program(std::string_view source) { return Parser(source).run(
 
 PropertyParseResult parse_property(const mcapi::Program& program,
                                    std::string_view body) {
-  // Reuse the full parser on a synthetic unit that re-declares the program's
-  // thread/local structure; cheaper than exposing the internals. Property
-  // operands only need thread names + slot names, which the rendered text of
-  // a real program preserves — but rendering is wasteful, so resolve here.
   PropertyParseResult result;
   std::vector<Token> toks;
   std::string error;
@@ -767,77 +786,12 @@ PropertyParseResult parse_property(const mcapi::Program& program,
     result.diagnostics.push_back(Diagnostic{1, "empty property"});
     return result;
   }
-
-  Cursor cur{&toks, 0, {}};
-  std::string label;
-  if (const Token* t = cur.peek(); t != nullptr && t->kind == Tok::kString) {
-    label = t->text;
-    ++cur.pos;
+  result.property = parse_property_body(toks, program, error);
+  if (!result.property) {
+    result.diagnostics.push_back(Diagnostic{1, std::move(error)});
+  } else if (result.property->label.empty()) {
+    result.property->label = std::string(body);  // the body text, as given
   }
-  auto operand = [&](std::uint32_t) -> std::optional<encode::Operand> {
-    const Token* t = cur.peek();
-    if (t == nullptr) {
-      cur.fail("operand");
-      return std::nullopt;
-    }
-    if (t->kind == Tok::kMinus || t->kind == Tok::kInt) {
-      bool neg = t->kind == Tok::kMinus;
-      if (neg) ++cur.pos;
-      const Token* k = cur.take(Tok::kInt, "integer");
-      if (k == nullptr) return std::nullopt;
-      return encode::Operand::constant(neg ? -k->value : k->value);
-    }
-    const Token* thread = cur.take(Tok::kIdent, "thread name");
-    if (thread == nullptr) return std::nullopt;
-    ThreadRef tref = 0;
-    bool found = false;
-    for (ThreadRef ti = 0; ti < program.num_threads(); ++ti) {
-      if (program.thread(ti).name == thread->text) {
-        tref = ti;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      result.diagnostics.push_back(
-          Diagnostic{1, "unknown thread '" + thread->text + "'"});
-      return std::nullopt;
-    }
-    if (cur.take(Tok::kDot, "'.'") == nullptr) return std::nullopt;
-    const Token* var = cur.take(Tok::kIdent, "local name");
-    if (var == nullptr) return std::nullopt;
-    const auto& names = program.thread(tref).slot_names;
-    if (std::find(names.begin(), names.end(), var->text) == names.end()) {
-      result.diagnostics.push_back(Diagnostic{
-          1, "thread '" + thread->text + "' has no local named '" + var->text + "'"});
-      return std::nullopt;
-    }
-    std::int64_t off = 0;
-    const Token* opt = cur.peek();
-    if (opt != nullptr && (opt->kind == Tok::kPlus || opt->kind == Tok::kMinus)) {
-      ++cur.pos;
-      const Token* k = cur.take(Tok::kInt, "integer offset");
-      if (k == nullptr) return std::nullopt;
-      off = opt->kind == Tok::kPlus ? k->value : -k->value;
-    }
-    return encode::Operand::final_var(tref, var->text, off);
-  };
-
-  auto lhs = operand(1);
-  const Token* rel = lhs ? cur.take(Tok::kRel, "comparison operator") : nullptr;
-  auto rhs = rel != nullptr ? operand(1) : std::nullopt;
-  if (!lhs || rel == nullptr || !rhs || !cur.error.empty() || !cur.done()) {
-    if (result.diagnostics.empty()) {
-      result.diagnostics.push_back(Diagnostic{
-          1, cur.error.empty() ? (cur.done() ? std::string("malformed property")
-                                             : std::string("trailing tokens"))
-                               : cur.error});
-    }
-    return result;
-  }
-  if (label.empty()) label = std::string(body);
-  result.property.emplace(encode::make_property(std::move(label), std::move(*lhs),
-                                                rel->rel, std::move(*rhs)));
   return result;
 }
 

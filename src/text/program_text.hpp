@@ -97,9 +97,11 @@ struct PropertyParseResult {
 };
 
 /// Parses just a property line body (no leading `property` keyword), e.g.
-/// `t0.A == 20` or `"label" t0.A != t1.C`. Thread names are resolved against
-/// `program` and the referenced locals must exist in the named thread. Used
-/// by the CLI's --property flag.
+/// `t0.A == 20` or `"label" t0.A != t1.C`, with the grammar and checks of a
+/// `property` line: thread names are resolved against `program` and the
+/// referenced locals must exist in the named thread. An unlabeled property
+/// is labeled with `body` as given. Used by the CLI's --property flag and
+/// VerifierService's extra properties.
 [[nodiscard]] PropertyParseResult parse_property(const mcapi::Program& program,
                                                  std::string_view body);
 

@@ -23,6 +23,7 @@
 #include "check/workloads.hpp"
 #include "mcapi/program.hpp"
 #include "mcapi/system.hpp"
+#include "support/env.hpp"
 #include "support/rng.hpp"
 
 namespace mcsym::check {
@@ -268,9 +269,11 @@ TEST(StatefulVsStatelessTest, LoopFreeDporVerdictsAgree) {
 // the stateless explicit engine still terminates and is the ground truth.
 // All stateful engines must agree with it: same violation/deadlock flags,
 // no non-termination (every cycle candidate differs in the loop counter).
+// Seed count scales with MCSYM_TEST_ITERS (default 20).
 TEST(StatefulVsStatelessTest, LoopDifferentialBatteryHasNoMismatches) {
   int mismatches = 0;
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+  const std::uint64_t seeds = support::env_u64("MCSYM_TEST_ITERS", 20);
+  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
     RandomProgramOptions o = battery_options(seed);
     o.add_asserts = (seed % 3) == 0;
     o.allow_deadlocks = (seed % 4) == 0;
@@ -351,22 +354,17 @@ TEST(RandomLoopsTest, MutationAppendsABackEdgeDeterministically) {
 
 // --- Non-termination: livelock_pair ---------------------------------------
 
-TEST(NonTerminationTest, LivelockPairExplicitFindsAReplayableLasso) {
-  const mcapi::Program p = wl::livelock_pair();
-  ExplicitOptions o;
-  o.stateful = true;
-  const ExplicitResult r = ExplicitChecker(p, o).run();
+// Replays a lasso witness: the stem reaches the cycle's entry state; the
+// cycle returns to it — same fingerprint, same semantic key, and crucially
+// no message matched in between (that is what makes the cycle a livelock).
+void expect_lasso_replays(const mcapi::Program& p, const SearchResult& r,
+                          const char* engine) {
+  SCOPED_TRACE(engine);
   EXPECT_FALSE(r.violation_found);
   EXPECT_FALSE(r.deadlock_found);
   EXPECT_FALSE(r.truncated);
   ASSERT_TRUE(r.non_termination_found);
   ASSERT_FALSE(r.lasso_cycle.empty());
-  EXPECT_GT(r.state_space.cycles_found, 0u);
-  EXPECT_GT(r.state_space.nonprogressive_cycles, 0u);
-
-  // Replay the witness: the stem reaches the cycle's entry state; the cycle
-  // returns to it — same fingerprint, same semantic key, and crucially no
-  // message matched in between (that is what makes the cycle a livelock).
   mcapi::System sys(p);
   for (const mcapi::Action& a : r.lasso_stem) {
     ASSERT_TRUE(sys.action_enabled(a));
@@ -384,16 +382,26 @@ TEST(NonTerminationTest, LivelockPairExplicitFindsAReplayableLasso) {
   EXPECT_EQ(sys.matches().size(), entry_matches);
 }
 
-TEST(NonTerminationTest, LivelockPairDporAgrees) {
+// Every stateful engine captures its lasso through the one StatefulSearch
+// routine; each engine's witness must replay.
+TEST(NonTerminationTest, LivelockPairLassoReplaysInEveryEngine) {
   const mcapi::Program p = wl::livelock_pair();
-  DporOptions o;
-  o.stateful = true;
-  const DporResult r = DporChecker(p, o).run();
-  EXPECT_FALSE(r.violation_found);
-  EXPECT_FALSE(r.deadlock_found);
-  EXPECT_FALSE(r.truncated);
-  EXPECT_TRUE(r.non_termination_found);
-  EXPECT_FALSE(r.lasso_cycle.empty());
+  ExplicitOptions eo;
+  eo.stateful = true;
+  const ExplicitResult er = ExplicitChecker(p, eo).run();
+  expect_lasso_replays(p, er, "explicit");
+  EXPECT_GT(er.state_space.cycles_found, 0u);
+  EXPECT_GT(er.state_space.nonprogressive_cycles, 0u);
+
+  for (const DporMode mode : {DporMode::kOptimal, DporMode::kSleepSet}) {
+    DporOptions o;
+    o.stateful = true;
+    o.algorithm = mode;
+    const DporResult dr = DporChecker(p, o).run();
+    expect_lasso_replays(
+        p, dr, mode == DporMode::kOptimal ? "optimal DPOR" : "sleep-set DPOR");
+    EXPECT_GT(dr.stats.state_space.nonprogressive_cycles, 0u);
+  }
 }
 
 // The gap stateful mode closes: the stateless explicit engine fingerprint-

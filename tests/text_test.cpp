@@ -298,6 +298,43 @@ TEST(ProgramTextErrorsTest, StandaloneProperty) {
   EXPECT_FALSE(parse_property(p, "t0.A == 1 extra").ok());
 }
 
+// A `property` line and --property share one parser: the same body gives
+// the same property and the same diagnostic. Only the label rule differs:
+// a line renders its operands, --property keeps the body text.
+TEST(ProgramTextErrorsTest, PropertyLineAndStandaloneAgree) {
+  const ParseOutcome base = parse_program(kFigure1);
+  ASSERT_TRUE(base.ok());
+  const mcapi::Program& p = base.parsed->program;
+
+  const char* body = "t0.B-10 != -3";
+  const ParseOutcome line =
+      parse_program(std::string(kFigure1) + "property " + body + "\n");
+  ASSERT_TRUE(line.ok()) << line.error_text();
+  const PropertyParseResult standalone = parse_property(p, body);
+  ASSERT_TRUE(standalone.ok());
+  const encode::Property& a = line.parsed->properties.at(0);
+  const encode::Property& b = *standalone.property;
+  EXPECT_EQ(a.lhs.thread, b.lhs.thread);
+  EXPECT_EQ(a.lhs.var, b.lhs.var);
+  EXPECT_EQ(a.lhs.k, b.lhs.k);
+  EXPECT_EQ(a.rel, b.rel);
+  EXPECT_EQ(a.rhs.k, b.rhs.k);
+  EXPECT_EQ(a.label, "t0.B - 10 != -3");
+  EXPECT_EQ(b.label, body);
+
+  for (const char* bad : {"tX.A == 1", "t0.bogus == 1", "t0.A ==",
+                          "t0.A == 1 extra"}) {
+    const ParseOutcome bad_line =
+        parse_program(std::string(kFigure1) + "property " + bad + "\n");
+    const PropertyParseResult bad_standalone = parse_property(p, bad);
+    ASSERT_EQ(bad_line.diagnostics.size(), 1u) << bad;
+    ASSERT_EQ(bad_standalone.diagnostics.size(), 1u) << bad;
+    EXPECT_EQ(bad_line.diagnostics[0].message,
+              bad_standalone.diagnostics[0].message)
+        << bad;
+  }
+}
+
 // --- Printer -------------------------------------------------------------------
 
 TEST(ProgramPrinterTest, EscapesPropertyLabels) {
