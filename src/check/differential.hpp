@@ -8,7 +8,10 @@
 //  * explicit and DPOR (optimal source-set/wakeup-tree mode and the
 //    sleep-set baseline alike) explore the same whole-program transition
 //    system, so their violation/deadlock verdicts must be identical — and
-//    optimal mode must report zero redundant explorations;
+//    optimal mode must report zero redundant explorations on programs
+//    without observer ops (test polls, wait_any); on programs with them a
+//    few sleep-blocked paths are tolerated and counted in
+//    optimal_redundant_paths;
 //  * with allow_deadlocks, generated programs may hang (cyclic waits,
 //    missing sends, conditional handshakes): a deadlocked concrete run
 //    forces the whole-program deadlock verdict, and the explicit checker's

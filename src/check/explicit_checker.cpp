@@ -20,47 +20,14 @@ bool ExplicitChecker::record_terminal(const System& state, ExplicitResult& resul
   if (reference == nullptr) return true;
 
   // Keep only executions that followed the reference trace's control flow
-  // (the paper's problems are per-trace: same branch outcomes).
-  std::vector<mcapi::BranchRecord> ref_branches;
-  for (std::size_t i = 0; i < reference->size(); ++i) {
-    const auto& ev = reference->event(static_cast<trace::EventIndex>(i)).ev;
-    // Polls (mcapi_test) are control outcomes too: the System records them
-    // as branch records, so the reference set must include them.
-    if (ev.kind == mcapi::ExecEvent::Kind::kBranch ||
-        ev.kind == mcapi::ExecEvent::Kind::kTest) {
-      ref_branches.push_back({ev.thread, ev.op_index, ev.outcome});
-    }
-    // wait_any: one "skipped" record per request listed before the winner
-    // plus the winner's — mirroring System::step_thread exactly.
-    if (ev.kind == mcapi::ExecEvent::Kind::kWaitAny) {
-      for (std::size_t k = 0; k < ev.loser_issue_ops.size(); ++k) {
-        ref_branches.push_back({ev.thread, ev.op_index, false});
-      }
-      ref_branches.push_back({ev.thread, ev.op_index, true});
-    }
-  }
+  // (the paper's problems are per-trace: same branch, poll and wait_any
+  // outcomes).
   std::vector<mcapi::BranchRecord> got = state.branches();
   std::sort(got.begin(), got.end());
-  std::sort(ref_branches.begin(), ref_branches.end());
-  if (got != ref_branches) return true;  // different path: out of scope
+  if (got != reference_outcomes_) return true;  // different path: out of scope
 
-  // Convert to trace event indices via static operation identity (per-run
-  // uids are issue ordinals and differ across interleavings).
-  match::Matching m;
-  bool ok = true;
-  for (const mcapi::MatchRecord& r : state.matches()) {
-    const trace::EventIndex recv = reference->find(r.thread, r.recv_op_index);
-    const trace::EventIndex send =
-        reference->find(r.send_thread, r.send_op_index);
-    if (recv == trace::kNoEvent || send == trace::kNoEvent) {
-      ok = false;
-      break;
-    }
-    m.emplace_back(recv, send);
-  }
-  if (ok) {
-    std::sort(m.begin(), m.end());
-    result.matchings.insert(std::move(m));
+  if (auto m = trace::matching_of(*reference, state.matches())) {
+    result.matchings.insert(std::move(*m));
   }
   return result.matchings.size() < options_.max_matchings;
 }
@@ -150,6 +117,7 @@ ExplicitResult ExplicitChecker::explore(const trace::Trace* reference) {
   std::vector<Action> script;
   const bool stateful = options_.stateful && reference == nullptr;
   if (reference != nullptr) {
+    reference_outcomes_ = trace::control_outcomes(*reference);
     if (options_.dedup_histories) visited_histories_.insert(sys.history_fingerprint());
   } else if (stateful) {
     search_ = StatefulSearch(options_.state_capacity);

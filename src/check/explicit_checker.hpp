@@ -86,6 +86,8 @@ class ExplicitChecker {
 
   const mcapi::Program& program_;
   ExplicitOptions options_;
+  /// enumerate_against() only: trace::control_outcomes of the reference.
+  std::vector<mcapi::BranchRecord> reference_outcomes_;
   std::unordered_set<std::uint64_t> visited_;
   std::unordered_set<support::Hash128> visited_histories_;
   StatefulSearch search_;  // stateful mode only

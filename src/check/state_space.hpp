@@ -164,7 +164,7 @@ struct SearchOptions {
 struct SearchResult {
   bool violation_found = false;
   std::optional<mcapi::Violation> violation;
-  /// Action schedule reaching the violation (replayable via ReplayScheduler).
+  /// Action schedule reaching the violation (replayable via mcapi::replay).
   std::vector<mcapi::Action> counterexample;
   bool deadlock_found = false;
   /// Action schedule reaching the first deadlock found (replayable).

@@ -184,8 +184,7 @@ void replay_deadlock_schedule(Ctx& ctx, mcapi::System& workspace,
                               const std::vector<mcapi::Action>& schedule,
                               const char* who, PortfolioStats& ps) {
   workspace.rollback(0);
-  mcapi::ReplayScheduler replay(schedule);
-  if (mcapi::run(workspace, replay, nullptr, schedule.size() + 1).outcome !=
+  if (mcapi::replay(workspace, schedule).outcome !=
       mcapi::RunResult::Outcome::kDeadlock) {
     ctx.disagree(std::string(who) +
                  " deadlock schedule did not replay to a deadlock");
@@ -646,8 +645,8 @@ void judge_symbolic(Ctx& ctx, SymbolicProduction prod,
 /// inline in row order, and a truncated explicit truth stops the run
 /// before the others spend any budget. Engine rows keep the order
 /// explicit, dpor, dpor-sleepset, symbolic; a truncated truth ends the
-/// report with a budget-exhausted verdict and the rows of the engines that
-/// ran, without a symbolic row.
+/// report with a budget-exhausted verdict and the explicit row alone, at
+/// every worker count.
 void run_portfolio(Ctx& ctx) {
   VerifyReport& report = ctx.report;
   report.portfolio = PortfolioStats{};
@@ -665,25 +664,26 @@ void run_portfolio(Ctx& ctx) {
       [&] { symbolic = produce_symbolic(ctx); },
   };
 
-  std::size_t produced = 0;
   if (ctx.request.workers > 1) {
     std::vector<std::thread> threads;
     threads.reserve(producers.size());
     for (const auto& produce : producers) threads.emplace_back(produce);
     for (std::thread& th : threads) th.join();
-    produced = producers.size();
   } else {
-    while (produced < producers.size() && !truth.truncated) {
-      producers[produced++]();
+    for (const auto& produce : producers) {
+      produce();
+      if (truth.truncated) break;
     }
   }
-  for (std::size_t i = 0; i < std::min(produced, rows.size()); ++i) {
-    report.engines.push_back(std::move(rows[i]));
-  }
   if (truth.truncated) {
+    // Only the truth's row: with one worker nothing else ran, and the rows
+    // of producers that ran beside it would make the report depend on the
+    // worker count.
+    report.engines.push_back(std::move(rows[0]));
     report.verdict = Verdict::kBudgetExhausted;
     return;
   }
+  for (EngineRun& row : rows) report.engines.push_back(std::move(row));
 
   mcapi::System workspace(ctx.program, ctx.request.mode);
   workspace.enable_undo_log();

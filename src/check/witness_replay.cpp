@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
-#include <tuple>
 
 #include "support/assert.hpp"
 
@@ -38,7 +36,10 @@ class Replayer {
       // promises is concrete, the remaining schedule is moot — unless the
       // caller asked for the whole execution (continue_past_violation).
       if (!cont && system_.has_violation()) break;
-      if (item.is_bind ? !process_bind(item.event) : !process_event(item.event)) {
+      // A bind item delivers the matched message; the runtime binds it to
+      // the oldest pending request, which the completion-order constraints
+      // guarantee is exactly this anchor.
+      if (item.is_bind ? !deliver_for(item.event) : !process_event(item.event)) {
         // Post-violation the system enables nothing, so a stalled item is
         // the expected end of the run, not a divergence.
         if (!cont && system_.has_violation()) break;
@@ -109,13 +110,6 @@ class Replayer {
     return apply(a);
   }
 
-  bool process_bind(EventIndex anchor) {
-    // Deliver the matched message now; the runtime binds it to the oldest
-    // pending request, which the completion-order constraints guarantee is
-    // exactly this anchor.
-    return deliver_for(anchor);
-  }
-
   bool process_event(EventIndex ev_idx) {
     const ExecEvent& ev = trace_.event(ev_idx).ev;
     if (!step_to(ev.thread, ev.op_index)) return false;
@@ -156,61 +150,28 @@ class Replayer {
   }
 
   bool verify() const {
-    // The replay's matching must be exactly the witness's — except when a
-    // violation ended the run early: the runtime stops at the first failed
-    // assertion while the model values the whole execution, so only the
-    // realized prefix can be compared (it must be a sub-multiset of what
-    // the witness promised). Continue-past-violation replays realize the
-    // whole execution, so they are always held to exact equality.
+    // The replay's matching and control flow must be exactly the
+    // witness's and the trace's: the problem quantifies only over
+    // executions with the traced branch, poll and wait_any outcomes. When
+    // a violation ended the run early, the runtime stopped at the first
+    // failed assertion while the model values the whole execution, so only
+    // the realized prefix can be compared: it must be a sub-multiset of
+    // what was promised. Continue-past-violation replays realize the whole
+    // execution, so they are always held to exact equality.
     const bool prefix_only =
         system_.has_violation() && !options_.continue_past_violation;
-    std::set<std::tuple<mcapi::ThreadRef, std::uint32_t, mcapi::ThreadRef,
-                        std::uint32_t>>
-        got;
-    for (const mcapi::MatchRecord& m : system_.matches()) {
-      got.emplace(m.thread, m.recv_op_index, m.send_thread, m.send_op_index);
-    }
-    std::set<std::tuple<mcapi::ThreadRef, std::uint32_t, mcapi::ThreadRef,
-                        std::uint32_t>>
-        want;
-    for (const auto& [r, s] : witness_.matching) {
-      const ExecEvent& re = trace_.event(r).ev;
-      const ExecEvent& se = trace_.event(s).ev;
-      want.emplace(re.thread, re.op_index, se.thread, se.op_index);
-    }
-    const bool match_ok =
-        prefix_only
-            ? std::includes(want.begin(), want.end(), got.begin(), got.end())
-            : got == want;
-    if (!match_ok) return false;
-
-    // Control flow must match the trace too: the problem quantifies only
-    // over executions with the traced branch, poll, and wait_any outcomes.
-    // Multisets, not sets: a wait_any contributes one "skipped" record per
-    // request scanned before the winner, all under one op_index.
-    std::multiset<std::tuple<mcapi::ThreadRef, std::uint32_t, bool>> got_flow;
-    for (const mcapi::BranchRecord& b : system_.branches()) {
-      got_flow.emplace(b.thread, b.op_index, b.taken);
-    }
-    std::multiset<std::tuple<mcapi::ThreadRef, std::uint32_t, bool>> want_flow;
-    for (std::size_t i = 0; i < trace_.size(); ++i) {
-      const ExecEvent& e = trace_.event(static_cast<EventIndex>(i)).ev;
-      if (e.kind == ExecEvent::Kind::kBranch ||
-          e.kind == ExecEvent::Kind::kTest) {
-        want_flow.emplace(e.thread, e.op_index, e.outcome);
-      }
-      if (e.kind == ExecEvent::Kind::kWaitAny) {
-        for (std::size_t k = 0; k < e.loser_issue_ops.size(); ++k) {
-          want_flow.emplace(e.thread, e.op_index, false);
-        }
-        want_flow.emplace(e.thread, e.op_index, true);
-      }
-    }
-    const bool flow_ok = prefix_only
-                             ? std::includes(want_flow.begin(), want_flow.end(),
-                                             got_flow.begin(), got_flow.end())
-                             : got_flow == want_flow;
-    return flow_ok;
+    const auto agrees = [prefix_only](const auto& got, const auto& want) {
+      return prefix_only ? std::includes(want.begin(), want.end(), got.begin(),
+                                         got.end())
+                         : got == want;
+    };
+    match::Matching want = witness_.matching;
+    std::sort(want.begin(), want.end());
+    const auto got = trace::matching_of(trace_, system_.matches());
+    if (!got.has_value() || !agrees(*got, want)) return false;
+    std::vector<mcapi::BranchRecord> flow = system_.branches();
+    std::sort(flow.begin(), flow.end());
+    return agrees(flow, trace::control_outcomes(trace_));
   }
 
   const trace::Trace& trace_;

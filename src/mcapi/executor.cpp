@@ -27,4 +27,26 @@ RunResult run(System& system, Scheduler& scheduler, ExecSink* sink,
   return result;
 }
 
+RunResult replay(System& system, std::span<const Action> schedule) {
+  RunResult result;
+  for (const Action& a : schedule) {
+    if (!system.action_enabled(a)) {
+      result.outcome = RunResult::Outcome::kDiverged;
+      return result;
+    }
+    system.apply(a);
+    ++result.steps;
+  }
+  if (system.has_violation()) {
+    result.outcome = RunResult::Outcome::kViolation;
+    return result;
+  }
+  std::vector<Action> enabled;
+  system.enabled(enabled);
+  result.outcome = !enabled.empty()     ? RunResult::Outcome::kDiverged
+                   : system.all_halted() ? RunResult::Outcome::kHalted
+                                         : RunResult::Outcome::kDeadlock;
+  return result;
+}
+
 }  // namespace mcsym::mcapi

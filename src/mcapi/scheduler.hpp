@@ -71,24 +71,4 @@ class RoundRobinScheduler final : public Scheduler {
   std::size_t next_ = 0;
 };
 
-/// Replays a recorded action sequence verbatim; aborts on divergence. Used
-/// to re-execute a schedule found by the checkers.
-class ReplayScheduler final : public Scheduler {
- public:
-  explicit ReplayScheduler(std::vector<Action> script) : script_(std::move(script)) {}
-
-  std::size_t pick(const System&, std::span<const Action> enabled) override {
-    MCSYM_ASSERT_MSG(cursor_ < script_.size(), "replay script exhausted");
-    const Action& want = script_[cursor_++];
-    for (std::size_t i = 0; i < enabled.size(); ++i) {
-      if (enabled[i] == want) return i;
-    }
-    MCSYM_UNREACHABLE("replay action not enabled; schedule diverged");
-  }
-
- private:
-  std::vector<Action> script_;
-  std::size_t cursor_ = 0;
-};
-
 }  // namespace mcsym::mcapi

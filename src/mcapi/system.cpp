@@ -651,41 +651,118 @@ void System::step_thread(ThreadRef t, ExecSink* sink, UndoRecord* u) {
   if (emit && sink != nullptr) sink->on_event(ev);
 }
 
-std::uint64_t System::fingerprint() const {
-  // FNV-1a over a canonical serialization of the semantic state.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (byte * 8)) & 0xffu;
-      h *= 0x100000001b3ULL;
+namespace {
+
+// The sinks of System::walk_state. mark(word, tag) opens a section: hash
+// sinks mix `word` (0: nothing), the key sink writes `tag`. Channel order
+// in transit_ depends on insertion order, so each channel is taken on its
+// own and combined order-insensitively.
+
+/// Hashes the walk with support::Fnv64 or support::StateHasher, XOR-ing
+/// the per-channel digests.
+template <class Hasher, bool History>
+struct HashSink {
+  static constexpr bool kHistory = History;
+  Hasher hasher;
+  Hasher outer;
+  decltype(Hasher{}.digest()) channels{};
+
+  void mark(std::uint64_t word, char /*tag*/) {
+    if (word != 0) hasher.mix(word);
+  }
+  void put(std::uint64_t v) { hasher.mix(v); }
+  void begin_channel(ChannelId) {
+    outer = hasher;
+    hasher = Hasher{};
+  }
+  void end_channel() {
+    channels ^= hasher.digest();
+    hasher = outer;
+  }
+  // fingerprint() mixes the combination in as one more word; the history
+  // hash XORs it into its lanes.
+  void end_channels() {
+    if constexpr (History) {
+      hasher.mix_unordered(channels);
+    } else {
+      hasher.mix(channels);
     }
-  };
+  }
+};
+
+/// Serializes the walk losslessly, channels in (src, dst) order.
+struct KeySink {
+  static constexpr bool kHistory = false;
+  std::string out;
+  std::size_t channel_start = 0;
+  std::uint64_t channel_order = 0;
+  std::vector<std::pair<std::uint64_t, std::string>> channels;
+
+  void mark(std::uint64_t /*word*/, char tag) { out += tag; }
+  void put(std::uint64_t v) {
+    out += std::to_string(static_cast<std::int64_t>(v));
+    out += ',';
+  }
+  void begin_channel(ChannelId c) {
+    channel_start = out.size();
+    channel_order = std::uint64_t{c.src} << 32 | c.dst;
+    out += 'C';
+  }
+  void end_channel() {
+    channels.emplace_back(channel_order, out.substr(channel_start));
+    out.resize(channel_start);
+  }
+  void end_channels() {
+    std::sort(channels.begin(), channels.end());
+    for (const auto& entry : channels) out += entry.second;
+  }
+};
+
+}  // namespace
+
+template <class Sink>
+void System::walk_state(Sink& sink) const {
+  constexpr bool history = Sink::kHistory;
   for (const ThreadState& ts : threads_) {
-    mix(ts.pc);
-    mix(ts.halted ? 1 : 0);
-    for (const std::int64_t v : ts.locals) mix(static_cast<std::uint64_t>(v));
+    sink.mark(0, 'T');
+    sink.put(ts.pc);
+    sink.put(ts.halted ? 1 : 0);
+    for (const std::int64_t v : ts.locals) sink.put(static_cast<std::uint64_t>(v));
     for (const Request& r : ts.requests) {
-      mix(static_cast<std::uint64_t>(r.state));
-      mix(static_cast<std::uint64_t>(r.value));
+      sink.put(static_cast<std::uint64_t>(r.state));
+      sink.put(static_cast<std::uint64_t>(r.value));
+      // Static send identity, not the per-run uid: bound requests with the
+      // same future but different histories must not collide.
+      if (history &&
+          (r.state == ReqState::kBound || r.state == ReqState::kConsumed)) {
+        sink.put(r.send_thread);
+        sink.put(r.send_op_index);
+      }
     }
   }
   for (const EndpointState& ep : endpoints_) {
-    mix(0x9e3779b97f4a7c15ULL);
+    sink.mark(0x9e3779b97f4a7c15ULL, 'E');
     for (const Message& m : ep.queue) {
-      mix(static_cast<std::uint64_t>(m.value));
-      mix(m.src);
+      sink.put(static_cast<std::uint64_t>(m.value));
+      if constexpr (history) {
+        sink.put(m.sender);
+        sink.put(m.send_op);
+      } else {
+        sink.put(m.src);
+      }
     }
+    sink.mark(0, '|');
     for (const auto& [t, slot] : ep.pending) {
-      mix(t);
-      mix(slot);
+      sink.put(t);
+      sink.put(slot);
     }
   }
   // Under kGlobalFifo the next delivery is the globally oldest in-transit
   // message, so the *relative* uid order across channels is semantic state:
   // two states whose channels hold the same values but interleave
-  // differently in send order have different futures. Ranks, not raw uids —
-  // uids are per-run issue ordinals and absolute values must not leak into
-  // a cross-path fingerprint (mirrors history_fingerprint).
+  // differently in send order have different futures. Ranks, not raw uids:
+  // uids are per-run issue ordinals and must not leak into a cross-path
+  // identity.
   std::vector<SendUid> uids;
   if (mode_ == DeliveryMode::kGlobalFifo) {
     for (const auto& [channel, queue] : transit_) {
@@ -693,179 +770,68 @@ std::uint64_t System::fingerprint() const {
     }
     std::sort(uids.begin(), uids.end());
   }
-  auto uid_rank = [&uids](SendUid uid) -> std::uint64_t {
-    const auto it = std::lower_bound(uids.begin(), uids.end(), uid);
-    return static_cast<std::uint64_t>(it - uids.begin());
-  };
-  // Channel order in transit_ is insertion-dependent; hash order-insensitively
-  // by combining per-channel hashes with XOR.
-  std::uint64_t channels = 0;
   for (const auto& [channel, queue] : transit_) {
-    std::uint64_t ch = 0xcbf29ce484222325ULL;
-    auto mix_ch = [&ch](std::uint64_t v) {
-      for (int byte = 0; byte < 8; ++byte) {
-        ch ^= (v >> (byte * 8)) & 0xffu;
-        ch *= 0x100000001b3ULL;
-      }
-    };
     if (queue.empty()) continue;
-    mix_ch(channel.src);
-    mix_ch(channel.dst);
+    sink.begin_channel(channel);
+    sink.put(channel.src);
+    sink.put(channel.dst);
     for (const Message& m : queue) {
-      mix_ch(static_cast<std::uint64_t>(m.value));
-      if (mode_ == DeliveryMode::kGlobalFifo) mix_ch(uid_rank(m.uid));
+      sink.put(static_cast<std::uint64_t>(m.value));
+      if constexpr (history) {
+        sink.put(m.sender);
+        sink.put(m.send_op);
+      }
+      if (mode_ == DeliveryMode::kGlobalFifo) {
+        sink.put(static_cast<std::uint64_t>(
+            std::lower_bound(uids.begin(), uids.end(), m.uid) - uids.begin()));
+      }
     }
-    channels ^= ch;
+    sink.end_channel();
   }
-  mix(channels);
+  sink.end_channels();
+  if constexpr (history) {
+    // Both logs in sorted order: the same records reached in another
+    // interleaving are the same history.
+    std::vector<MatchRecord> matches = matches_;
+    std::sort(matches.begin(), matches.end());
+    sink.mark(0x5bd1e995u, 'M');
+    for (const MatchRecord& m : matches) {
+      sink.put(m.thread);
+      sink.put(m.recv_op_index);
+      sink.put(m.send_thread);
+      sink.put(m.send_op_index);
+    }
+    std::vector<BranchRecord> branches = branches_;
+    std::sort(branches.begin(), branches.end());
+    sink.mark(0xc2b2ae35u, 'B');
+    for (const BranchRecord& b : branches) {
+      sink.put(b.thread);
+      sink.put(b.op_index);
+      sink.put(b.taken ? 1 : 0);
+    }
+  }
   // Violation *count*, so continue-past-violation states that differ only in
   // how many asserts already fired never collide.
-  mix(violations_.size());
-  return h;
+  sink.mark(0, 'V');
+  sink.put(violations_.size());
+}
+
+std::uint64_t System::fingerprint() const {
+  HashSink<support::Fnv64, false> sink;
+  walk_state(sink);
+  return sink.hasher.digest();
 }
 
 std::string System::semantic_key() const {
-  // The exact field set fingerprint() hashes, serialized losslessly — the
-  // collision-soundness battery maps fingerprint -> semantic_key and any
-  // fingerprint shared by two distinct keys is a real collision. Channels
-  // are emitted in (src, dst) order so the serialization is as
-  // insertion-order-insensitive as the XOR combine in fingerprint().
-  std::string out;
-  auto put = [&out](std::int64_t v) {
-    out += std::to_string(v);
-    out += ',';
-  };
-  for (const ThreadState& ts : threads_) {
-    out += 'T';
-    put(ts.pc);
-    put(ts.halted ? 1 : 0);
-    for (const std::int64_t v : ts.locals) put(v);
-    for (const Request& r : ts.requests) {
-      put(static_cast<std::int64_t>(r.state));
-      put(r.value);
-    }
-  }
-  for (const EndpointState& ep : endpoints_) {
-    out += 'E';
-    for (const Message& m : ep.queue) {
-      put(m.value);
-      put(m.src);
-    }
-    out += '|';
-    for (const auto& [t, slot] : ep.pending) {
-      put(t);
-      put(slot);
-    }
-  }
-  std::vector<SendUid> uids;
-  if (mode_ == DeliveryMode::kGlobalFifo) {
-    for (const auto& [channel, queue] : transit_) {
-      for (const Message& m : queue) uids.push_back(m.uid);
-    }
-    std::sort(uids.begin(), uids.end());
-  }
-  std::vector<const std::pair<ChannelId, std::deque<Message>>*> chans;
-  for (const auto& entry : transit_) {
-    if (!entry.second.empty()) chans.push_back(&entry);
-  }
-  std::sort(chans.begin(), chans.end(), [](const auto* a, const auto* b) {
-    if (a->first.src != b->first.src) return a->first.src < b->first.src;
-    return a->first.dst < b->first.dst;
-  });
-  for (const auto* entry : chans) {
-    out += 'C';
-    put(entry->first.src);
-    put(entry->first.dst);
-    for (const Message& m : entry->second) {
-      put(m.value);
-      if (mode_ == DeliveryMode::kGlobalFifo) {
-        const auto it = std::lower_bound(uids.begin(), uids.end(), m.uid);
-        put(it - uids.begin());
-      }
-    }
-  }
-  out += 'V';
-  put(static_cast<std::int64_t>(violations_.size()));
-  return out;
+  KeySink sink;
+  walk_state(sink);
+  return std::move(sink.out);
 }
 
 support::Hash128 System::history_fingerprint() const {
-  support::StateHasher hasher;
-  for (const ThreadState& ts : threads_) {
-    hasher.mix(ts.pc);
-    hasher.mix(ts.halted ? 1 : 0);
-    for (const std::int64_t v : ts.locals) hasher.mix_signed(v);
-    for (const Request& r : ts.requests) {
-      hasher.mix(static_cast<std::uint64_t>(r.state));
-      hasher.mix_signed(r.value);
-      // Static send identity, not the per-run uid: bound requests with the
-      // same future but different histories must not collide.
-      if (r.state == ReqState::kBound || r.state == ReqState::kConsumed) {
-        hasher.mix(r.send_thread);
-        hasher.mix(r.send_op_index);
-      }
-    }
-  }
-
-  // In-transit uid ranks matter only when delivery order is globally fixed.
-  std::vector<SendUid> uids;
-  if (mode_ == DeliveryMode::kGlobalFifo) {
-    for (const auto& [channel, queue] : transit_) {
-      for (const Message& m : queue) uids.push_back(m.uid);
-    }
-    std::sort(uids.begin(), uids.end());
-  }
-  auto uid_rank = [&uids](SendUid uid) -> std::uint64_t {
-    const auto it = std::lower_bound(uids.begin(), uids.end(), uid);
-    return static_cast<std::uint64_t>(it - uids.begin());
-  };
-
-  for (const EndpointState& ep : endpoints_) {
-    hasher.mix(0x9e3779b97f4a7c15ULL);
-    for (const Message& m : ep.queue) {
-      hasher.mix_signed(m.value);
-      hasher.mix(m.sender);
-      hasher.mix(m.send_op);
-    }
-    for (const auto& [t, slot] : ep.pending) {
-      hasher.mix(t);
-      hasher.mix(slot);
-    }
-  }
-
-  for (const auto& [channel, queue] : transit_) {
-    if (queue.empty()) continue;
-    support::StateHasher ch;
-    ch.mix(channel.src);
-    ch.mix(channel.dst);
-    for (const Message& m : queue) {
-      ch.mix_signed(m.value);
-      ch.mix(m.sender);
-      ch.mix(m.send_op);
-      if (mode_ == DeliveryMode::kGlobalFifo) ch.mix(uid_rank(m.uid));
-    }
-    hasher.mix_unordered(ch.digest());
-  }
-
-  std::vector<MatchRecord> matches = matches_;
-  std::sort(matches.begin(), matches.end());
-  hasher.mix(0x5bd1e995u);
-  for (const MatchRecord& m : matches) {
-    hasher.mix(m.thread);
-    hasher.mix(m.recv_op_index);
-    hasher.mix(m.send_thread);
-    hasher.mix(m.send_op_index);
-  }
-  std::vector<BranchRecord> branches = branches_;
-  std::sort(branches.begin(), branches.end());
-  hasher.mix(0xc2b2ae35u);
-  for (const BranchRecord& b : branches) {
-    hasher.mix(b.thread);
-    hasher.mix(b.op_index);
-    hasher.mix(b.taken ? 1 : 0);
-  }
-  hasher.mix(violations_.size());
-  return hasher.digest();
+  HashSink<support::StateHasher, true> sink;
+  walk_state(sink);
+  return sink.hasher.digest();
 }
 
 }  // namespace mcsym::mcapi

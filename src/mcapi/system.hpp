@@ -264,23 +264,27 @@ class System {
   [[nodiscard]] const std::vector<MatchRecord>& matches() const { return matches_; }
   [[nodiscard]] const std::vector<BranchRecord>& branches() const { return branches_; }
 
-  /// Hash of the semantic state (pcs, locals, queues, requests) — match and
-  /// branch history excluded, so it suits safety-reachability pruning.
-  /// Under kGlobalFifo the relative uid ranks of in-transit messages are
-  /// included (they determine the deterministic delivery order).
+  // The three identities below are sinks of one walk over the semantic
+  // state (walk_state): threads (pc, halted, locals, request slots),
+  // endpoint queues and pending receives, non-empty in-transit channels
+  // (order-insensitive, with uid ranks under kGlobalFifo, which fix the
+  // delivery order) and the count of fired asserts.
+
+  /// 64-bit FNV-1a of the walk. Match and branch history are excluded, so
+  /// it suits safety-reachability pruning and the stateful stores.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
-  /// Lossless serialization of exactly the fields fingerprint() hashes.
-  /// Test support for the collision-soundness battery: two states with
-  /// equal fingerprints but different semantic keys are a hash collision.
+  /// Lossless serialization of the same walk. Test support for the
+  /// collision-soundness battery: two states with equal fingerprints but
+  /// different semantic keys are a hash collision.
   [[nodiscard]] std::string semantic_key() const;
 
-  /// 128-bit hash of the semantic state *plus* the accumulated match and
-  /// branch history (both order-canonicalized). Two states with equal
-  /// history fingerprints have identical futures and identical records, so
-  /// matching-enumeration DFS may prune on it. Under kGlobalFifo the
-  /// relative issue ranks of in-transit messages are included (they steer
-  /// the deterministic delivery order).
+  /// 128-bit hash of the walk's history variant: queued messages are keyed
+  /// by static send identity instead of source endpoint, in-transit
+  /// messages and bound requests add theirs, and the sorted match and
+  /// branch logs are appended. Two states with equal history fingerprints
+  /// have identical futures and identical records, so matching-enumeration
+  /// DFS may prune on it.
   [[nodiscard]] support::Hash128 history_fingerprint() const;
 
   [[nodiscard]] const Program& program() const { return *program_; }
@@ -374,6 +378,11 @@ class System {
     std::uint8_t matches_pushed = 0;
     std::uint32_t branches_pushed = 0;
   };
+
+  /// The one walk behind fingerprint(), semantic_key() and
+  /// history_fingerprint(); Sink::kHistory selects the history variant.
+  template <class Sink>
+  void walk_state(Sink& sink) const;
 
   void step_thread(ThreadRef t, ExecSink* sink, UndoRecord* u);
   void deliver(ChannelId channel, UndoRecord* u);

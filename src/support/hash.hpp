@@ -1,4 +1,5 @@
-// 128-bit incremental state hashing.
+// Incremental FNV-1a state hashing: one 64-bit lane (Fnv64) and the
+// 128-bit two-lane StateHasher.
 //
 // The explicit-state checker and the precise match-pair DFS both memoize
 // visited states keyed by a hash of a canonical serialization. A 64-bit key
@@ -18,33 +19,52 @@ namespace mcsym::support {
 struct Hash128 {
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
+  Hash128& operator^=(const Hash128& o) { return *this = {lo ^ o.lo, hi ^ o.hi}; }
   friend bool operator==(const Hash128&, const Hash128&) = default;
 };
+
+/// One 64-bit FNV-1a lane over the eight little-endian bytes of each word.
+/// `Twist` is added to every byte before it is folded in; a second lane
+/// with another basis and a twist stays independent of the first.
+template <std::uint64_t Basis, std::uint8_t Twist = 0>
+class FnvLane {
+ public:
+  void mix(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h_ = (h_ ^ (((v >> (byte * 8)) & 0xffu) + Twist)) * 0x100000001b3ULL;
+    }
+  }
+  /// XORs `v` into the lane: the order-insensitive combination below.
+  void mix_unordered(std::uint64_t v) { h_ ^= v; }
+  [[nodiscard]] std::uint64_t digest() const { return h_; }
+
+ private:
+  std::uint64_t h_ = Basis;
+};
+
+/// Plain 64-bit FNV-1a (System::fingerprint()).
+using Fnv64 = FnvLane<0xcbf29ce484222325ULL>;
 
 class StateHasher {
  public:
   void mix(std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      const std::uint64_t b = (v >> (byte * 8)) & 0xffu;
-      lo_ = (lo_ ^ b) * kPrime;
-      hi_ = (hi_ ^ (b + 0x9e)) * kPrime;  // twist keeps the lanes independent
-    }
+    lo_.mix(v);
+    hi_.mix(v);
   }
   void mix_signed(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
 
   /// Order-insensitive combination of a sub-hash (e.g. per-channel digests
   /// whose container order is insertion-dependent).
   void mix_unordered(const Hash128& h) {
-    lo_ ^= h.lo;
-    hi_ ^= h.hi;
+    lo_.mix_unordered(h.lo);
+    hi_.mix_unordered(h.hi);
   }
 
-  [[nodiscard]] Hash128 digest() const { return {lo_, hi_}; }
+  [[nodiscard]] Hash128 digest() const { return {lo_.digest(), hi_.digest()}; }
 
  private:
-  static constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-  std::uint64_t lo_ = 0xcbf29ce484222325ULL;
-  std::uint64_t hi_ = 0x84222325cbf29ce4ULL;
+  Fnv64 lo_;
+  FnvLane<0x84222325cbf29ce4ULL, 0x9e> hi_;
 };
 
 }  // namespace mcsym::support

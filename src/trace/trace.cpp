@@ -1,5 +1,6 @@
 #include "trace/trace.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "support/assert.hpp"
@@ -117,6 +118,38 @@ std::optional<std::string> Trace::validate() const {
     }
   }
   return std::nullopt;
+}
+
+std::vector<mcapi::BranchRecord> control_outcomes(const Trace& trace) {
+  std::vector<mcapi::BranchRecord> out;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const ExecEvent& e = trace.event(static_cast<EventIndex>(i)).ev;
+    if (e.kind == ExecEvent::Kind::kBranch || e.kind == ExecEvent::Kind::kTest) {
+      out.push_back({e.thread, e.op_index, e.outcome});
+    }
+    if (e.kind == ExecEvent::Kind::kWaitAny) {
+      for (std::size_t k = 0; k < e.loser_issue_ops.size(); ++k) {
+        out.push_back({e.thread, e.op_index, false});
+      }
+      out.push_back({e.thread, e.op_index, true});
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::optional<std::vector<std::pair<EventIndex, EventIndex>>> matching_of(
+    const Trace& trace, const std::vector<mcapi::MatchRecord>& records) {
+  std::vector<std::pair<EventIndex, EventIndex>> out;
+  out.reserve(records.size());
+  for (const mcapi::MatchRecord& r : records) {
+    const EventIndex recv = trace.find(r.thread, r.recv_op_index);
+    const EventIndex send = trace.find(r.send_thread, r.send_op_index);
+    if (recv == kNoEvent || send == kNoEvent) return std::nullopt;
+    out.emplace_back(recv, send);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 }  // namespace mcsym::trace

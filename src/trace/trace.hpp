@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mcapi/program.hpp"
@@ -75,6 +76,21 @@ class Trace {
   std::vector<EventIndex> sends_;
   std::vector<EventIndex> receives_;
 };
+
+/// A trace's control outcomes as the BranchRecords a System emits when it
+/// follows them, sorted: one per branch and `test` poll, and for a
+/// `wait_any` one "skipped" record per request listed before the winner
+/// plus the winner's (mirroring System::step_thread). An execution kept
+/// the trace's control flow iff its sorted System::branches() equal these.
+[[nodiscard]] std::vector<mcapi::BranchRecord> control_outcomes(const Trace& trace);
+
+/// A System's match records as (receive anchor, send) event pairs of
+/// `trace`, sorted: the shape of match::Matching. Operations are found by
+/// static identity (thread, op ordinal), since per-run uids differ across
+/// interleavings. nullopt when a record names an operation the trace does
+/// not contain.
+[[nodiscard]] std::optional<std::vector<std::pair<EventIndex, EventIndex>>>
+matching_of(const Trace& trace, const std::vector<mcapi::MatchRecord>& records);
 
 /// ExecSink that records events into a Trace.
 class Recorder final : public mcapi::ExecSink {

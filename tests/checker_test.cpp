@@ -155,10 +155,8 @@ TEST(ExplicitCheckerTest, CounterexampleReplaysToViolation) {
   ASSERT_TRUE(r.violation_found);
 
   mcapi::System sys(p);
-  mcapi::ReplayScheduler replay(r.counterexample);
-  const mcapi::RunResult rr =
-      mcapi::run(sys, replay, nullptr, r.counterexample.size() + 1);
-  EXPECT_EQ(rr.outcome, mcapi::RunResult::Outcome::kViolation);
+  EXPECT_EQ(mcapi::replay(sys, r.counterexample).outcome,
+            mcapi::RunResult::Outcome::kViolation);
 }
 
 TEST(ExplicitCheckerTest, PipelineCleanNoViolation) {

@@ -71,8 +71,7 @@ TEST(DporTest, CounterexampleReplays) {
     const DporResult r = run_dpor(p, mode);
     ASSERT_TRUE(r.violation_found);
     mcapi::System sys(p);
-    mcapi::ReplayScheduler replay(r.counterexample);
-    EXPECT_EQ(mcapi::run(sys, replay, nullptr, r.counterexample.size() + 1).outcome,
+    EXPECT_EQ(mcapi::replay(sys, r.counterexample).outcome,
               mcapi::RunResult::Outcome::kViolation);
   }
 }
@@ -103,8 +102,7 @@ TEST(DporTest, DetectsDeadlockAndSchedulesReplay) {
     // state itself is the deadlock, so the schedule is empty — and an
     // empty schedule must still replay straight into the deadlock.
     mcapi::System sys(p);
-    mcapi::ReplayScheduler replay(r.deadlock_schedule);
-    EXPECT_EQ(mcapi::run(sys, replay, nullptr, r.deadlock_schedule.size() + 1).outcome,
+    EXPECT_EQ(mcapi::replay(sys, r.deadlock_schedule).outcome,
               mcapi::RunResult::Outcome::kDeadlock);
   }
 }

@@ -276,8 +276,7 @@ TEST(SchedulerTest, ReplayReproducesRun) {
   const auto matches = sys.matches();
 
   System replayed(p);
-  ReplayScheduler replay(script);
-  ASSERT_EQ(run(replayed, replay).outcome, RunResult::Outcome::kHalted);
+  ASSERT_EQ(replay(replayed, script).outcome, RunResult::Outcome::kHalted);
   EXPECT_EQ(replayed.matches(), matches);
   EXPECT_EQ(replayed.fingerprint(), sys.fingerprint());
 }
@@ -301,6 +300,40 @@ TEST(ExecutorTest, StepLimitTrips) {
   const RunResult r = run(sys, sched, nullptr, /*max_steps=*/100);
   EXPECT_EQ(r.outcome, RunResult::Outcome::kStepLimit);
   EXPECT_EQ(r.steps, 100u);
+}
+
+// A checked replay never aborts: a schedule taking an action the runtime
+// does not enable, and one that stops while the run could go on, both come
+// back as kDiverged; the whole schedule reaches the deadlock.
+TEST(ExecutorTest, ReplayReportsDivergence) {
+  Program p;
+  auto a = p.add_thread("a");
+  auto b = p.add_thread("b");
+  const auto ea = p.add_endpoint("ea", a.ref());
+  const auto eb = p.add_endpoint("eb", b.ref());
+  a.send(ea, eb, 1).recv(ea, "x");
+  b.recv(eb, "y").recv(eb, "z");
+  p.finalize();
+  const Action step_a{Action::Kind::kThreadStep, a.ref(), {}};
+  const Action step_b{Action::Kind::kThreadStep, b.ref(), {}};
+  const Action deliver{Action::Kind::kDeliver, 0, ChannelId{ea, eb}};
+  const std::vector<Action> schedule = {step_a, deliver, step_b};
+
+  System sys(p);
+  const RunResult whole = replay(sys, schedule);
+  EXPECT_EQ(whole.outcome, RunResult::Outcome::kDeadlock);
+  EXPECT_EQ(whole.steps, 3u);
+
+  System disabled(p);
+  const RunResult early = replay(disabled, std::vector<Action>{step_b});
+  EXPECT_EQ(early.outcome, RunResult::Outcome::kDiverged);
+  EXPECT_EQ(early.steps, 0u);
+
+  System short_run(p);
+  const RunResult cut =
+      replay(short_run, std::span(schedule).first(2));
+  EXPECT_EQ(cut.outcome, RunResult::Outcome::kDiverged);
+  EXPECT_EQ(cut.steps, 2u);
 }
 
 TEST(ActionTest, StringRendering) {

@@ -119,32 +119,48 @@ RandomProgramOptions battery_options(std::uint64_t seed) {
   return o;
 }
 
-// Random walks over seeded programs (loops included): any two states of
-// the same program with the same fingerprint must serialize to the same
-// semantic key — a mismatch is an FNV collision the store would mistake
-// for a revisit. (Scoped per program: the store never outlives one
-// exploration, so cross-program collisions are meaningless.)
+// Random walks over seeded programs (loops included), in both delivery
+// modes. The fingerprint and the semantic key must name the same states:
+// equal fingerprints with different keys are an FNV collision the store
+// would mistake for a revisit, equal keys with different fingerprints a
+// hash that drifted from the walk it serializes. The history fingerprint
+// refines both: equal histories mean equal fingerprints and keys. (Scoped
+// per program: the store never outlives one exploration, so cross-program
+// collisions are meaningless.)
 TEST(FingerprintSoundnessTest, EqualFingerprintMeansEqualSemanticKey) {
-  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-    std::unordered_map<std::uint64_t, std::string> seen;
-    const mcapi::Program p = random_program(seed, battery_options(seed));
-    mcapi::System sys(p);
-    support::Rng rng(seed * 977 + 5);
-    std::vector<mcapi::Action> actions;
-    const auto probe = [&] {
-      const auto [it, fresh] =
-          seen.emplace(sys.fingerprint(), sys.semantic_key());
-      if (!fresh) {
-        EXPECT_EQ(it->second, sys.semantic_key())
-            << "fingerprint collision at seed " << seed;
-      }
-    };
-    probe();
-    for (int step = 0; step < 200; ++step) {
-      sys.enabled(actions);
-      if (actions.empty()) break;
-      sys.apply(actions[rng.below(actions.size())]);
+  const std::uint64_t seeds = support::env_u64("MCSYM_TEST_ITERS", 30);
+  for (const mcapi::DeliveryMode mode : {mcapi::DeliveryMode::kArbitraryDelay,
+                                         mcapi::DeliveryMode::kGlobalFifo}) {
+    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+      SCOPED_TRACE(testing::Message()
+                   << "seed " << seed << " global-fifo "
+                   << (mode == mcapi::DeliveryMode::kGlobalFifo));
+      std::unordered_map<std::uint64_t, std::string> key_of;
+      std::unordered_map<std::string, std::uint64_t> fingerprint_of;
+      std::unordered_map<support::Hash128, std::string> key_of_history;
+      const mcapi::Program p = random_program(seed, battery_options(seed));
+      mcapi::System sys(p, mode);
+      support::Rng rng(seed * 977 + 5);
+      std::vector<mcapi::Action> actions;
+      const auto probe = [&] {
+        const std::uint64_t fp = sys.fingerprint();
+        const std::string key = sys.semantic_key();
+        EXPECT_EQ(key_of.emplace(fp, key).first->second, key)
+            << "fingerprint collision";
+        EXPECT_EQ(fingerprint_of.emplace(key, fp).first->second, fp)
+            << "equal keys, different fingerprints";
+        EXPECT_EQ(key_of_history.emplace(sys.history_fingerprint(), key)
+                      .first->second,
+                  key)
+            << "equal histories, different keys";
+      };
       probe();
+      for (int step = 0; step < 200; ++step) {
+        sys.enabled(actions);
+        if (actions.empty()) break;
+        sys.apply(actions[rng.below(actions.size())]);
+        probe();
+      }
     }
   }
 }

@@ -314,9 +314,9 @@ TEST(VerifierTest, ConcurrentPortfolioCancelsPromptly) {
 }
 
 TEST(VerifierTest, ConcurrentPortfolioSharesTheWallClock) {
-  // One joint wall clock: an exhausted budget truncates every concurrent
-  // engine, and the report still carries one row per engine with its
-  // merged partial counters.
+  // One joint wall clock: an exhausted budget truncates the concurrent
+  // explicit truth, and the report carries its row alone, with its partial
+  // counters, as it does with one worker.
   const Program p = workloads::message_race(4, 2);
   VerifyRequest req;
   req.engine = Engine::kPortfolio;
@@ -325,13 +325,33 @@ TEST(VerifierTest, ConcurrentPortfolioSharesTheWallClock) {
   Verifier verifier;
   const VerifyReport report = verifier.verify(p, req);
   EXPECT_EQ(report.verdict, Verdict::kBudgetExhausted);
-  ASSERT_EQ(report.engines.size(), 3u);  // symbolic never starts
+  ASSERT_EQ(report.engines.size(), 1u);
   EXPECT_EQ(report.engines[0].engine, Engine::kExplicit);
-  EXPECT_EQ(report.engines[1].engine, Engine::kDporOptimal);
-  EXPECT_EQ(report.engines[2].engine, Engine::kDporSleepSet);
-  for (const EngineRun& run : report.engines) {
-    EXPECT_TRUE(run.truncated) << engine_name(run.engine);
-    EXPECT_FALSE(run.counters.empty()) << engine_name(run.engine);
+  EXPECT_TRUE(report.engines[0].truncated);
+  EXPECT_FALSE(report.engines[0].counters.empty());
+}
+
+TEST(VerifierTest, PortfolioWithTruncatedTruthIsWorkerCountFree) {
+  // A state budget that truncates the explicit truth while the DPOR
+  // engines finish: the report is the same at every worker count (timing
+  // zeroed), though more producers run beside the truth with workers > 1.
+  const Program p = workloads::figure1();
+  std::string serial;
+  for (const std::uint32_t workers : {1u, 2u, 4u}) {
+    VerifyRequest req;
+    req.engine = Engine::kPortfolio;
+    req.workers = workers;
+    req.budget.max_states = 3;
+    Verifier verifier;
+    VerifyReport report = verifier.verify(p, req);
+    EXPECT_EQ(report.verdict, Verdict::kBudgetExhausted);
+    zero_report_seconds(report);
+    const std::string json = report_to_json(report);
+    if (workers == 1) {
+      serial = json;
+    } else {
+      EXPECT_EQ(json, serial) << "workers=" << workers;
+    }
   }
 }
 

@@ -304,6 +304,7 @@ const char* outcome_name(mcsym::mcapi::RunResult::Outcome oc) {
     case Outcome::kViolation: return "assertion violation";
     case Outcome::kDeadlock: return "deadlock";
     case Outcome::kStepLimit: return "step limit";
+    case Outcome::kDiverged: return "diverged";
   }
   return "?";
 }
