@@ -168,24 +168,9 @@ void BM_Dpor_ScatterGather(benchmark::State& state) {
 }
 BENCHMARK(BM_Dpor_ScatterGather)->Arg(2)->Arg(3)->Arg(4);
 
-// Both reduction modes over the racing-senders family; the *_SleepSet
-// series is the old BM_Dpor_MessageRace baseline, the *_Optimal series is
-// the source-set/wakeup-tree mode. Acceptance gates (ISSUE 4): optimal /3
-// wall clock strictly below sleep-set /3, and /4 completing 2520
-// executions (the exact trace count, 8!/(2!)^4) with redundant == 0 while
-// the sleep-set baseline burns ~10^5 executions getting there — the
-// checkpoint/undo execution core is what makes the asymptotic gap show up
-// in wall clock. The sleep-set /4 instance runs under a wall-clock budget
-// (DporOptions::max_seconds) so a regression degrades into a truncated
-// data point instead of hanging the bench.
-void dpor_message_race(benchmark::State& state, check::DporMode mode) {
-  const auto senders = static_cast<std::uint32_t>(state.range(0));
-  const mcapi::Program p = wl::message_race(senders, 2);
-  check::DporOptions opts;
-  opts.algorithm = mode;
-  if (mode == check::DporMode::kSleepSet && senders >= 4) {
-    opts.max_seconds = 10.0;  // time budget: truncate, don't hang
-  }
+// One optimal or sleep-set DPOR run per iteration, with its counters.
+void run_dpor(benchmark::State& state, const mcapi::Program& p,
+              const check::DporOptions& opts) {
   check::DporStats stats;
   bool truncated = false;
   for (auto _ : state) {
@@ -199,12 +184,32 @@ void dpor_message_race(benchmark::State& state, check::DporMode mode) {
   state.counters["transitions"] = static_cast<double>(stats.transitions);
   state.counters["redundant"] = static_cast<double>(stats.redundant_explorations);
   state.counters["truncated"] = truncated ? 1 : 0;
-  if (mode == check::DporMode::kSleepSet) {
+  if (opts.algorithm == check::DporMode::kSleepSet) {
     state.counters["sleep_prunes"] = static_cast<double>(stats.sleep_prunes);
   } else {
     state.counters["races"] = static_cast<double>(stats.races_detected);
     state.counters["wakeup_nodes"] = static_cast<double>(stats.wakeup_nodes);
   }
+}
+
+// Both reduction modes over the racing-senders family; the *_SleepSet
+// series is the old BM_Dpor_MessageRace baseline, the *_Optimal series is
+// the source-set/wakeup-tree mode. Acceptance gates: optimal /3
+// wall clock strictly below sleep-set /3, and /4 completing 2520
+// executions (the exact trace count, 8!/(2!)^4) with redundant == 0 while
+// the sleep-set baseline burns ~10^5 executions getting there — the
+// checkpoint/undo execution core is what makes the asymptotic gap show up
+// in wall clock. The sleep-set /4 instance runs under a wall-clock budget
+// (DporOptions::max_seconds) so a regression degrades into a truncated
+// data point instead of hanging the bench.
+void dpor_message_race(benchmark::State& state, check::DporMode mode) {
+  const auto senders = static_cast<std::uint32_t>(state.range(0));
+  check::DporOptions opts;
+  opts.algorithm = mode;
+  if (mode == check::DporMode::kSleepSet && senders >= 4) {
+    opts.max_seconds = 10.0;  // time budget: truncate, don't hang
+  }
+  run_dpor(state, wl::message_race(senders, 2), opts);
 }
 
 void BM_Dpor_MessageRace(benchmark::State& state) {
@@ -216,6 +221,21 @@ void BM_Dpor_MessageRace_SleepSet(benchmark::State& state) {
   dpor_message_race(state, check::DporMode::kSleepSet);
 }
 BENCHMARK(BM_Dpor_MessageRace_SleepSet)->Arg(2)->Arg(3)->Arg(4);
+
+// Optimal DPOR on closed-form inputs of the perfbench DPOR workloads:
+// relay_race(3) holds the dpor_exhaustive median, and token_fanout(6), one
+// path that fans out into 6! payload orderings, runs in dpor_parallel.
+void BM_Dpor_RelayRace(benchmark::State& state) {
+  run_dpor(state, wl::relay_race(static_cast<std::uint32_t>(state.range(0))),
+           check::DporOptions{});
+}
+BENCHMARK(BM_Dpor_RelayRace)->Arg(2)->Arg(3);
+
+void BM_Dpor_TokenFanout(benchmark::State& state) {
+  run_dpor(state, wl::token_fanout(static_cast<std::uint32_t>(state.range(0))),
+           check::DporOptions{});
+}
+BENCHMARK(BM_Dpor_TokenFanout)->Arg(6);
 
 // The sharded symbolic stage on its worker axis: one Verifier symbolic run
 // (record + encode + solve + witness replay per trace) with the per-trace

@@ -1,7 +1,7 @@
 // Internals of the optimal-DPOR loop (dpor.cpp): the weak-initial test,
 // the wakeup-tree arena, the internal-step classifier, the causal-pair
 // rule, the initial pick, and the race core — Prefix, the executed prefix
-// with its per-process vector clocks and race scan. The scan drops the
+// with its per-process vector clocks, per-object indices and race scan. The scan drops the
 // races of one message's chain by identity (enables), lets two racing
 // deliveries through unchecked, and decides every other reversal by
 // simulating it on the live System. The loop passes Prefix::scan_races
@@ -16,16 +16,42 @@
 // a send names; dependent() orders every two events of one process, so
 // event i's clock row — clock[i][q], the highest ordinal of process q that
 // happens before or equals i — answers hb(k, i) in O(1) as
-// clock[i][proc k] >= seq k. Appending ev walks the prefix downward and
-// joins the row of every dependent event its row does not already cover.
-// The walk also yields the races of ev for free: a dependent k left
-// uncovered when the walk reaches it has no event m with k -> m -> ev.
-// Were there one, some direct dependent predecessor m' of ev with
-// m ->* m' (possibly m' = m) lies above k, was joined before k was
-// reached, and its row covers k. Conversely a covered k has a later
-// event of its process, or k itself, happening before some joined m' > k,
-// which is such an m. So the uncovered dependent events are exactly the
-// ones with nothing happening between them and ev.
+// clock[i][proc k] >= seq k.
+//
+// Appending ev joins the rows of its races: the dependent events k with no
+// m such that k -> m -> ev. dependent() is structural, so the events ev can
+// depend on are the events on the objects it touches: its process, the
+// destination endpoint of a delivery (arrival order), one message's send,
+// delivery and consumer, the endpoints an observer (test, wait_any) saw
+// pending, and under kGlobalFifo the global send and delivery orders. The
+// Prefix keeps undoable per-object indices of those events, and a push
+// visits only the latest event on each object, in decreasing depth,
+// skipping one its row already covers and one dependent() rejects:
+//   - the latest event of ev's own process;
+//   - for a delivery into endpoint e: the latest delivery into e, the send
+//     of its message, and every observer of e newer than that delivery;
+//   - for a step that consumes a message: the message's delivery and send;
+//   - for an observer: the latest delivery into each endpoint it saw
+//     pending;
+//   - under kGlobalFifo: the latest delivery (for a delivery) or the latest
+//     send (for a send).
+// This yields the same races and rows as a walk over the whole prefix. The
+// events on one object are pairwise dependent, so they are totally ordered
+// by happens-before and the latest one happens after the rest. Observers of
+// one endpoint are the exception: two of them on different threads are
+// independent, and each may race with a later delivery. (A validated
+// program parks requests only on endpoints their own thread owns, but the
+// indices follow whatever the footprints' observed_pending holds.) Every
+// observer of e older than the latest delivery d into e is dependent with
+// d, so it happens before d; only the observers after d are visited one by
+// one.
+// Hence every dependent k the push does not visit happens before a later
+// dependent m, and is no race. A visited k is a race exactly when no later
+// dependent m has k -> m: such an m is visited, or happens before a visited
+// m' > m, and by induction in decreasing depth the joined row covers k.
+// Conversely a covered k has a joined race m' > k above it. So the
+// uncovered dependent candidates are exactly the races, and the row is the
+// join of their rows, the join of every dependent event's row.
 #pragma once
 
 #include <algorithm>
@@ -241,16 +267,24 @@ inline const mcapi::Action* initial_pick(
 /// `sys` is the one live journaling System the loop walks up and down:
 /// push() applies an event and appends its vector clock, pop() undoes both,
 /// and a checkpoint is simply a depth (one undo record per event). Clock
-/// rows live in one flat arena of P entries per event, so a push allocates
-/// nothing once the arena has grown; the push also records the race
-/// candidates of the event it appended (see the file comment). The race
-/// scan builds every candidate reversal in one reused buffer.
+/// rows live in one flat arena of P entries per event. Beside it the Prefix
+/// keeps per-object indices — the events of each process, the deliveries
+/// into and the pending-observers of each endpoint, the delivery of each
+/// send, and the global send and delivery orders — which push appends to
+/// and pop trims. A push joins only the latest event on each object it
+/// touches, plus the observers of its endpoint since that endpoint's last
+/// delivery, which may be concurrent with each other (see the file
+/// comment); it records the races of the event it appended and allocates
+/// nothing once the arena and indices have grown. The race scan builds
+/// every candidate reversal in one reused buffer.
 class Prefix {
  public:
   Prefix(const mcapi::Program& program, mcapi::DeliveryMode mode)
       : sys(program, mode),
         mode_(mode),
-        threads_(static_cast<std::uint32_t>(program.num_threads())) {
+        threads_(static_cast<std::uint32_t>(program.num_threads())),
+        deliveries_into_(program.num_endpoints()),
+        observers_of_(program.num_endpoints()) {
     sys.enable_undo_log();
     // Processes: threads [0, T), then one per channel a send can fill.
     for (mcapi::ThreadRef t = 0; t < threads_; ++t) {
@@ -264,45 +298,52 @@ class Prefix {
     channels_.erase(std::unique(channels_.begin(), channels_.end()),
                     channels_.end());
     procs_ = threads_ + channels_.size();
-    count_.assign(procs_, 0);
+    events_of_.resize(procs_);
   }
 
   /// Applies `ev` (a footprint taken at the current state) and appends its
-  /// vector clock.
+  /// vector clock, joining only the latest event of each object ev touches
+  /// (see the file comment).
   void push(const mcapi::ActionFootprint& ev) {
     sys.apply(ev.action);
-    const std::size_t n = events.size();
-    clock_.resize((n + 1) * procs_);  // value-initialized: the row is zero
-    std::uint32_t* row = clock_.data() + n * procs_;
+    const auto n = static_cast<std::uint32_t>(events.size());
+    const std::uint32_t p = proc_of(ev.action);
+    collect_candidates(ev, p);
+    // The arena keeps the rows of popped events; the row is rewritten here.
+    if (clock_.size() < (std::size_t{n} + 1) * procs_) {
+      clock_.resize((std::size_t{n} + 1) * procs_);
+    }
+    std::uint32_t* row = clock_.data() + std::size_t{n} * procs_;
+    std::fill_n(row, procs_, 0u);
     races_.clear();
-    for (std::size_t k = n; k-- > 0;) {
+    for (const std::uint32_t k : candidates_) {  // decreasing depth
       if (row[proc_[k]] >= seq_[k]) continue;  // k happens before a joined m
       if (!mcapi::dependent(events[k], ev, mode_)) continue;
       races_.push_back(k);
-      const std::uint32_t* below = clock_.data() + k * procs_;
-      // Once the row covers the whole prefix, every k below is covered.
-      bool all = true;
+      const std::uint32_t* below = clock_.data() + std::size_t{k} * procs_;
       for (std::size_t q = 0; q < procs_; ++q) {
         row[q] = std::max(row[q], below[q]);
-        all = all && row[q] == count_[q];
       }
-      if (all) break;
     }
-    const std::uint32_t p = proc_of(ev.action);
-    row[p] = ++count_[p];
+    events_of_[p].push_back(n);
+    row[p] = static_cast<std::uint32_t>(events_of_[p].size());
     events.push_back(ev);
     proc_.push_back(p);
     seq_.push_back(row[p]);
+    delivery_of_.push_back(kNone);
+    index(ev, n, +1);
   }
 
-  /// Undoes the last event and drops its clock.
+  /// Undoes the last event and drops its clock and index entries.
   void pop() {
     sys.undo();
+    const auto n = static_cast<std::uint32_t>(events.size() - 1);
+    index(events.back(), n, -1);
+    events_of_[proc_.back()].pop_back();
     events.pop_back();
-    --count_[proc_.back()];
     proc_.pop_back();
     seq_.pop_back();
-    clock_.resize(events.size() * procs_);
+    delivery_of_.pop_back();
     races_.clear();
   }
 
@@ -397,6 +438,8 @@ class Prefix {
   std::vector<mcapi::ActionFootprint> events;
 
  private:
+  static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+
   static std::uint64_t channel_key(mcapi::ChannelId c) {
     return (static_cast<std::uint64_t>(c.src) << 32) | c.dst;
   }
@@ -410,19 +453,104 @@ class Prefix {
     return threads_ + static_cast<std::uint32_t>(it - channels_.begin());
   }
 
+  static std::uint32_t last(const std::vector<std::uint32_t>& list) {
+    return list.empty() ? kNone : list.back();
+  }
+
+  /// Event index of the send of the message `f` moves or consumes. Every
+  /// step of a thread bumps its op count, so the send with dynamic ordinal
+  /// op is the op-th event of its thread.
+  [[nodiscard]] std::uint32_t send_of(const mcapi::ActionFootprint& f) const {
+    const std::vector<std::uint32_t>& sent = events_of_[f.message_thread];
+    MCSYM_ASSERT(f.message_op < sent.size());
+    return sent[f.message_op];
+  }
+
+  /// Fills candidates_, in decreasing depth, with the latest event of every
+  /// object ev (of process p) can depend on; every other dependent event
+  /// happens before one of them, except observers (see the file comment).
+  void collect_candidates(const mcapi::ActionFootprint& ev, std::uint32_t p) {
+    candidates_.clear();
+    const auto add = [this](std::uint32_t k) {  // keeps decreasing depth
+      if (k == kNone) return;
+      auto it = candidates_.begin();
+      while (it != candidates_.end() && *it > k) ++it;
+      if (it == candidates_.end() || *it != k) candidates_.insert(it, k);
+    };
+    add(last(events_of_[p]));
+    const bool fifo = mode_ == mcapi::DeliveryMode::kGlobalFifo;
+    if (ev.action.kind == mcapi::Action::Kind::kDeliver) {
+      const mcapi::EndpointRef dst = ev.action.channel.dst;
+      const std::uint32_t delivered = last(deliveries_into_[dst]);
+      add(delivered);
+      if (ev.has_message) add(send_of(ev));
+      // Observers of dst are pairwise independent, so each one newer than
+      // the last delivery into dst is joined on its own.
+      const std::vector<std::uint32_t>& obs = observers_of_[dst];
+      for (auto it = obs.rbegin();
+           it != obs.rend() && (delivered == kNone || *it > delivered); ++it) {
+        add(*it);
+      }
+      if (fifo) add(last(fifo_deliveries_));
+    } else if (!ev.internal) {
+      if (ev.has_message) {
+        const std::uint32_t send = send_of(ev);
+        add(send);
+        add(delivery_of_[send]);
+      }
+      for (const mcapi::EndpointRef ep : ev.observed_pending) {
+        add(last(deliveries_into_[ep]));
+      }
+      if (fifo && ev.op == mcapi::OpKind::kSend) add(last(fifo_sends_));
+    }
+  }
+
+  /// Enters (dir +1, after push) or leaves (dir -1, before pop) event n,
+  /// footprint ev, in the per-object indices other than events_of_.
+  void index(const mcapi::ActionFootprint& ev, std::uint32_t n, int dir) {
+    const bool fifo = mode_ == mcapi::DeliveryMode::kGlobalFifo;
+    const auto update = [dir, n](std::vector<std::uint32_t>& list) {
+      if (dir > 0) {
+        list.push_back(n);
+      } else {
+        list.pop_back();
+      }
+    };
+    if (ev.action.kind == mcapi::Action::Kind::kDeliver) {
+      update(deliveries_into_[ev.action.channel.dst]);
+      if (ev.has_message) delivery_of_[send_of(ev)] = dir > 0 ? n : kNone;
+      if (fifo) update(fifo_deliveries_);
+      return;
+    }
+    for (const mcapi::EndpointRef ep : ev.observed_pending) {
+      update(observers_of_[ep]);
+    }
+    if (fifo && ev.op == mcapi::OpKind::kSend) update(fifo_sends_);
+  }
+
   const mcapi::DeliveryMode mode_;
   // Vector clocks over procs_ processes: the threads_ threads, then the
   // channels, process threads_ + i for channels_[i] (sorted keys).
   const std::uint32_t threads_;
   std::vector<std::uint64_t> channels_;
   std::size_t procs_ = 0;
-  std::vector<std::uint32_t> count_;  // events per process in the prefix
   std::vector<std::uint32_t> proc_;   // per event: its process
   std::vector<std::uint32_t> seq_;    // per event: 1-based ordinal in it
-  std::vector<std::uint32_t> clock_;  // row i at [i * procs_, (i+1) * procs_)
+  // Row i at [i * procs_, (i+1) * procs_); rows past the prefix are stale.
+  std::vector<std::uint32_t> clock_;
+  // Per-object indices of the prefix, each list in increasing depth: push
+  // appends to them, pop takes the same entries off again.
+  std::vector<std::vector<std::uint32_t>> events_of_;        // per process
+  std::vector<std::vector<std::uint32_t>> deliveries_into_;  // per endpoint
+  std::vector<std::vector<std::uint32_t>> observers_of_;     // per endpoint
+  std::vector<std::uint32_t> delivery_of_;  // per send event: its delivery
+  std::vector<std::uint32_t> fifo_sends_;       // kGlobalFifo only
+  std::vector<std::uint32_t> fifo_deliveries_;  // kGlobalFifo only
+  // The events push() joins, in decreasing depth.
+  std::vector<std::uint32_t> candidates_;
   // Race candidates of the last pushed event (dependent, nothing between),
   // in decreasing depth.
-  std::vector<std::size_t> races_;
+  std::vector<std::uint32_t> races_;
   // The reversal scan_races is building; its capacity is kept across scans.
   std::vector<mcapi::ActionFootprint> candidate_;
 };

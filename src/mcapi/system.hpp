@@ -36,11 +36,15 @@
 // instead of copying the world at every frame.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mcapi/ids.hpp"
@@ -126,6 +130,72 @@ struct Action {
   friend bool operator==(const Action&, const Action&) = default;
 };
 
+/// The endpoints one step observes as pending. Up to kInline entries are
+/// stored inline, so a footprint copies with a fixed-size copy and no heap:
+/// a test observes one endpoint, a wait_any one per pending listed request.
+/// A longer list spills to the heap, in a buffer of bit_ceil(size())
+/// entries; its length is not limited.
+class ObservedEndpoints {
+ public:
+  static constexpr std::uint32_t kInline = 2;
+
+  ObservedEndpoints() = default;
+  ObservedEndpoints(const ObservedEndpoints& o) : size_(o.size_), u_(o.u_) {
+    if (spilled()) {
+      u_.heap = new EndpointRef[std::bit_ceil(size_)];
+      std::copy_n(o.u_.heap, size_, u_.heap);
+    }
+  }
+  ObservedEndpoints(ObservedEndpoints&& o) noexcept
+      : size_(std::exchange(o.size_, 0)), u_(std::exchange(o.u_, {})) {}
+  ObservedEndpoints& operator=(const ObservedEndpoints& o) {
+    if (o.spilled()) return *this = ObservedEndpoints(o);
+    release();
+    size_ = o.size_;
+    u_ = o.u_;
+    return *this;
+  }
+  ObservedEndpoints& operator=(ObservedEndpoints&& o) noexcept {
+    if (this != &o) {
+      release();
+      size_ = std::exchange(o.size_, 0);
+      u_ = std::exchange(o.u_, {});
+    }
+    return *this;
+  }
+  ~ObservedEndpoints() { release(); }
+
+  void push_back(EndpointRef ep) {
+    // Spill, or double the heap buffer, when the entries fill their storage.
+    if (size_ >= kInline && std::has_single_bit(size_)) {
+      auto* grown = new EndpointRef[2 * static_cast<std::size_t>(size_)];
+      std::copy_n(begin(), size_, grown);
+      release();
+      u_.heap = grown;
+    }
+    (size_ < kInline ? u_.local.data() : u_.heap)[size_++] = ep;
+  }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const EndpointRef* begin() const {
+    return spilled() ? u_.heap : u_.local.data();
+  }
+  [[nodiscard]] const EndpointRef* end() const { return begin() + size_; }
+
+ private:
+  [[nodiscard]] bool spilled() const { return size_ > kInline; }
+  void release() {
+    if (spilled()) delete[] u_.heap;
+  }
+
+  std::uint32_t size_ = 0;
+  // `local` is the active member exactly while size_ <= kInline.
+  union Storage {
+    std::array<EndpointRef, kInline> local;
+    EndpointRef* heap;
+  } u_{};
+};
+
 /// Static footprint of an action, computed against the state it is enabled
 /// in: which shared structures it will touch and which message (by static
 /// send identity) it moves or consumes. The partial-order-reduction
@@ -150,7 +220,7 @@ struct ActionFootprint {
   // Endpoints whose requests this step observes as still pending (a pending
   // mcapi_test poll, the requests a wait_any scans past): reordering a
   // delivery to such an endpoint across the step can change its outcome.
-  std::vector<EndpointRef> observed_pending;
+  ObservedEndpoints observed_pending;
 };
 
 /// Structural dependence of two action footprints: false only when the
@@ -295,7 +365,6 @@ class System {
   [[nodiscard]] std::uint32_t op_count(ThreadRef t) const {
     return threads_[t].op_count;
   }
-  [[nodiscard]] bool thread_halted(ThreadRef t) const { return threads_[t].halted; }
 
   /// Kind of the instruction thread `t` would execute next (nullopt when
   /// halted). Lets partial-order reduction classify actions without

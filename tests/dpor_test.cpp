@@ -720,6 +720,159 @@ TEST(DporTest, VectorClocksMatchClosure) {
   EXPECT_GT(observers, 0u);
 }
 
+// The race points a push records for its event, in decreasing depth: the
+// scan's coverage callback sees each one (and reports it covered, so the
+// live System is never rewound).
+std::vector<std::size_t> race_points(dpor_detail::Prefix& prefix) {
+  std::vector<std::size_t> seen;
+  DporStats st;
+  prefix.scan_races(
+      st,
+      [&](std::size_t k, const std::vector<mcapi::ActionFootprint>&) {
+        seen.push_back(k);
+        return true;
+      },
+      [](std::size_t, std::vector<mcapi::ActionFootprint>&) {
+        return std::size_t{0};
+      });
+  return seen;
+}
+
+// Observers of one endpoint on different threads are independent of each
+// other, so a delivery into that endpoint races with every one of them
+// since its last delivery, not just the latest. In a validated program a
+// pending request sits on an endpoint its own thread owns, so the second
+// poll is given that endpoint in its footprint: dependent() and the
+// Prefix's indices are defined over footprints, not over ownership.
+TEST(DporTest, DeliveryRacesEveryConcurrentObserver) {
+  mcapi::Program p;
+  auto a = p.add_thread("a");
+  auto b = p.add_thread("b");
+  auto c = p.add_thread("c");
+  const auto ea = p.add_endpoint("ea", a.ref());
+  const auto eb = p.add_endpoint("eb", b.ref());
+  const auto ec = p.add_endpoint("ec", c.ref());
+  a.recv_nb(ea, "x", 0).test_poll(0, "t");
+  b.recv_nb(eb, "y", 0).test_poll(0, "u");
+  c.send(ec, ea, 1);
+  p.finalize();
+
+  dpor_detail::Prefix prefix(p, mcapi::DeliveryMode::kArbitraryDelay);
+  const auto step = [](mcapi::ThreadRef t) {
+    return mcapi::Action{mcapi::Action::Kind::kThreadStep, t, {}};
+  };
+  prefix.push(prefix.sys.footprint(step(0)));  // 0: a's recv_i parks on ea
+  prefix.push(prefix.sys.footprint(step(1)));  // 1: b's recv_i parks on eb
+  prefix.push(prefix.sys.footprint(step(2)));  // 2: c sends to ea
+  const mcapi::ActionFootprint poll_a = prefix.sys.footprint(step(0));
+  ASSERT_EQ(std::vector<mcapi::EndpointRef>(poll_a.observed_pending.begin(),
+                                            poll_a.observed_pending.end()),
+            std::vector<mcapi::EndpointRef>{ea});
+  prefix.push(poll_a);  // 3: a polls ea, pending
+  mcapi::ActionFootprint poll_b = prefix.sys.footprint(step(1));
+  mcapi::ObservedEndpoints observed;
+  observed.push_back(ea);
+  poll_b.observed_pending = observed;
+  prefix.push(poll_b);  // 4: b polls, observing ea pending
+  EXPECT_FALSE(prefix.hb(3, 4));
+
+  mcapi::Action del{mcapi::Action::Kind::kDeliver, 0, mcapi::ChannelId{ec, ea}};
+  prefix.push(prefix.sys.footprint(del));  // 5: the delivery into ea
+  EXPECT_TRUE(prefix.hb(3, 5));
+  EXPECT_TRUE(prefix.hb(4, 5));
+  EXPECT_TRUE(prefix.hb(2, 5));
+  // The send feeding the delivery is dropped as one message's chain.
+  EXPECT_EQ(race_points(prefix), (std::vector<std::size_t>{4, 3}));
+}
+
+// Under global FIFO every two deliveries are dependent, whatever their
+// endpoints, so a delivery joins the latest delivery anywhere: here one
+// into another endpoint, which the per-endpoint index alone would miss.
+TEST(DporTest, GlobalFifoDeliveryJoinsLatestDeliveryAnywhere) {
+  mcapi::Program p;
+  auto a = p.add_thread("a");
+  auto b = p.add_thread("b");
+  auto c = p.add_thread("c");
+  auto d = p.add_thread("d");
+  auto f = p.add_thread("f");
+  const auto ea = p.add_endpoint("ea", a.ref());
+  const auto eb = p.add_endpoint("eb", b.ref());
+  const auto ec = p.add_endpoint("ec", c.ref());
+  const auto ed = p.add_endpoint("ed", d.ref());
+  const auto ef = p.add_endpoint("ef", f.ref());
+  a.recv(ea, "x").recv(ea, "y");
+  b.recv(eb, "z");
+  c.send(ec, ea, 1);
+  d.send(ed, eb, 2);
+  f.send(ef, ea, 3);
+  p.finalize();
+
+  for (const auto mode : {mcapi::DeliveryMode::kArbitraryDelay,
+                          mcapi::DeliveryMode::kGlobalFifo}) {
+    dpor_detail::Prefix prefix(p, mode);
+    for (const mcapi::ThreadRef t : {2u, 3u, 4u}) {  // 0..2: the sends
+      prefix.push(prefix.sys.footprint(
+          mcapi::Action{mcapi::Action::Kind::kThreadStep, t, {}}));
+    }
+    for (const mcapi::ChannelId ch : {mcapi::ChannelId{ec, ea},    // 3
+                                      mcapi::ChannelId{ed, eb},    // 4
+                                      mcapi::ChannelId{ef, ea}}) {  // 5
+      const mcapi::Action del{mcapi::Action::Kind::kDeliver, 0, ch};
+      ASSERT_TRUE(prefix.sys.action_enabled(del));
+      prefix.push(prefix.sys.footprint(del));
+    }
+    const bool fifo = mode == mcapi::DeliveryMode::kGlobalFifo;
+    EXPECT_TRUE(prefix.hb(3, 5));
+    EXPECT_EQ(prefix.hb(4, 5), fifo);
+    EXPECT_EQ(prefix.hb(3, 4), fifo);
+    // Arbitrary delay: the delivery races the earlier one into ea. Global
+    // FIFO: it races only the delivery into eb, which the one into ea
+    // happens before.
+    EXPECT_EQ(race_points(prefix),
+              (std::vector<std::size_t>{fifo ? 4u : 3u}));
+  }
+}
+
+// A footprint's observed endpoints live inline up to kInline entries, so
+// copying a footprint allocates nothing; a longer wait_any list spills to
+// the heap and copies and moves intact.
+TEST(DporTest, FootprintCopiesAllocateNothingInline) {
+  mcapi::ActionFootprint small;
+  for (mcapi::EndpointRef ep = 0; ep < mcapi::ObservedEndpoints::kInline; ++ep) {
+    small.observed_pending.push_back(ep);
+  }
+  std::vector<mcapi::ActionFootprint> copies;
+  copies.reserve(8);
+  g_allocs = 0;
+  g_count_allocs = true;
+  for (int i = 0; i < 8; ++i) copies.push_back(small);
+  copies[3] = copies[5];
+  g_count_allocs = false;
+  EXPECT_EQ(g_allocs.load(), 0u);
+  EXPECT_EQ(copies[3].observed_pending.size(), mcapi::ObservedEndpoints::kInline);
+
+  mcapi::ActionFootprint big;
+  std::vector<mcapi::EndpointRef> want;
+  for (mcapi::EndpointRef ep = 0; ep < 3 * mcapi::ObservedEndpoints::kInline; ++ep) {
+    big.observed_pending.push_back(ep * 7);
+    want.push_back(ep * 7);
+  }
+  const auto list = [](const mcapi::ActionFootprint& f) {
+    return std::vector<mcapi::EndpointRef>(f.observed_pending.begin(),
+                                           f.observed_pending.end());
+  };
+  mcapi::ActionFootprint copy = big;
+  EXPECT_EQ(list(copy), want);
+  copy = small;
+  EXPECT_EQ(list(copy), list(small));
+  copy = big;
+  EXPECT_EQ(list(copy), want);
+  mcapi::ActionFootprint moved = std::move(copy);
+  EXPECT_EQ(list(moved), want);
+  EXPECT_TRUE(copy.observed_pending.empty());
+  EXPECT_EQ(list(big), want);
+}
+
 TEST(DporTest, IndependenceRelationBasics) {
   const mcapi::Program p = wl::figure1();
   mcapi::System sys(p);

@@ -172,7 +172,7 @@ TEST(UndoLog, ContinuePastViolationCollectsAndUndoes) {
   EXPECT_EQ(sys.violations()[1].op_index, 2u);
   ASSERT_TRUE(sys.violation().has_value());
   EXPECT_EQ(sys.violation()->op_index, 1u);  // first fired assert
-  EXPECT_TRUE(sys.thread_halted(0));
+  EXPECT_FALSE(sys.next_op_kind(0).has_value());  // thread 0 halted
 
   sys.rollback(after_first);
   ASSERT_EQ(sys.violations().size(), 1u);
